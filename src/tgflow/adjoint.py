@@ -28,7 +28,9 @@ from .params import ModelParams
 from .spectral import (
     Field,
     SpectralBasis,
+    jacobian,
     matmul_grid,
+    project_div,
     strain,
     tensor_dot,
     to_coeffs,
@@ -45,13 +47,15 @@ class _FrozenAdjointState:
     """Grid quantities of a frozen (reversed) state midpoint."""
 
     def __init__(self, basis: SpectralBasis, coeffs: np.ndarray):
+        y = Field(coeffs, basis)
+        v = Field(coeffs * basis.vmult, basis)
         self.basis = basis
-        self.vel = to_grid(Field(coeffs, basis))
-        self.jac = basis.jacobian(self.vel)
-        self.a = strain(basis, self.vel, self.jac)
+        self.vel = to_grid(y)
+        self.jac = jacobian(y)
+        self.a = strain(self.jac)
         self.a_sq = tensor_dot(self.a, self.a)
-        self.v_grid = to_grid(Field(coeffs * basis.vmult, basis))
-        self.jac_v = basis.jacobian(self.v_grid)
+        self.v_grid = to_grid(v)
+        self.jac_v = jacobian(v)
 
 
 def adjoint_rhs_terms(
@@ -64,15 +68,14 @@ def adjoint_rhs_terms(
     the terms tested against phi and outer the two tested against v(phi).
     """
     basis = frozen.basis
-    vel_q = to_grid(Field(q_coeffs, basis))
-    jac_q = basis.jacobian(vel_q)
-    a_q = jac_q + np.swapaxes(jac_q, 0, 1)
+    q = Field(q_coeffs, basis)
+    vel_q, jac_q = to_grid(q), jacobian(q)
+    a_q = strain(jac_q)
 
     # -b(phi, q, v(ybar)) and +b(q, phi, v(ybar)) move to the right-hand side as
     # +((grad q)^T v(ybar), phi) and +((q . grad) v(ybar), phi)
     g1 = np.einsum("ljxy,lxy->jxy", jac_q, frozen.v_grid)
     g2 = np.einsum("jxy,ijxy->ixy", vel_q, frozen.jac_v)
-    inner_grid = g1 + g2
 
     t_sum = np.zeros_like(frozen.a)
     coef = params.alpha1 + params.alpha2
@@ -81,8 +84,7 @@ def adjoint_rhs_terms(
     if params.beta != 0.0:
         t_sum = t_sum + params.beta * frozen.a_sq * a_q
         t_sum = t_sum + 2.0 * params.beta * tensor_dot(a_q, frozen.a) * frozen.a
-    inner_grid = inner_grid + basis.tensor_divergence(t_sum)
-    inner = to_coeffs(basis, inner_grid).coeffs
+    inner = to_coeffs(basis, g1 + g2).coeffs + project_div(basis, t_sum).coeffs
 
     # +b(q, ybar, v(phi)) - b(ybar, q, v(phi)) contribute through v(phi)
     phi1 = np.einsum("jxy,ijxy->ixy", vel_q, frozen.jac)
@@ -156,9 +158,9 @@ def adjoint_form(y: Field, p: Field, phi: Field, params: ModelParams) -> float:
         + trilinear_b(p, y, v_phi)
         - trilinear_b(y, p, v_phi)
     )
-    a_y = strain(basis, to_grid(y))
-    a_p = strain(basis, to_grid(p))
-    grad_phi = basis.jacobian(to_grid(phi))
+    a_y = strain(jacobian(y))
+    a_p = strain(jacobian(p))
+    grad_phi = jacobian(phi)
     t_sum = np.zeros_like(a_y)
     coef = params.alpha1 + params.alpha2
     if coef != 0.0:

@@ -45,7 +45,7 @@ from .errors import (
 )
 from .linearized import gateaux_taylor_test
 from .params import validate_params
-from .spectral import Field, build_basis, set_fft_workers
+from .spectral import Field, build_basis
 from .state import solve_state
 from .storage import (
     atomic_write_text,
@@ -358,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="path to the run configuration file")
     parser.add_argument("--out", required=True, help="output directory (caller-owned)")
     parser.add_argument("--seed", type=int, default=None, help="override the configured seed")
-    parser.add_argument("--threads", type=int, default=1, help="FFT worker count (default 1)")
     parser.add_argument("--level", choices=LEVELS, default="fast", help="verify suite level")
     return parser
 
@@ -366,9 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.threads < 1:
-            raise ConfigInvalid("--threads must be >= 1")
-        set_fft_workers(args.threads)
         if args.command == "verify":
             cfg = _Config(args.config) if args.config else None
         else:

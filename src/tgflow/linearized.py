@@ -30,10 +30,12 @@ from .spectral import (
     Field,
     SpectralBasis,
     advect_tensor,
+    jacobian,
     matmul_grid,
+    project_div,
     strain,
+    strain_partials,
     tensor_dot,
-    tensor_partials,
     to_coeffs,
     to_grid,
     trilinear_b,
@@ -48,12 +50,13 @@ class _FrozenState:
     """Grid quantities of a frozen coefficient vector, shared by one step."""
 
     def __init__(self, basis: SpectralBasis, coeffs: np.ndarray):
+        y = Field(coeffs, basis)
         self.basis = basis
-        self.vel = to_grid(Field(coeffs, basis))
-        self.jac = basis.jacobian(self.vel)
-        self.a = strain(basis, self.vel, self.jac)
+        self.vel = to_grid(y)
+        self.jac = jacobian(y)
+        self.a = strain(self.jac)
         self.a_sq = tensor_dot(self.a, self.a)
-        self.a_partials = tensor_partials(basis, self.a)
+        self.a_partials = strain_partials(y)
 
 
 def linearized_rhs_coeffs(
@@ -61,9 +64,9 @@ def linearized_rhs_coeffs(
 ) -> np.ndarray:
     """Projection coefficients of F'(y)[z] at the frozen state."""
     basis = frozen.basis
-    vel_z = to_grid(Field(z_coeffs, basis))
-    jac_z = basis.jacobian(vel_z)
-    a_z = jac_z + np.swapaxes(jac_z, 0, 1)
+    z = Field(z_coeffs, basis)
+    vel_z, jac_z = to_grid(z), jacobian(z)
+    a_z = strain(jac_z)
 
     conv = np.einsum("jxy,ijxy->ixy", frozen.vel, jac_z) + np.einsum(
         "jxy,ijxy->ixy", vel_z, frozen.jac
@@ -71,8 +74,8 @@ def linearized_rhs_coeffs(
     stress = np.zeros_like(a_z)
 
     if params.alpha1 != 0.0:
-        adv_az = advect_tensor(basis, frozen.vel, a_z)
-        adv_ay = advect_tensor(basis, vel_z, frozen.a, partials=frozen.a_partials)
+        adv_az = advect_tensor(frozen.vel, strain_partials(z))
+        adv_ay = advect_tensor(vel_z, frozen.a_partials)
         stress = stress + params.alpha1 * (
             adv_az
             + adv_ay
@@ -90,8 +93,7 @@ def linearized_rhs_coeffs(
             frozen.a_sq * a_z + 2.0 * tensor_dot(frozen.a, a_z) * frozen.a
         )
 
-    rhs = -conv + basis.tensor_divergence(stress)
-    return to_coeffs(basis, rhs).coeffs
+    return project_div(basis, stress).coeffs - to_coeffs(basis, conv).coeffs
 
 
 def solve_linearized(y_traj: Trajectory, psi: Trajectory, params: ModelParams) -> Trajectory:
@@ -174,9 +176,9 @@ def linearized_form(y: Field, z: Field, phi: Field, params: ModelParams) -> floa
         + trilinear_b(phi, y, v_z)
         + trilinear_b(phi, z, v_y)
     )
-    a_y = strain(basis, to_grid(y))
-    a_z = strain(basis, to_grid(z))
-    grad_phi = basis.jacobian(to_grid(phi))
+    a_y = strain(jacobian(y))
+    a_z = strain(jacobian(z))
+    grad_phi = jacobian(phi)
     t_sum = np.zeros_like(a_y)
     coef = params.alpha1 + params.alpha2
     if coef != 0.0:

@@ -22,18 +22,30 @@ D_mn = 1 + alpha1 lambda, hence (h, h)_W = mu (h, h)_V with mu = 2 + alpha1 lamb
 Grids and transforms
 --------------------
 All pointwise work happens on the even/odd periodic extension of the square to
-[0, 2pi)^2, sampled on P x P points with P = 2 * grid_size.  Every quantity in
-the pipeline (velocity components, strain entries, their products) extends to a
-genuine trigonometric polynomial on the torus, so one real FFT serves for all
-derivatives, and integrals over D of parity-matched products are exactly
-(pi^2 / P^2) * sum over the extended grid.
+[0, 2pi)^2, sampled on P x P points with P = 2 * grid_size.  Each mode is a
+product of one sin/cos in x and one in y, so the basis stores only per-axis
+tables: sin(k x_j) and cos(k x_j) for k = 1..M with their first and second
+derivatives, each (M, P).  Three sum-factorised kernels work on them:
 
-Nonlinear products are formed pointwise on the grid and projected back onto the
-basis by exact quadrature pairing with the analytic mode arrays; the 2/3-rule
-mask is available for grid-level intermediates and is subsumed by that
-projection (the mask keeps every basis mode whenever grid_size >= 3M/2).
-For the cubic stress to be alias-free, grid_size >= 2M + 2 is recommended;
-the default 4M matches that comfortably.
+- synthesis: d_x^a d_y^b of a velocity component is X^T (C * amp) Y, two
+  matrix products of the (M, M) coefficient matrix C with the tables of the
+  component's parity (sin x cos for u1, cos x sin for u2).  Velocities,
+  Jacobians and the strain partials of y . grad A are all synthesised, so no
+  derivative is ever taken of grid data;
+- projection (to_coeffs), the transpose of synthesis:
+  c_i = (1 + alpha1 lam_i) (u, h_i)_{L2(D)} by grid quadrature;
+- divergence projection (project_div): the coefficients of P div T by
+  summation by parts, c_i = -(1 + alpha1 lam_i) quad(T : grad h_i).
+
+Every quantity in the pipeline extends to a trigonometric polynomial on the
+torus, and integrals over D of parity-matched products are exactly
+(pi^2 / P^2) * sum over the extended grid.  Summation by parts is exact on the
+grid for any tensor: the modes carry no content at the Nyquist wavenumber
+P / 2, so pairing h_i with the spectral divergence of T equals minus pairing
+grad h_i with T.  Content that no mode carries never reaches a coefficient,
+so both projections are alias-free by construction.  For the cubic stress to be
+alias-free, grid_size >= 2M + 2 is recommended; the default 4M matches that
+comfortably.
 """
 
 from __future__ import annotations
@@ -42,7 +54,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .errors import ShapeMismatch, UnknownKind
 from .params import ModelParams
@@ -50,33 +61,24 @@ from .params import ModelParams
 __all__ = [
     "SpectralBasis",
     "Field",
-    "TensorGridField",
     "ConstitutiveTerms",
     "build_basis",
     "default_grid_size",
     "min_grid_size",
+    "synthesize",
     "to_grid",
+    "jacobian",
+    "strain_partials",
     "to_coeffs",
-    "dealias",
+    "project_div",
     "invert_modified_stokes",
     "apply_modified_stokes",
     "trilinear_b",
     "constitutive_terms",
     "norms",
-    "set_fft_workers",
 ]
 
-_FFT_WORKERS = 1
-
 NORM_KINDS = ("L2", "V", "W", "H1", "H2", "H3", "W14")
-
-
-def set_fft_workers(n: int) -> None:
-    """Set the worker count for FFT calls. n = 1 (default) is bitwise deterministic."""
-    global _FFT_WORKERS
-    if n < 1:
-        raise ValueError("worker count must be >= 1")
-    _FFT_WORKERS = int(n)
 
 
 def min_grid_size(max_mode: int) -> int:
@@ -94,9 +96,11 @@ class SpectralBasis:
     """Divergence-free free-slip basis truncated at max_mode per axis.
 
     modes, lam and mu are aligned arrays over the M^2 modes in lexicographic
-    (m, n) order.  h1 / h2 hold the velocity components of every normalized
-    mode on the extended P x P grid (P = 2 * grid_size) and back both the
-    synthesis (to_grid) and the projection (to_coeffs) as plain contractions.
+    (m, n) order, so a coefficient vector reshaped to (M, M) is indexed by
+    (m - 1, n - 1).  sin[d] / cos[d] hold the d-th x-derivative of sin(k x)
+    / cos(k x), k = 1..M, on the P extended-grid points (P = 2 * grid_size);
+    amp holds the (M, M) factors s_mn n and -s_mn m of the two velocity
+    components.  These back synthesis and both projections.
     """
 
     max_mode: int
@@ -106,11 +110,9 @@ class SpectralBasis:
     lam: np.ndarray            # (n_modes,) Stokes eigenvalue m^2 + n^2
     mu: np.ndarray             # (n_modes,) W/V eigenratio 2 + alpha1 lam
     vmult: np.ndarray          # (n_modes,) 1 + alpha1 lam, the action of v
-    h1: np.ndarray = field(repr=False)   # (n_modes, P, P)
-    h2: np.ndarray = field(repr=False)   # (n_modes, P, P)
-    kx: np.ndarray = field(repr=False)   # (P, 1) integer wavenumbers
-    ky: np.ndarray = field(repr=False)   # (1, P//2 + 1) rfft wavenumbers
-    dealias_mask: np.ndarray = field(repr=False)
+    sin: np.ndarray = field(repr=False)   # (3, M, P) derivatives 0..2 of sin(k x_j)
+    cos: np.ndarray = field(repr=False)   # (3, M, P) derivatives 0..2 of cos(k x_j)
+    amp: np.ndarray = field(repr=False)   # (2, M, M) component factors of each mode
 
     @property
     def n_modes(self) -> int:
@@ -132,56 +134,6 @@ class SpectralBasis:
             and self.grid_size == other.grid_size
             and self.alpha1 == other.alpha1
         )
-
-    # -- grid calculus helpers ------------------------------------------------
-
-    def rfft2(self, g: np.ndarray) -> np.ndarray:
-        return sp_fft.rfft2(g, axes=(-2, -1), workers=_FFT_WORKERS)
-
-    def irfft2(self, gh: np.ndarray) -> np.ndarray:
-        P = self.n_ext
-        return sp_fft.irfft2(gh, s=(P, P), axes=(-2, -1), workers=_FFT_WORKERS)
-
-    def dx(self, g: np.ndarray) -> np.ndarray:
-        return self.irfft2(1j * self.kx * self.rfft2(g))
-
-    def dy(self, g: np.ndarray) -> np.ndarray:
-        return self.irfft2(1j * self.ky * self.rfft2(g))
-
-    def grad_scalar(self, g: np.ndarray) -> np.ndarray:
-        """(2, P, P) gradient of a scalar grid field."""
-        gh = self.rfft2(g)
-        return self.irfft2(np.stack([1j * self.kx * gh, 1j * self.ky * gh]))
-
-    def jacobian(self, vel: np.ndarray) -> np.ndarray:
-        """J[i, j] = d_j vel_i for a (2, P, P) velocity; returns (2, 2, P, P)."""
-        vh = self.rfft2(vel)
-        return self.irfft2(
-            np.stack([1j * self.kx * vh, 1j * self.ky * vh], axis=1)
-        )
-
-    def tensor_divergence(self, t: np.ndarray) -> np.ndarray:
-        """Row-wise divergence (div T)_i = sum_j d_j T[..., i, j] over the grid.
-
-        Accepts any leading batch axes before the trailing (2, 2, P, P).
-        """
-        th = self.rfft2(t)
-        out = 1j * self.kx * th[..., :, 0, :, :] + 1j * self.ky * th[..., :, 1, :, :]
-        return self.irfft2(out)
-
-    def divergence(self, vel: np.ndarray) -> np.ndarray:
-        vh = self.rfft2(vel)
-        return self.irfft2(1j * self.kx * vh[0] + 1j * self.ky * vh[1])
-
-    def curl(self, vel: np.ndarray) -> np.ndarray:
-        """Scalar curl d1 u2 - d2 u1 of a (2, P, P) velocity."""
-        vh = self.rfft2(vel)
-        return self.irfft2(1j * self.kx * vh[1] - 1j * self.ky * vh[0])
-
-    def curl_scalar(self, g: np.ndarray) -> np.ndarray:
-        """Perpendicular gradient (d2 g, -d1 g) of a scalar, the 2D curl."""
-        gh = self.rfft2(g)
-        return np.stack([self.irfft2(1j * self.ky * gh), self.irfft2(-1j * self.kx * gh)])
 
     def quad(self, g: np.ndarray) -> float:
         """Integral over [0, pi]^2 of a parity-even scalar grid field."""
@@ -232,25 +184,10 @@ class Field:
 
 
 @dataclass(frozen=True)
-class TensorGridField:
-    """A symmetric 2x2 tensor sampled on the extended grid, shape (2, 2, P, P)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values.ndim != 4 or self.values.shape[:2] != (2, 2):
-            raise ShapeMismatch(f"expected (2, 2, P, P) tensor, got {self.values.shape}")
-
-    @property
-    def symmetry_defect(self) -> float:
-        return float(np.max(np.abs(self.values[0, 1] - self.values[1, 0])))
-
-
-@dataclass(frozen=True)
 class ConstitutiveTerms:
-    """Strain and stress quantities of a state y, evaluated pseudo-spectrally.
+    """Strain and stress quantities of a state y on the extended grid.
 
-    a      : A(y) = grad y + (grad y)^T
+    a      : A(y) = grad y + (grad y)^T, shape (2, 2, P, P)
     a_sq   : |A|^2 pointwise
     s      : cubic stress beta |A|^2 A
     n      : alpha1 (y . grad A + J^T A + A J) + alpha2 A^2
@@ -259,10 +196,10 @@ class ConstitutiveTerms:
     curl_v : scalar curl of the modified velocity v(y)
     """
 
-    a: TensorGridField
+    a: np.ndarray
     a_sq: np.ndarray
-    s: TensorGridField
-    n: TensorGridField
+    s: np.ndarray
+    n: np.ndarray
     div_s: Field
     div_n: Field
     curl_v: np.ndarray
@@ -281,32 +218,21 @@ def build_basis(max_mode: int, alpha1: float, grid_size: int | None = None) -> S
         grid_size = default_grid_size(max_mode)
     if grid_size < min_grid_size(max_mode):
         raise ValueError(
-            f"grid_size {grid_size} below dealiasing minimum {min_grid_size(max_mode)}"
+            f"grid_size {grid_size} below the 2/3-rule minimum {min_grid_size(max_mode)}"
         )
 
     P = 2 * grid_size
     x = 2.0 * math.pi * np.arange(P) / P
-    X = x[:, None]
-    Y = x[None, :]
+    k = np.arange(1, max_mode + 1)[:, None]
+    sin_kx, cos_kx = np.sin(k * x), np.cos(k * x)
 
     modes = np.array([(m, n) for m in range(1, max_mode + 1) for n in range(1, max_mode + 1)])
     lam = (modes[:, 0] ** 2 + modes[:, 1] ** 2).astype(float)
     vmult = 1.0 + alpha1 * lam
     mu = 1.0 + vmult
-
-    n_modes = modes.shape[0]
-    h1 = np.empty((n_modes, P, P))
-    h2 = np.empty((n_modes, P, P))
-    for i, (m, n) in enumerate(modes):
-        # unit V-norm: ||h_raw||_V^2 = (1 + alpha1 lam) lam pi^2 / 4
-        s = 1.0 / math.sqrt(vmult[i] * lam[i] * math.pi ** 2 / 4.0)
-        h1[i] = s * n * np.sin(m * X) * np.cos(n * Y)
-        h2[i] = -s * m * np.cos(m * X) * np.sin(n * Y)
-
-    kx = np.fft.fftfreq(P, d=1.0 / P)[:, None]
-    ky = np.fft.rfftfreq(P, d=1.0 / P)[None, :]
-    kcut = P // 3  # 2/3 of the Nyquist wavenumber P/2
-    mask = (np.abs(kx) <= kcut) & (ky <= kcut)
+    # unit V-norm: ||h_raw||_V^2 = (1 + alpha1 lam) lam pi^2 / 4
+    scale = 1.0 / np.sqrt(vmult * lam * math.pi ** 2 / 4.0)
+    amp = np.stack([scale * modes[:, 1], -scale * modes[:, 0]]).reshape(2, max_mode, max_mode)
 
     return SpectralBasis(
         max_mode=int(max_mode),
@@ -316,20 +242,44 @@ def build_basis(max_mode: int, alpha1: float, grid_size: int | None = None) -> S
         lam=lam,
         mu=mu,
         vmult=vmult,
-        h1=h1,
-        h2=h2,
-        kx=kx,
-        ky=ky,
-        dealias_mask=mask,
+        sin=np.stack([sin_kx, k * cos_kx, -(k * k) * sin_kx]),
+        cos=np.stack([cos_kx, -k * sin_kx, -(k * k) * cos_kx]),
+        amp=amp,
     )
+
+
+def synthesize(f: Field, orders) -> np.ndarray:
+    """Grid values of d_x^a d_y^b f for each (a, b) in orders, a, b <= 2.
+
+    Returns shape (len(orders), 2, P, P).  Component u1 = sum c s n sin cos is
+    sin[a]^T (C * amp[0]) cos[b] with C the (M, M) coefficient matrix, and u2
+    likewise with the cos x sin tables.
+    """
+    b = f.basis
+    ax, ay = (list(o) for o in zip(*orders))
+    c = f.coeffs.reshape(b.max_mode, b.max_mode)
+    out = np.empty((len(ax), 2, b.n_ext, b.n_ext))
+    np.matmul(np.swapaxes(b.sin[ax], 1, 2) @ (c * b.amp[0]), b.cos[ay], out=out[:, 0])
+    np.matmul(np.swapaxes(b.cos[ax], 1, 2) @ (c * b.amp[1]), b.sin[ay], out=out[:, 1])
+    return out
 
 
 def to_grid(f: Field) -> np.ndarray:
     """Synthesize a Field to its (2, P, P) extended-grid velocity values."""
-    b = f.basis
-    g1 = np.einsum("i,ixy->xy", f.coeffs, b.h1)
-    g2 = np.einsum("i,ixy->xy", f.coeffs, b.h2)
-    return np.stack([g1, g2])
+    return synthesize(f, ((0, 0),))[0]
+
+
+def jacobian(f: Field) -> np.ndarray:
+    """J[i, j] = d_j f_i on the grid, shape (2, 2, P, P)."""
+    return np.swapaxes(synthesize(f, ((1, 0), (0, 1))), 0, 1)
+
+
+def strain_partials(f: Field) -> np.ndarray:
+    """(d_x A, d_y A) of A(f) = J + J^T on the grid, shape (2, 2, 2, P, P)."""
+    P = f.basis.n_ext
+    # d[k, j, i] = d_k d_j f_i
+    d = synthesize(f, ((2, 0), (1, 1), (1, 1), (0, 2))).reshape(2, 2, 2, P, P)
+    return d + np.swapaxes(d, 1, 2)
 
 
 def to_coeffs(basis: SpectralBasis, vel: np.ndarray) -> Field:
@@ -337,19 +287,27 @@ def to_coeffs(basis: SpectralBasis, vel: np.ndarray) -> Field:
 
     This is the L2-orthogonal (equivalently V-orthogonal) projection onto the
     span: c_i = (1 + alpha1 lam_i) (vel, h_i)_{L2(D)}, evaluated by exact grid
-    quadrature.  Content beyond the 2/3 mask never reaches the coefficients,
-    so dealiasing is built in.
+    quadrature as the transpose of synthesis.
     """
-    P = basis.n_ext
+    b, P = basis, basis.n_ext
     if vel.shape != (2, P, P):
         raise ShapeMismatch(f"expected velocity grid of shape (2, {P}, {P}), got {vel.shape}")
-    pair = np.einsum("ixy,xy->i", basis.h1, vel[0]) + np.einsum("ixy,xy->i", basis.h2, vel[1])
-    return Field(basis.vmult * basis.quad_weight * pair, basis)
+    pair = b.amp[0] * (b.sin[0] @ vel[0] @ b.cos[0].T) + b.amp[1] * (b.cos[0] @ vel[1] @ b.sin[0].T)
+    return Field(b.vmult * b.quad_weight * pair.ravel(), b)
 
 
-def dealias(basis: SpectralBasis, g: np.ndarray) -> np.ndarray:
-    """Apply the sharp 2/3-rule spectral cutoff to a scalar grid field."""
-    return basis.irfft2(basis.dealias_mask * basis.rfft2(g))
+def project_div(basis: SpectralBasis, t: np.ndarray) -> Field:
+    """Project (div T)_i = sum_j d_j T[i, j] of a (2, 2, P, P) grid tensor onto the basis.
+
+    Summation by parts gives c_i = -(1 + alpha1 lam_i) quad(T : grad h_i), so
+    T itself is never differentiated.
+    """
+    b = basis
+    # [j] pairs T[i, j] with d_j h_i: x-order 1 - j, y-order j
+    d1 = b.sin[[1, 0]] @ t[0] @ np.swapaxes(b.cos[[0, 1]], 1, 2)
+    d2 = b.cos[[1, 0]] @ t[1] @ np.swapaxes(b.sin[[0, 1]], 1, 2)
+    pair = b.amp[0] * (d1[0] + d1[1]) + b.amp[1] * (d2[0] + d2[1])
+    return Field(-b.vmult * b.quad_weight * pair.ravel(), b)
 
 
 def apply_modified_stokes(f: Field, alpha1: float) -> Field:
@@ -368,33 +326,17 @@ def trilinear_b(phi: Field, z: Field, y: Field) -> float:
     """Convective form b(phi, z, y) = integral of (phi . grad z) . y over D."""
     phi._check(z)
     phi._check(y)
-    b = phi.basis
-    gp = to_grid(phi)
-    gy = to_grid(y)
-    jz = b.jacobian(to_grid(z))
-    adv = np.einsum("jxy,ijxy->ixy", gp, jz)
-    return b.pair_velocity(adv, gy)
+    adv = np.einsum("jxy,ijxy->ixy", to_grid(phi), jacobian(z))
+    return phi.basis.pair_velocity(adv, to_grid(y))
 
 
-def strain(basis: SpectralBasis, vel: np.ndarray, jac: np.ndarray | None = None) -> np.ndarray:
-    """A(y) = J + J^T on the grid, shape (2, 2, P, P)."""
-    if jac is None:
-        jac = basis.jacobian(vel)
+def strain(jac: np.ndarray) -> np.ndarray:
+    """A = J + J^T on the grid, shape (2, 2, P, P)."""
     return jac + np.swapaxes(jac, 0, 1)
 
 
-def tensor_partials(basis: SpectralBasis, t: np.ndarray) -> np.ndarray:
-    """Stacked (d_x T, d_y T) of a (2, 2, P, P) tensor, shape (2, 2, 2, P, P)."""
-    th = basis.rfft2(t)
-    return basis.irfft2(np.stack([1j * basis.kx * th, 1j * basis.ky * th]))
-
-
-def advect_tensor(
-    basis: SpectralBasis, vel: np.ndarray, t: np.ndarray, partials: np.ndarray | None = None
-) -> np.ndarray:
-    """(vel . grad) T componentwise; T symmetric (2, 2, P, P)."""
-    if partials is None:
-        partials = tensor_partials(basis, t)
+def advect_tensor(vel: np.ndarray, partials: np.ndarray) -> np.ndarray:
+    """(vel . grad) T componentwise, from the stacked partials (d_x T, d_y T)."""
     return vel[0] * partials[0] + vel[1] * partials[1]
 
 
@@ -410,15 +352,15 @@ def tensor_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def nonnewtonian_tensor(
     params: ModelParams,
-    basis: SpectralBasis,
     vel: np.ndarray,
     jac: np.ndarray,
     a: np.ndarray,
+    a_partials: np.ndarray,
 ) -> np.ndarray:
     """N(y) = alpha1 (y . grad A + J^T A + A J) + alpha2 A^2."""
     jt_a = matmul_grid(np.swapaxes(jac, 0, 1), a)
     a_j = matmul_grid(a, jac)
-    out = params.alpha1 * (advect_tensor(basis, vel, a) + jt_a + a_j)
+    out = params.alpha1 * (advect_tensor(vel, a_partials) + jt_a + a_j)
     if params.alpha2 != 0.0:
         out = out + params.alpha2 * matmul_grid(a, a)
     return out
@@ -427,23 +369,20 @@ def nonnewtonian_tensor(
 def constitutive_terms(y: Field, params: ModelParams) -> ConstitutiveTerms:
     """Evaluate A, S, N, their projected divergences and curl v(y) for a state."""
     b = y.basis
-    vel = to_grid(y)
-    jac = b.jacobian(vel)
-    a = strain(b, vel, jac)
+    vel, jac = to_grid(y), jacobian(y)
+    a = strain(jac)
     a_sq = tensor_dot(a, a)
     s = params.beta * a_sq * a
-    n = nonnewtonian_tensor(params, b, vel, jac, a)
-    div_s = to_coeffs(b, b.tensor_divergence(s))
-    div_n = to_coeffs(b, b.tensor_divergence(n))
-    v_grid = to_grid(Field(y.coeffs * b.vmult, b))
+    n = nonnewtonian_tensor(params, vel, jac, a, strain_partials(y))
+    jac_v = jacobian(Field(y.coeffs * b.vmult, b))
     return ConstitutiveTerms(
-        a=TensorGridField(a),
+        a=a,
         a_sq=a_sq,
-        s=TensorGridField(s),
-        n=TensorGridField(n),
-        div_s=div_s,
-        div_n=div_n,
-        curl_v=b.curl(v_grid),
+        s=s,
+        n=n,
+        div_s=project_div(b, s),
+        div_n=project_div(b, n),
+        curl_v=jac_v[1, 0] - jac_v[0, 1],
     )
 
 
@@ -478,7 +417,7 @@ def norms(y: Field, kind: str) -> float:
         return math.sqrt(float(np.sum(c2 * mult)))
     if kind == "W14":
         vel = to_grid(y)
-        jac = b.jacobian(vel)
+        jac = jacobian(y)
         total = 0.0
         for i in range(2):
             grad_sq = jac[i, 0] ** 2 + jac[i, 1] ** 2

@@ -37,9 +37,12 @@ from .params import ModelParams
 from .spectral import (
     Field,
     SpectralBasis,
+    jacobian,
     nonnewtonian_tensor,
     norms,
+    project_div,
     strain,
+    strain_partials,
     tensor_dot,
     to_coeffs,
     to_grid,
@@ -81,23 +84,16 @@ class EnergyReport:
     gamma: float
 
 
-def state_rhs_coeffs(
-    basis: SpectralBasis, params: ModelParams, y_coeffs: np.ndarray, s_term_sign: float = 1.0
-) -> np.ndarray:
-    """Projection coefficients of F(y) = -(y.grad)y + div N(y) + div S(y).
-
-    s_term_sign is a fault-injection hook for mutation tests of the energy
-    check; it must stay +1.0 in production paths.
-    """
-    vel = to_grid(Field(y_coeffs, basis))
-    jac = basis.jacobian(vel)
-    a = strain(basis, vel, jac)
+def state_rhs_coeffs(basis: SpectralBasis, params: ModelParams, y_coeffs: np.ndarray) -> np.ndarray:
+    """Projection coefficients of F(y) = -(y.grad)y + div N(y) + div S(y)."""
+    y = Field(y_coeffs, basis)
+    vel, jac = to_grid(y), jacobian(y)
+    a = strain(jac)
     conv = np.einsum("jxy,ijxy->ixy", vel, jac)
-    stress = nonnewtonian_tensor(params, basis, vel, jac, a)
+    stress = nonnewtonian_tensor(params, vel, jac, a, strain_partials(y))
     if params.beta != 0.0:
-        stress = stress + (s_term_sign * params.beta) * tensor_dot(a, a) * a
-    rhs = -conv + basis.tensor_divergence(stress)
-    return to_coeffs(basis, rhs).coeffs
+        stress = stress + params.beta * tensor_dot(a, a) * a
+    return project_div(basis, stress).coeffs - to_coeffs(basis, conv).coeffs
 
 
 def _cn_factors(basis: SpectralBasis, params: ModelParams, dt: float):
@@ -190,7 +186,7 @@ def energy_report(traj: Trajectory, params: ModelParams) -> EnergyReport:
         h1[k] = norms(f, "H1")
         h2[k] = norms(f, "H2")
         h3[k] = norms(f, "H3")
-        a = strain(basis, to_grid(f))
+        a = strain(jacobian(f))
         quartic[k] = basis.quad(tensor_dot(a, a) ** 2)
     # 2 ||D y||_2^2 = sum lam a^2 / (1 + alpha1 lam) for V-normalized modes
     mids = traj.midpoints()
@@ -208,12 +204,12 @@ def energy_report(traj: Trajectory, params: ModelParams) -> EnergyReport:
 
 
 def energy_balance_residuals(
-    traj: Trajectory, control: Trajectory, params: ModelParams, s_term_sign: float = 1.0
+    traj: Trajectory, control: Trajectory, params: ModelParams
 ) -> np.ndarray:
     """Per-step residual of the discrete V-norm energy identity.
 
     Returns r_k = ||y_{k+1}||_V^2 - ||y_k||_V^2 + dt (4 nu ||D y_m||^2
-    + beta int |A(y_m)|^4 (* s_term_sign) - 2 (U_m, y_m)); the solver makes
+    + beta int |A(y_m)|^4 - 2 (U_m, y_m)); the solver makes
     r_k vanish to fixed-point tolerance, and dropping the control term turns
     the identity into the dissipation inequality.
     """
@@ -227,10 +223,10 @@ def energy_balance_residuals(
         v_incr = float(np.sum(traj.coeffs[k + 1] ** 2) - np.sum(traj.coeffs[k] ** 2))
         # 4 nu ||D y_m||_2^2 = 2 nu sum lam a^2 / (1 + alpha1 lam)
         dvisc = 2.0 * params.nu * float(np.sum(y_mid[k] ** 2 * basis.lam / basis.vmult))
-        a = strain(basis, to_grid(Field(y_mid[k], basis)))
+        a = strain(jacobian(Field(y_mid[k], basis)))
         quartic = basis.quad(tensor_dot(a, a) ** 2)
         work = float(np.sum(u_mid[k] * y_mid[k] / basis.vmult))
-        res[k] = v_incr + dt * (dvisc + s_term_sign * params.beta * quartic - 2.0 * work)
+        res[k] = v_incr + dt * (dvisc + params.beta * quartic - 2.0 * work)
     return res
 
 

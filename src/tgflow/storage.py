@@ -3,7 +3,7 @@
 Binary layout (all little-endian):
 
     bytes 0..15   magic  b"TGFLOWTRAJECTORY"
-    u32           format version (currently 1)
+    u32           format version (currently 2)
     u32           basis max_mode M
     u32           collocation grid_size
     u32           number of time steps N_t
@@ -11,7 +11,10 @@ Binary layout (all little-endian):
     f64           alpha1
     f64           dt
     payload       row-major float64 coefficients, (N_t + 1) x M^2
-    u32           CRC32 over the payload bytes
+    u32           CRC32 over every preceding byte: magic, header and payload
+
+Version 1 files, whose CRC covered only the payload, are rejected: a flipped
+header byte (alpha1, say) would load silently with the wrong basis.
 
 A sidecar JSON `<path>.json` records provenance: config hash, seed and code
 version.  All writes go through a temp file in the destination directory
@@ -46,7 +49,7 @@ __all__ = [
 ]
 
 MAGIC = b"TGFLOWTRAJECTORY"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _HEADER = struct.Struct("<IIIIB3xdd")
 
 
@@ -88,8 +91,8 @@ def save_trajectory(
         traj.basis.alpha1,
         traj.dt,
     )
-    crc = struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
-    atomic_write_bytes(path, MAGIC + header + payload + crc)
+    body = MAGIC + header + payload
+    atomic_write_bytes(path, body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
     sidecar = {
         "config_hash": config_hash,
         "seed": seed,
@@ -101,7 +104,7 @@ def save_trajectory(
 
 
 def load_trajectory(path: str) -> Trajectory:
-    """Read a trajectory file, verifying magic, version and payload CRC32."""
+    """Read a trajectory file, verifying magic, version and the file's CRC32."""
     with open(path, "rb") as handle:
         blob = handle.read()
     if len(blob) < len(MAGIC) + _HEADER.size + 4 or blob[: len(MAGIC)] != MAGIC:
@@ -110,17 +113,17 @@ def load_trajectory(path: str) -> Trajectory:
     version, max_mode, grid_size, n_steps, kind_idx, alpha1, dt = _HEADER.unpack_from(blob, off)
     if version != FORMAT_VERSION:
         raise VersionUnsupported(f"{path} has format version {version}, expected {FORMAT_VERSION}")
-    if kind_idx >= len(KINDS):
-        raise UnknownKind(f"{path} carries unknown kind tag {kind_idx}")
     off += _HEADER.size
     n_modes = max_mode * max_mode
     n_bytes = (n_steps + 1) * n_modes * 8
     if len(blob) != off + n_bytes + 4:
         raise ChecksumFailed(f"{path} is truncated or padded")
-    payload = blob[off : off + n_bytes]
     (crc_stored,) = struct.unpack_from("<I", blob, off + n_bytes)
-    if (zlib.crc32(payload) & 0xFFFFFFFF) != crc_stored:
-        raise ChecksumFailed(f"{path} fails its payload CRC32 check")
+    if (zlib.crc32(blob[: off + n_bytes]) & 0xFFFFFFFF) != crc_stored:
+        raise ChecksumFailed(f"{path} fails its CRC32 check")
+    if kind_idx >= len(KINDS):
+        raise UnknownKind(f"{path} carries unknown kind tag {kind_idx}")
+    payload = blob[off : off + n_bytes]
     coeffs = np.frombuffer(payload, dtype="<f8").reshape(n_steps + 1, n_modes).copy()
     basis = build_basis(max_mode, alpha1, grid_size)
     times = dt * np.arange(n_steps + 1)

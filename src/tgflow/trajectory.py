@@ -23,6 +23,16 @@ __all__ = ["Trajectory", "KINDS", "time_grid", "zeros_like", "constant_control"]
 KINDS = ("state", "linearized", "adjoint", "control", "target")
 
 
+def _time_tol(times: np.ndarray) -> float:
+    """Roundoff allowance for node times: 1e-12 of the largest |t|, never absolute.
+
+    Spacings of a floating-point grid carry errors of a few ulps of its
+    largest node, so a bound relative to dt alone would reject long uniform
+    grids, while a fixed absolute bound would accept jittered fine ones.
+    """
+    return 1e-12 * float(np.max(np.abs(times)))
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Fields at the nodes of a uniform time grid, tagged by role."""
@@ -43,7 +53,11 @@ class Trajectory:
                 f"{self.times.size} nodes x {self.basis.n_modes} modes"
             )
         dt = np.diff(self.times)
-        if self.times.size < 2 or np.any(dt <= 0) or not np.allclose(dt, dt[0], rtol=1e-12):
+        if (
+            self.times.size < 2
+            or np.any(dt <= 0)
+            or np.max(np.abs(dt - dt[0])) > _time_tol(self.times)
+        ):
             raise GridMismatch("times must be strictly increasing and uniform")
 
     @property
@@ -91,7 +105,7 @@ def constant_control(field: Field, times: np.ndarray) -> Trajectory:
 def check_same_grid(a: Trajectory, b: Trajectory) -> None:
     if not a.basis.compatible(b.basis):
         raise GridMismatch("trajectories live on incompatible bases")
-    if a.times.shape != b.times.shape or not np.allclose(a.times, b.times, rtol=1e-12):
+    if a.times.shape != b.times.shape or np.max(np.abs(a.times - b.times)) > _time_tol(b.times):
         raise GridMismatch("trajectories live on different time grids")
 
 

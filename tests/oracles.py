@@ -2,7 +2,7 @@
 
 Everything here evaluates the analytic mode formulas directly on inclusive
 [0, pi]^2 tensor grids and integrates by composite trapezoid, bypassing the
-package's FFT/projection pipeline entirely.  Trapezoid quadrature is exact
+package's synthesis/projection pipeline entirely.  Trapezoid quadrature is exact
 for the trigonometric integrands involved, so these serve as high-precision
 oracles at whatever resolution the caller picks.
 """
@@ -44,6 +44,18 @@ def mode_jacobian(m, n, alpha1, x):
     d1h2 = s * m * m * np.sin(m * X) * np.sin(n * Y)
     d2h2 = -s * m * n * np.cos(m * X) * np.cos(n * Y)
     return np.array([[d1h1, d2h1], [d1h2, d2h2]])
+
+
+def mode_hessian(m, n, alpha1, x):
+    """Analytic second derivatives d_k d_j h_i, shape (2, 2, 2, res, res) indexed [k, i, j]."""
+    s = mode_scale(m, n, alpha1)
+    X, Y = x[:, None], x[None, :]
+    sc = np.sin(m * X) * np.cos(n * Y)
+    cs = np.cos(m * X) * np.sin(n * Y)
+    dxx = [-s * n * m * m * sc, s * m ** 3 * cs]
+    dxy = [-s * n * n * m * cs, s * m * m * n * sc]
+    dyy = [-s * n ** 3 * sc, s * m * n * n * cs]
+    return np.array([[[dxx[i], dxy[i]] for i in range(2)], [[dxy[i], dyy[i]] for i in range(2)]])
 
 
 def field_velocity(modes, coeffs, alpha1, x):

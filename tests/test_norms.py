@@ -6,7 +6,7 @@ import pytest
 from conftest import random_field
 from tgflow import build_basis
 from tgflow.errors import UnknownKind
-from tgflow.spectral import NORM_KINDS, Field, norms, to_grid
+from tgflow.spectral import NORM_KINDS, Field, jacobian, norms, to_grid
 
 
 def test_zero_field_all_kinds(basis):
@@ -37,8 +37,7 @@ def test_w_norm_recomposed_from_definition(basis, rng):
 
 def test_h1_norm_from_grid_quadrature(basis, rng):
     y = random_field(basis, rng)
-    g = to_grid(y)
-    jac = basis.jacobian(g)
+    g, jac = to_grid(y), jacobian(y)
     ref = math.sqrt(basis.quad(g[0] ** 2 + g[1] ** 2) + basis.quad(np.sum(jac ** 2, axis=(0, 1))))
     assert abs(norms(y, "H1") - ref) <= 1e-10 * ref
 

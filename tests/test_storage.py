@@ -1,6 +1,7 @@
 import json
 import os
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -78,6 +79,33 @@ def test_version_unsupported(tmp_path, traj):
     blob = bytearray(open(path, "rb").read())
     blob[len(MAGIC) : len(MAGIC) + 4] = struct.pack("<I", 99)
     open(path, "wb").write(bytes(blob))
+    with pytest.raises(VersionUnsupported):
+        load_trajectory(path)
+
+
+def test_header_corruption_fails_checksum(tmp_path, traj):
+    """alpha1 0.5 -> 0.75 in the header must not load with the wrong basis."""
+    path = str(tmp_path / "t.traj")
+    save_trajectory(path, traj)
+    blob = bytearray(open(path, "rb").read())
+    alpha1_at = len(MAGIC) + 20  # after version, M, grid size, N_t and the kind word
+    assert struct.unpack_from("<d", blob, alpha1_at)[0] == traj.basis.alpha1
+    struct.pack_into("<d", blob, alpha1_at, 0.75)
+    open(path, "wb").write(bytes(blob))
+    with pytest.raises(ChecksumFailed):
+        load_trajectory(path)
+
+
+def test_version_1_file_rejected(tmp_path, traj):
+    """A v1 file, whose CRC covers only the payload, is refused, not read."""
+    payload = np.ascontiguousarray(traj.coeffs, dtype="<f8").tobytes()
+    header = struct.pack(
+        "<IIIIB3xdd", 1, traj.basis.max_mode, traj.basis.grid_size, traj.n_steps, 0,
+        traj.basis.alpha1, traj.dt,
+    )
+    path = str(tmp_path / "v1.traj")
+    crc = struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
+    open(path, "wb").write(MAGIC + header + payload + crc)
     with pytest.raises(VersionUnsupported):
         load_trajectory(path)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_field, random_traj
+from tgflow import build_basis
 from tgflow.control import CostConfig, project_admissible
 from tgflow.errors import GridMismatch, UnknownKind
 from tgflow.state import solve_state
@@ -22,6 +23,18 @@ def test_nonuniform_times_rejected(basis):
     times = np.array([0.0, 0.1, 0.3])
     with pytest.raises(GridMismatch):
         Trajectory(times, np.zeros((3, basis.n_modes)), basis, "state")
+    # a fine grid with 5% jitter on one node: an absolute tolerance would hide it
+    fine = 1e-7 * np.arange(5.0)
+    fine[2] += 0.05e-7
+    with pytest.raises(GridMismatch):
+        Trajectory(fine, np.zeros((5, basis.n_modes)), basis, "state")
+
+
+def test_long_uniform_grid_accepted(basis):
+    """Spacings of time_grid carry roundoff of the largest node, not of dt."""
+    times = time_grid(1.0, 100000)
+    t = Trajectory(times, np.zeros((times.size, 1)), build_basis(1, basis.alpha1), "state")
+    check_same_grid(t, t.with_kind("control"))
 
 
 def test_decreasing_times_rejected(basis):

@@ -4,9 +4,18 @@ import numpy as np
 import pytest
 
 from conftest import random_field
-from oracles import l2_norm_oracle
+from oracles import l2_norm_oracle, mode_hessian, mode_jacobian, mode_velocity
 from tgflow.errors import ShapeMismatch
-from tgflow.spectral import Field, dealias, norms, to_coeffs, to_grid
+from tgflow.spectral import (
+    Field,
+    jacobian,
+    norms,
+    project_div,
+    strain,
+    strain_partials,
+    to_coeffs,
+    to_grid,
+)
 
 
 def test_roundtrip_identity(basis, rng):
@@ -23,18 +32,29 @@ def test_l2_norm_matches_dense_quadrature(basis, rng):
     assert abs(norms(f, "L2") - ref) / ref <= 1e-10
 
 
-def test_dealias_idempotent(basis, rng):
-    g = rng.normal(size=(basis.n_ext, basis.n_ext))
-    once = dealias(basis, g)
-    twice = dealias(basis, once)
-    assert np.max(np.abs(twice - once)) <= 1e-13 * max(np.max(np.abs(once)), 1.0)
+def test_single_mode_derivatives_match_closed_forms(basis):
+    """Synthesised values, first and second derivatives of single modes at the grid points."""
+    P = basis.n_ext
+    x = 2.0 * math.pi * np.arange(P) / P
+    for i in (0, 5, 9, basis.n_modes - 1):
+        m, n = basis.modes[i]
+        f = Field(np.eye(basis.n_modes)[i], basis)
+        hess = mode_hessian(m, n, basis.alpha1, x)
+        pairs = [
+            (to_grid(f), np.array(mode_velocity(m, n, basis.alpha1, x))),
+            (jacobian(f), mode_jacobian(m, n, basis.alpha1, x)),
+            (strain_partials(f), hess + np.swapaxes(hess, 1, 2)),
+        ]
+        for got, want in pairs:
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def test_dealias_keeps_basis_content(basis, rng):
-    f = random_field(basis, rng)
-    g = to_grid(f)
-    filtered = np.stack([dealias(basis, g[0]), dealias(basis, g[1])])
-    assert np.max(np.abs(filtered - g)) <= 1e-13
+def test_project_div_of_strain_is_laplacian(basis, rng):
+    """For divergence-free z, div A(z) = Lap z, whose coefficients are -lam z."""
+    z = random_field(basis, rng)
+    got = project_div(basis, strain(jacobian(z))).coeffs
+    want = -basis.lam * z.coeffs
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_shape_mismatch_raises(basis):

@@ -1,13 +1,14 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from conftest import random_field, random_traj
-from tgflow import build_basis, validate_params
+from tgflow import build_basis, validate_params, verify
 from tgflow.control import CostConfig
 from tgflow.spectral import Field, norms
-from tgflow.state import solve_state
+from tgflow.state import energy_balance_residuals, solve_state
 from tgflow.trajectory import Trajectory, time_grid
 from tgflow.verify import (
     _check_energy,
@@ -58,10 +59,16 @@ def test_suite_deterministic(fast_report):
     )
 
 
-def test_energy_check_fails_under_sign_corruption(basis, params, rng):
+def test_energy_check_fails_under_sign_corruption(basis, params, rng, monkeypatch):
+    """A residual with the cubic stress sign flipped must fail the check (mutation test)."""
     times = time_grid(0.5, 16)
     ok = _check_energy(basis, params, times, np.random.default_rng(0))
-    bad = _check_energy(basis, params, times, np.random.default_rng(0), s_term_sign=-1.0)
+
+    def flipped(traj, control, p):
+        return energy_balance_residuals(traj, control, dataclasses.replace(p, beta=-p.beta))
+
+    monkeypatch.setattr(verify, "energy_balance_residuals", flipped)
+    bad = _check_energy(basis, params, times, np.random.default_rng(0))
     assert ok["passed"]
     assert not bad["passed"]
 
