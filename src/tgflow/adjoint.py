@@ -24,42 +24,17 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linearized import FrozenState, _stress_pairing, solve_linearized
 from .params import ModelParams
-from .spectral import (
-    Field,
-    SpectralBasis,
-    jacobian,
-    matmul_grid,
-    project_div,
-    strain,
-    tensor_dot,
-    to_coeffs,
-    to_grid,
-    trilinear_b,
-)
+from .spectral import Field, advect, project, strain, tangent_stress, to_grid, trilinear_b
 from .state import _cn_factors, _fixed_point
-from .trajectory import Trajectory, check_same_grid
+from .trajectory import Trajectory, check_same_grid, pair_l2l2_mid
 
 __all__ = ["solve_adjoint", "check_duality", "adjoint_form"]
 
 
-class _FrozenAdjointState:
-    """Grid quantities of a frozen (reversed) state midpoint."""
-
-    def __init__(self, basis: SpectralBasis, coeffs: np.ndarray):
-        y = Field(coeffs, basis)
-        v = Field(coeffs * basis.vmult, basis)
-        self.basis = basis
-        self.vel = to_grid(y)
-        self.jac = jacobian(y)
-        self.a = strain(self.jac)
-        self.a_sq = tensor_dot(self.a, self.a)
-        self.v_grid = to_grid(v)
-        self.jac_v = jacobian(v)
-
-
 def adjoint_rhs_terms(
-    frozen: _FrozenAdjointState, params: ModelParams, q_coeffs: np.ndarray
+    frozen: FrozenState, params: ModelParams, q_coeffs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Explicit terms of the reversed adjoint ODE at a frozen state.
 
@@ -67,30 +42,18 @@ def adjoint_rhs_terms(
     ds/dt = (-nu lam s + inner + c(f)) / vmult + outer, where inner collects
     the terms tested against phi and outer the two tested against v(phi).
     """
-    basis = frozen.basis
-    q = Field(q_coeffs, basis)
-    vel_q, jac_q = to_grid(q), jacobian(q)
-    a_q = strain(jac_q)
-
+    y, v = frozen.y, frozen.v
+    q = to_grid(Field(q_coeffs, frozen.basis), 1)
+    t11, t12, t22 = tangent_stress(frozen.a, frozen.a_sq, strain(q), params.alpha_sum, params.beta)
     # -b(phi, q, v(ybar)) and +b(q, phi, v(ybar)) move to the right-hand side as
     # +((grad q)^T v(ybar), phi) and +((q . grad) v(ybar), phi)
-    g1 = np.einsum("ljxy,lxy->jxy", jac_q, frozen.v_grid)
-    g2 = np.einsum("jxy,ijxy->ixy", vel_q, frozen.jac_v)
-
-    t_sum = np.zeros_like(frozen.a)
-    coef = params.alpha1 + params.alpha2
-    if coef != 0.0:
-        t_sum = t_sum + coef * (matmul_grid(frozen.a, a_q) + matmul_grid(a_q, frozen.a))
-    if params.beta != 0.0:
-        t_sum = t_sum + params.beta * frozen.a_sq * a_q
-        t_sum = t_sum + 2.0 * params.beta * tensor_dot(a_q, frozen.a) * frozen.a
-    inner = to_coeffs(basis, g1 + g2).coeffs + project_div(basis, t_sum).coeffs
-
+    force = q[0, 1:] * v[0, 0] + q[1, 1:] * v[1, 0] + advect(q, v)
     # +b(q, ybar, v(phi)) - b(ybar, q, v(phi)) contribute through v(phi)
-    phi1 = np.einsum("jxy,ijxy->ixy", vel_q, frozen.jac)
-    phi2 = np.einsum("jxy,ijxy->ixy", frozen.vel, jac_q)
-    outer = to_coeffs(basis, phi2 - phi1).coeffs
-    return inner, outer
+    through_v = advect(y, q) - advect(q, y)
+    grid = np.array([[force[0], t11, t12, through_v[0]], [force[1], t12, t22, through_v[1]]])
+    # slots: phi, d_x phi, d_y phi (the stress, by summation by parts), phi again
+    r = project(frozen.basis, grid)
+    return r[0] - r[1] - r[2], r[3]
 
 
 def solve_adjoint(y_traj: Trajectory, f: Trajectory, params: ModelParams) -> Trajectory:
@@ -108,7 +71,7 @@ def solve_adjoint(y_traj: Trajectory, f: Trajectory, params: ModelParams) -> Tra
     coeffs = np.zeros((y_traj.times.size, basis.n_modes))
     q = coeffs[0]
     for k in range(y_traj.n_steps):
-        frozen = _FrozenAdjointState(basis, y_mid[k])
+        frozen = FrozenState(basis, y_mid[k])
         src = f_mid[k] / basis.vmult
 
         def explicit(mid, frozen=frozen, src=src):
@@ -130,9 +93,6 @@ def check_duality(
     integrals use the scheme's midpoint quadrature.  Returns (lhs, rhs, gap)
     with gap relative to the larger magnitude.
     """
-    from .linearized import solve_linearized
-    from .trajectory import pair_l2l2_mid
-
     check_same_grid(y_traj, psi)
     check_same_grid(y_traj, f)
     z = solve_linearized(y_traj, psi, params)
@@ -158,15 +118,4 @@ def adjoint_form(y: Field, p: Field, phi: Field, params: ModelParams) -> float:
         + trilinear_b(p, y, v_phi)
         - trilinear_b(y, p, v_phi)
     )
-    a_y = strain(jacobian(y))
-    a_p = strain(jacobian(p))
-    grad_phi = jacobian(phi)
-    t_sum = np.zeros_like(a_y)
-    coef = params.alpha1 + params.alpha2
-    if coef != 0.0:
-        t_sum = t_sum + coef * (matmul_grid(a_y, a_p) + matmul_grid(a_p, a_y))
-    if params.beta != 0.0:
-        t_sum = t_sum + params.beta * tensor_dot(a_y, a_y) * a_p
-        t_sum = t_sum + 2.0 * params.beta * tensor_dot(a_p, a_y) * a_y
-    tensors = basis.quad(np.einsum("ijxy,ijxy->xy", t_sum, grad_phi))
-    return visc + conv + tensors
+    return visc + conv + _stress_pairing(y, p, phi, params)

@@ -29,14 +29,12 @@ from .params import ModelParams
 from .spectral import (
     Field,
     SpectralBasis,
-    advect_tensor,
-    jacobian,
-    matmul_grid,
-    project_div,
+    advect,
+    convected_strain,
+    frobenius,
+    project,
     strain,
-    strain_partials,
-    tensor_dot,
-    to_coeffs,
+    tangent_stress,
     to_grid,
     trilinear_b,
 )
@@ -46,54 +44,39 @@ from .trajectory import Trajectory, check_same_grid
 __all__ = ["solve_linearized", "gateaux_taylor_test", "TaylorResult", "linearized_form"]
 
 
-class _FrozenState:
-    """Grid quantities of a frozen coefficient vector, shared by one step."""
+class FrozenState:
+    """Grids of a frozen state midpoint y, shared by every rhs of one step.
+
+    y holds the velocity and its partials up to order 2, v those of v(y) up to
+    order 1, a and a_sq the strain A(y) and |A(y)|^2.  The linearized and the
+    adjoint solvers both build one per step.
+    """
 
     def __init__(self, basis: SpectralBasis, coeffs: np.ndarray):
-        y = Field(coeffs, basis)
         self.basis = basis
-        self.vel = to_grid(y)
-        self.jac = jacobian(y)
-        self.a = strain(self.jac)
-        self.a_sq = tensor_dot(self.a, self.a)
-        self.a_partials = strain_partials(y)
+        self.y = to_grid(Field(coeffs, basis), 2)
+        self.v = to_grid(Field(coeffs * basis.vmult, basis), 1)
+        self.a = strain(self.y)
+        self.a_sq = frobenius(self.a, self.a)
 
 
 def linearized_rhs_coeffs(
-    frozen: _FrozenState, params: ModelParams, z_coeffs: np.ndarray
+    frozen: FrozenState, params: ModelParams, z_coeffs: np.ndarray
 ) -> np.ndarray:
     """Projection coefficients of F'(y)[z] at the frozen state."""
-    basis = frozen.basis
-    z = Field(z_coeffs, basis)
-    vel_z, jac_z = to_grid(z), jacobian(z)
-    a_z = strain(jac_z)
-
-    conv = np.einsum("jxy,ijxy->ixy", frozen.vel, jac_z) + np.einsum(
-        "jxy,ijxy->ixy", vel_z, frozen.jac
-    )
-    stress = np.zeros_like(a_z)
-
+    y = frozen.y
+    z = to_grid(Field(z_coeffs, frozen.basis), 2)
+    a_z = strain(z)
+    # N'(y)[z] + S'(y)[z]: the tangent stress with alpha2 and the alpha1 convected strains
+    t = tangent_stress(frozen.a, frozen.a_sq, a_z, params.alpha2, params.beta)
     if params.alpha1 != 0.0:
-        adv_az = advect_tensor(frozen.vel, strain_partials(z))
-        adv_ay = advect_tensor(vel_z, frozen.a_partials)
-        stress = stress + params.alpha1 * (
-            adv_az
-            + adv_ay
-            + matmul_grid(np.swapaxes(jac_z, 0, 1), frozen.a)
-            + matmul_grid(np.swapaxes(frozen.jac, 0, 1), a_z)
-            + matmul_grid(frozen.a, jac_z)
-            + matmul_grid(a_z, frozen.jac)
-        )
-    if params.alpha2 != 0.0:
-        stress = stress + params.alpha2 * (
-            matmul_grid(frozen.a, a_z) + matmul_grid(a_z, frozen.a)
-        )
-    if params.beta != 0.0:
-        stress = stress + params.beta * (
-            frozen.a_sq * a_z + 2.0 * tensor_dot(frozen.a, a_z) * frozen.a
-        )
-
-    return project_div(basis, stress).coeffs - to_coeffs(basis, conv).coeffs
+        k1 = convected_strain(y, z, a_z, params.alpha1)
+        k2 = convected_strain(z, y, frozen.a, params.alpha1)
+        t = tuple(ti + p + q for ti, p, q in zip(t, k1, k2))
+    t11, t12, t22 = t
+    conv = advect(y, z) + advect(z, y)
+    grid = np.array([[conv[0], t11, t12], [conv[1], t12, t22]])
+    return -project(frozen.basis, grid).sum(axis=0)
 
 
 def solve_linearized(y_traj: Trajectory, psi: Trajectory, params: ModelParams) -> Trajectory:
@@ -108,7 +91,7 @@ def solve_linearized(y_traj: Trajectory, psi: Trajectory, params: ModelParams) -
     coeffs = np.zeros((y_traj.times.size, basis.n_modes))
     z = coeffs[0]
     for k in range(y_traj.n_steps):
-        frozen = _FrozenState(basis, y_mid[k])
+        frozen = FrozenState(basis, y_mid[k])
         src = psi_mid[k] / basis.vmult
 
         def explicit(mid, frozen=frozen, src=src):
@@ -176,15 +159,15 @@ def linearized_form(y: Field, z: Field, phi: Field, params: ModelParams) -> floa
         + trilinear_b(phi, y, v_z)
         + trilinear_b(phi, z, v_y)
     )
-    a_y = strain(jacobian(y))
-    a_z = strain(jacobian(z))
-    grad_phi = jacobian(phi)
-    t_sum = np.zeros_like(a_y)
-    coef = params.alpha1 + params.alpha2
-    if coef != 0.0:
-        t_sum = t_sum + coef * (matmul_grid(a_y, a_z) + matmul_grid(a_z, a_y))
-    if params.beta != 0.0:
-        t_sum = t_sum + params.beta * tensor_dot(a_y, a_y) * a_z
-        t_sum = t_sum + 2.0 * params.beta * tensor_dot(a_z, a_y) * a_y
-    tensors = basis.quad(np.einsum("ijxy,ijxy->xy", t_sum, grad_phi))
-    return visc + conv + tensors
+    return visc + conv + _stress_pairing(y, z, phi, params)
+
+
+def _stress_pairing(y: Field, z: Field, phi: Field, params: ModelParams) -> float:
+    """(T, grad phi) for the tangent stress T of A(y) along A(z), coef alpha1 + alpha2.
+
+    The stress term of both linearized_form and the adjoint's adjoint_form.
+    """
+    a_y, a_z = strain(to_grid(y, 1)), strain(to_grid(z, 1))
+    t = tangent_stress(a_y, frobenius(a_y, a_y), a_z, params.alpha_sum, params.beta)
+    # T : grad phi = T : A(phi) / 2 for symmetric T
+    return 0.5 * y.basis.quad(frobenius(t, strain(to_grid(phi, 1))))

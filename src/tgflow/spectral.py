@@ -23,19 +23,25 @@ Grids and transforms
 --------------------
 All pointwise work happens on the even/odd periodic extension of the square to
 [0, 2pi)^2, sampled on P x P points with P = 2 * grid_size.  Each mode is a
-product of one sin/cos in x and one in y, so the basis stores only per-axis
-tables: sin(k x_j) and cos(k x_j) for k = 1..M with their first and second
-derivatives, each (M, P).  Three sum-factorised kernels work on them:
+product of one sin/cos in x and one in y (sin x cos for u1, cos x sin for u2),
+so the basis stores per-axis tables only: for both components, the x- and
+y-factors of the six partials 1, d_x, d_y, d_xx, d_xy, d_yy, stacked and
+contiguous.  Every right-hand side makes one pass through three kernels:
 
-- synthesis: d_x^a d_y^b of a velocity component is X^T (C * amp) Y, two
-  matrix products of the (M, M) coefficient matrix C with the tables of the
-  component's parity (sin x cos for u1, cos x sin for u2).  Velocities,
-  Jacobians and the strain partials of y . grad A are all synthesised, so no
-  derivative is ever taken of grid data;
-- projection (to_coeffs), the transpose of synthesis:
-  c_i = (1 + alpha1 lam_i) (u, h_i)_{L2(D)} by grid quadrature;
-- divergence projection (project_div): the coefficients of P div T by
-  summation by parts, c_i = -(1 + alpha1 lam_i) quad(T : grad h_i).
+- synthesis (to_grid): with C the (M, M) coefficient matrix, all partials of
+  both components up to the requested order come out of two batched matrix
+  products, X_p^T (C * amp) Y_p, as one (2, n, P, P) grid.  No derivative is
+  ever taken of grid data;
+- pointwise algebra on named components: A(y), N(y), S(y) and the tangent
+  stresses are symmetric, so each is a triple (t11, t12, t22) of plain ufunc
+  expressions in the scalar partials (strain, stress, convected_strain,
+  tangent_stress);
+- projection (project), the transpose of synthesis: one stacked grid is paired
+  slot by slot with the test partials 1, d_x, d_y of every mode in one batched
+  product, c_i = (1 + alpha1 lam_i) quad(g . d^s h_i).  A force F fills the
+  value slot and a stress T, by summation by parts for P div T, the d_x and
+  d_y slots as -T[:, 0] and -T[:, 1]; to_coeffs and project_div are the one-
+  and two-slot cases.
 
 Every quantity in the pipeline extends to a trigonometric polynomial on the
 torus, and integrals over D of parity-matched products are exactly
@@ -43,7 +49,7 @@ torus, and integrals over D of parity-matched products are exactly
 grid for any tensor: the modes carry no content at the Nyquist wavenumber
 P / 2, so pairing h_i with the spectral divergence of T equals minus pairing
 grad h_i with T.  Content that no mode carries never reaches a coefficient,
-so both projections are alias-free by construction.  For the cubic stress to be
+so the projection is alias-free by construction.  For the cubic stress to be
 alias-free, grid_size >= 2M + 2 is recommended; the default 4M matches that
 comfortably.
 """
@@ -51,7 +57,7 @@ comfortably.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -65,20 +71,32 @@ __all__ = [
     "build_basis",
     "default_grid_size",
     "min_grid_size",
-    "synthesize",
     "to_grid",
-    "jacobian",
-    "strain_partials",
+    "project",
     "to_coeffs",
     "project_div",
     "invert_modified_stokes",
     "apply_modified_stokes",
+    "advect",
     "trilinear_b",
+    "strain",
+    "frobenius",
+    "convected_strain",
+    "tangent_stress",
+    "stress",
     "constitutive_terms",
+    "norm_weights",
     "norms",
 ]
 
 NORM_KINDS = ("L2", "V", "W", "H1", "H2", "H3", "W14")
+
+# (a, b) of the synthesis slots d_x^a d_y^b: 1, d_x, d_y, d_xx, d_xy, d_yy
+PARTIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+_N_PARTIALS = (1, 3, 6)  # slots holding the partials up to order 0, 1, 2
+# Test partials of the projection slots: 1, d_x, d_y and 1 again, so that one
+# product also carries a second value-tested grid that keeps its own weight.
+_TESTS = PARTIALS[:3] + PARTIALS[:1]
 
 
 def min_grid_size(max_mode: int) -> int:
@@ -97,10 +115,13 @@ class SpectralBasis:
 
     modes, lam and mu are aligned arrays over the M^2 modes in lexicographic
     (m, n) order, so a coefficient vector reshaped to (M, M) is indexed by
-    (m - 1, n - 1).  sin[d] / cos[d] hold the d-th x-derivative of sin(k x)
-    / cos(k x), k = 1..M, on the P extended-grid points (P = 2 * grid_size);
-    amp holds the (M, M) factors s_mn n and -s_mn m of the two velocity
-    components.  These back synthesis and both projections.
+    (m - 1, n - 1).  For component c (u1: sin x cos, u2: cos x sin) the tables
+    hold the x- and y-factors of each PARTIALS slot p on the P extended-grid
+    points (P = 2 * grid_size): synth_x[c] stacks the (P, M) x-factors of the
+    six slots row-wise, synth_y[c, p] is the (M, P) y-factor; test_x and test_y
+    are the same factors, transposed, for the projection slots.  amp holds the
+    (M, M) factors s_mn n and -s_mn m of the two components, and proj_weight
+    the (M, M) per-mode factor (1 + alpha1 lam) pi^2 / P^2 of the projection.
     """
 
     max_mode: int
@@ -110,9 +131,12 @@ class SpectralBasis:
     lam: np.ndarray            # (n_modes,) Stokes eigenvalue m^2 + n^2
     mu: np.ndarray             # (n_modes,) W/V eigenratio 2 + alpha1 lam
     vmult: np.ndarray          # (n_modes,) 1 + alpha1 lam, the action of v
-    sin: np.ndarray = field(repr=False)   # (3, M, P) derivatives 0..2 of sin(k x_j)
-    cos: np.ndarray = field(repr=False)   # (3, M, P) derivatives 0..2 of cos(k x_j)
-    amp: np.ndarray = field(repr=False)   # (2, M, M) component factors of each mode
+    synth_x: np.ndarray = field(repr=False)      # (2, 6 P, M)
+    synth_y: np.ndarray = field(repr=False)      # (2, 6, M, P)
+    test_x: np.ndarray = field(repr=False)       # (2, 4, M, P)
+    test_y: np.ndarray = field(repr=False)       # (2, 4, P, M)
+    amp: np.ndarray = field(repr=False)          # (2, M, M) component factors of each mode
+    proj_weight: np.ndarray = field(repr=False)  # (M, M)
 
     @property
     def n_modes(self) -> int:
@@ -225,6 +249,10 @@ def build_basis(max_mode: int, alpha1: float, grid_size: int | None = None) -> S
     x = 2.0 * math.pi * np.arange(P) / P
     k = np.arange(1, max_mode + 1)[:, None]
     sin_kx, cos_kx = np.sin(k * x), np.cos(k * x)
+    # d-th derivatives, d = 0..2, of sin(k x) and cos(k x), each (M, P)
+    sin = (sin_kx, k * cos_kx, -(k * k) * sin_kx)
+    cos = (cos_kx, -k * sin_kx, -(k * k) * cos_kx)
+    factors = ((sin, cos), (cos, sin))  # (x, y) factors of u1 and u2
 
     modes = np.array([(m, n) for m in range(1, max_mode + 1) for n in range(1, max_mode + 1)])
     lam = (modes[:, 0] ** 2 + modes[:, 1] ** 2).astype(float)
@@ -242,44 +270,45 @@ def build_basis(max_mode: int, alpha1: float, grid_size: int | None = None) -> S
         lam=lam,
         mu=mu,
         vmult=vmult,
-        sin=np.stack([sin_kx, k * cos_kx, -(k * k) * sin_kx]),
-        cos=np.stack([cos_kx, -k * sin_kx, -(k * k) * cos_kx]),
+        synth_x=np.array([[fx[a].T for a, _ in PARTIALS] for fx, _ in factors]).reshape(
+            2, len(PARTIALS) * P, max_mode
+        ),
+        synth_y=np.array([[fy[b] for _, b in PARTIALS] for _, fy in factors]),
+        test_x=np.array([[fx[a] for a, _ in _TESTS] for fx, _ in factors]),
+        test_y=np.array([[fy[b].T for _, b in _TESTS] for _, fy in factors]),
         amp=amp,
+        proj_weight=(vmult * math.pi ** 2 / P ** 2).reshape(max_mode, max_mode),
     )
 
 
-def synthesize(f: Field, orders) -> np.ndarray:
-    """Grid values of d_x^a d_y^b f for each (a, b) in orders, a, b <= 2.
+def to_grid(f: Field, order: int = 0) -> np.ndarray:
+    """Synthesize a Field and its partials up to order (0, 1 or 2) on the extended grid.
 
-    Returns shape (len(orders), 2, P, P).  Component u1 = sum c s n sin cos is
-    sin[a]^T (C * amp[0]) cos[b] with C the (M, M) coefficient matrix, and u2
-    likewise with the cos x sin tables.
+    order 0 gives the (2, P, P) velocity.  Orders 1 and 2 give the (2, n, P, P)
+    grid g[i, p] = d^p f_i over the first n = 3 or 6 PARTIALS slots, so
+    g[:, 1:3] is the Jacobian J[i, j] = d_j f_i.
     """
+    if order not in (0, 1, 2):
+        raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
     b = f.basis
-    ax, ay = (list(o) for o in zip(*orders))
-    c = f.coeffs.reshape(b.max_mode, b.max_mode)
-    out = np.empty((len(ax), 2, b.n_ext, b.n_ext))
-    np.matmul(np.swapaxes(b.sin[ax], 1, 2) @ (c * b.amp[0]), b.cos[ay], out=out[:, 0])
-    np.matmul(np.swapaxes(b.cos[ax], 1, 2) @ (c * b.amp[1]), b.sin[ay], out=out[:, 1])
-    return out
+    M, P, n = b.max_mode, b.n_ext, _N_PARTIALS[order]
+    coef = f.coeffs.reshape(M, M) * b.amp
+    g = (b.synth_x[:, : n * P] @ coef).reshape(2, n, P, M) @ b.synth_y[:, :n]
+    return g[:, 0] if order == 0 else g
 
 
-def to_grid(f: Field) -> np.ndarray:
-    """Synthesize a Field to its (2, P, P) extended-grid velocity values."""
-    return synthesize(f, ((0, 0),))[0]
+def project(basis: SpectralBasis, g: np.ndarray, first: int = 0) -> np.ndarray:
+    """Pair a (2, k, P, P) grid slot by slot with the test partials of every mode.
 
-
-def jacobian(f: Field) -> np.ndarray:
-    """J[i, j] = d_j f_i on the grid, shape (2, 2, P, P)."""
-    return np.swapaxes(synthesize(f, ((1, 0), (0, 1))), 0, 1)
-
-
-def strain_partials(f: Field) -> np.ndarray:
-    """(d_x A, d_y A) of A(f) = J + J^T on the grid, shape (2, 2, 2, P, P)."""
-    P = f.basis.n_ext
-    # d[k, j, i] = d_k d_j f_i
-    d = synthesize(f, ((2, 0), (1, 1), (1, 1), (0, 2))).reshape(2, 2, 2, P, P)
-    return d + np.swapaxes(d, 1, 2)
+    Slot s is tested against partial first + s of the sequence 1, d_x, d_y, 1;
+    row s of the (k, n_modes) result is (1 + alpha1 lam_i) quad(g[:, s] . d h_i),
+    all k slots in one batched product.
+    """
+    b = basis
+    k = g.shape[1]
+    tests = slice(first, first + k)
+    r = b.test_x[:, tests] @ (g @ b.test_y[:, tests])
+    return ((r[0] * b.amp[0] + r[1] * b.amp[1]) * b.proj_weight).reshape(k, b.n_modes)
 
 
 def to_coeffs(basis: SpectralBasis, vel: np.ndarray) -> Field:
@@ -289,11 +318,10 @@ def to_coeffs(basis: SpectralBasis, vel: np.ndarray) -> Field:
     span: c_i = (1 + alpha1 lam_i) (vel, h_i)_{L2(D)}, evaluated by exact grid
     quadrature as the transpose of synthesis.
     """
-    b, P = basis, basis.n_ext
+    P = basis.n_ext
     if vel.shape != (2, P, P):
         raise ShapeMismatch(f"expected velocity grid of shape (2, {P}, {P}), got {vel.shape}")
-    pair = b.amp[0] * (b.sin[0] @ vel[0] @ b.cos[0].T) + b.amp[1] * (b.cos[0] @ vel[1] @ b.sin[0].T)
-    return Field(b.vmult * b.quad_weight * pair.ravel(), b)
+    return Field(project(basis, vel[:, None])[0], basis)
 
 
 def project_div(basis: SpectralBasis, t: np.ndarray) -> Field:
@@ -302,12 +330,7 @@ def project_div(basis: SpectralBasis, t: np.ndarray) -> Field:
     Summation by parts gives c_i = -(1 + alpha1 lam_i) quad(T : grad h_i), so
     T itself is never differentiated.
     """
-    b = basis
-    # [j] pairs T[i, j] with d_j h_i: x-order 1 - j, y-order j
-    d1 = b.sin[[1, 0]] @ t[0] @ np.swapaxes(b.cos[[0, 1]], 1, 2)
-    d2 = b.cos[[1, 0]] @ t[1] @ np.swapaxes(b.sin[[0, 1]], 1, 2)
-    pair = b.amp[0] * (d1[0] + d1[1]) + b.amp[1] * (d2[0] + d2[1])
-    return Field(-b.vmult * b.quad_weight * pair.ravel(), b)
+    return Field(-project(basis, t, first=1).sum(axis=0), basis)
 
 
 def apply_modified_stokes(f: Field, alpha1: float) -> Field:
@@ -322,67 +345,111 @@ def invert_modified_stokes(f: Field, alpha1: float) -> Field:
     return Field(f.coeffs / (1.0 + alpha1 * f.basis.lam), f.basis)
 
 
+def advect(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(w . grad) x, shape (2, P, P), from synthesised grids of order >= 1."""
+    return w[0, 0] * x[:, 1] + w[1, 0] * x[:, 2]
+
+
 def trilinear_b(phi: Field, z: Field, y: Field) -> float:
     """Convective form b(phi, z, y) = integral of (phi . grad z) . y over D."""
     phi._check(z)
     phi._check(y)
-    adv = np.einsum("jxy,ijxy->ixy", to_grid(phi), jacobian(z))
+    adv = advect(to_grid(phi, 1), to_grid(z, 1))
     return phi.basis.pair_velocity(adv, to_grid(y))
 
 
-def strain(jac: np.ndarray) -> np.ndarray:
-    """A = J + J^T on the grid, shape (2, 2, P, P)."""
-    return jac + np.swapaxes(jac, 0, 1)
+# -- pointwise algebra: symmetric tensors as (t11, t12, t22) --------------------
 
 
-def advect_tensor(vel: np.ndarray, partials: np.ndarray) -> np.ndarray:
-    """(vel . grad) T componentwise, from the stacked partials (d_x T, d_y T)."""
-    return vel[0] * partials[0] + vel[1] * partials[1]
+def strain(g: np.ndarray) -> tuple:
+    """A = grad y + (grad y)^T from a synthesised grid of y of order >= 1."""
+    return 2.0 * g[0, 1], g[0, 2] + g[1, 1], 2.0 * g[1, 2]
 
 
-def matmul_grid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pointwise 2x2 matrix product of (2, 2, P, P) tensors."""
-    return np.einsum("ikxy,kjxy->ijxy", a, b)
+def frobenius(a, b) -> np.ndarray:
+    """Pointwise A : B of two symmetric tensors."""
+    return a[0] * b[0] + 2.0 * (a[1] * b[1]) + a[2] * b[2]
 
 
-def tensor_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pointwise Frobenius contraction A : B of (2, 2, P, P) tensors."""
-    return np.einsum("ijxy,ijxy->xy", a, b)
+def convected_strain(w: np.ndarray, x: np.ndarray, a_x, coef: float) -> tuple:
+    """coef (w . grad A(x) + A(x) J(w) + J(w)^T A(x)) with J(w) = grad w.
+
+    w and x are synthesised grids of orders >= 1 and 2, a_x = strain(x).
+    N(y) holds this at w = x = y, coef = alpha1; its tangent at y along z is
+    the sum of the two mixed terms (w, x) = (y, z) and (z, y).
+    """
+    w1, w1x, w1y = w[0, :3]
+    w2, w2x, w2y = w[1, :3]
+    x1xx, x1xy, x1yy = x[0, 3:]
+    x2xx, x2xy, x2yy = x[1, 3:]
+    a11, a12, a22 = a_x
+    return (
+        (2.0 * coef) * (w1 * x1xx + w2 * x1xy + a11 * w1x + a12 * w2x),
+        coef * (
+            w1 * (x1xy + x2xx) + w2 * (x1yy + x2xy) + a11 * w1y + a12 * (w1x + w2y) + a22 * w2x
+        ),
+        (2.0 * coef) * (w1 * x2xy + w2 * x2yy + a12 * w1y + a22 * w2y),
+    )
 
 
-def nonnewtonian_tensor(
-    params: ModelParams,
-    vel: np.ndarray,
-    jac: np.ndarray,
-    a: np.ndarray,
-    a_partials: np.ndarray,
-) -> np.ndarray:
-    """N(y) = alpha1 (y . grad A + J^T A + A J) + alpha2 A^2."""
-    jt_a = matmul_grid(np.swapaxes(jac, 0, 1), a)
-    a_j = matmul_grid(a, jac)
-    out = params.alpha1 * (advect_tensor(vel, a_partials) + jt_a + a_j)
-    if params.alpha2 != 0.0:
-        out = out + params.alpha2 * matmul_grid(a, a)
-    return out
+def tangent_stress(a, a_sq: np.ndarray, b, coef: float, beta: float) -> tuple:
+    """coef (A B + B A) + beta |A|^2 B + 2 beta (A : B) A, with a_sq = |A|^2.
+
+    At A = A(y), B = A(z) and coef = alpha1 + alpha2 this is the stress of the
+    linearized weak form and of its transpose; the divergence-form linearized
+    right-hand side takes coef = alpha2 and adds the alpha1 convected strains.
+    """
+    a11, a12, a22 = a
+    b11, b12, b22 = b
+    p11, p12, p22 = a11 * b11, a12 * b12, a22 * b22
+    cubic = beta * a_sq
+    cross = (2.0 * beta) * (p11 + 2.0 * p12 + p22)  # 2 beta A : B
+    return (
+        (2.0 * coef) * (p11 + p12) + cubic * b11 + cross * a11,
+        coef * ((a11 + a22) * b12 + a12 * (b11 + b22)) + cubic * b12 + cross * a12,
+        (2.0 * coef) * (p12 + p22) + cubic * b22 + cross * a22,
+    )
+
+
+def stress(params: ModelParams, g: np.ndarray) -> tuple:
+    """N(y) + S(y) from the order-2 synthesised grid g of y.
+
+    N(y) = alpha1 (y . grad A + J^T A + A J) + alpha2 A^2 and
+    S(y) = beta |A|^2 A, with A^2 = (a11^2 + a12^2, a12 (a11 + a22), a12^2 + a22^2).
+    """
+    a = strain(g)
+    a11, a12, a22 = a
+    t = convected_strain(g, g, a, params.alpha1) if params.alpha1 != 0.0 else (0.0,) * 3
+    cubic = params.beta * frobenius(a, a)
+    p = params.alpha2 * a12
+    return (
+        t[0] + a11 * (params.alpha2 * a11 + cubic) + p * a12,
+        t[1] + a12 * (params.alpha2 * (a11 + a22) + cubic),
+        t[2] + a22 * (params.alpha2 * a22 + cubic) + p * a12,
+    )
+
+
+def _full(t) -> np.ndarray:
+    """(2, 2, P, P) array of a symmetric tensor given as (t11, t12, t22)."""
+    return np.array([[t[0], t[1]], [t[1], t[2]]])
 
 
 def constitutive_terms(y: Field, params: ModelParams) -> ConstitutiveTerms:
     """Evaluate A, S, N, their projected divergences and curl v(y) for a state."""
     b = y.basis
-    vel, jac = to_grid(y), jacobian(y)
-    a = strain(jac)
-    a_sq = tensor_dot(a, a)
-    s = params.beta * a_sq * a
-    n = nonnewtonian_tensor(params, vel, jac, a, strain_partials(y))
-    jac_v = jacobian(Field(y.coeffs * b.vmult, b))
+    g = to_grid(y, 2)
+    a = strain(g)
+    n = _full(stress(replace(params, beta=0.0), g))
+    s = _full(stress(replace(params, alpha1=0.0, alpha2=0.0), g))
+    v = to_grid(Field(y.coeffs * b.vmult, b), 1)
     return ConstitutiveTerms(
-        a=a,
-        a_sq=a_sq,
+        a=_full(a),
+        a_sq=frobenius(a, a),
         s=s,
         n=n,
         div_s=project_div(b, s),
         div_n=project_div(b, n),
-        curl_v=jac_v[1, 0] - jac_v[0, 1],
+        curl_v=v[1, 1] - v[0, 2],
     )
 
 
@@ -395,6 +462,24 @@ def _h_multiplier(lam: np.ndarray, order: int) -> np.ndarray:
     return out
 
 
+def norm_weights(basis: SpectralBasis, kind: str) -> np.ndarray:
+    """Per-mode weights w with ||y||^2 = sum_i w_i c_i^2 for the kinds L2, V, W, H1-H3.
+
+    Applied to a coefficient array over nodes, np.sum(c ** 2 * w, axis=-1)
+    gives every node's squared norm in one reduction.
+    """
+    b = basis
+    if kind == "V":
+        return np.ones_like(b.lam)
+    if kind == "L2":
+        return 1.0 / b.vmult
+    if kind == "W":
+        return b.mu
+    if kind in ("H1", "H2", "H3"):
+        return _h_multiplier(b.lam, int(kind[1])) / b.vmult
+    raise UnknownKind(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")
+
+
 def norms(y: Field, kind: str) -> float:
     """Norm of a Field.
 
@@ -404,24 +489,8 @@ def norms(y: Field, kind: str) -> float:
     ||f||_{W14}^4 = int f^4 + (|grad f|^2)^2 dx.
     """
     b = y.basis
-    c2 = y.coeffs ** 2
-    if kind == "V":
-        return math.sqrt(float(np.sum(c2)))
-    if kind == "L2":
-        return math.sqrt(float(np.sum(c2 / b.vmult)))
-    if kind == "W":
-        return math.sqrt(float(np.sum(c2 * b.mu)))
-    if kind in ("H1", "H2", "H3"):
-        order = int(kind[1])
-        mult = _h_multiplier(b.lam, order) / b.vmult
-        return math.sqrt(float(np.sum(c2 * mult)))
     if kind == "W14":
-        vel = to_grid(y)
-        jac = jacobian(y)
-        total = 0.0
-        for i in range(2):
-            grad_sq = jac[i, 0] ** 2 + jac[i, 1] ** 2
-            fourth = b.quad(vel[i] ** 4) + b.quad(grad_sq ** 2)
-            total += math.sqrt(fourth)
-        return math.sqrt(total)
-    raise UnknownKind(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")
+        g = to_grid(y, 1)
+        fourth = [b.quad(u ** 4) + b.quad((ux ** 2 + uy ** 2) ** 2) for u, ux, uy in g]
+        return math.sqrt(sum(math.sqrt(f) for f in fourth))
+    return math.sqrt(float(np.sum(y.coeffs ** 2 * norm_weights(b, kind))))

@@ -37,14 +37,13 @@ from .params import ModelParams
 from .spectral import (
     Field,
     SpectralBasis,
-    jacobian,
-    nonnewtonian_tensor,
+    advect,
+    frobenius,
+    norm_weights,
     norms,
-    project_div,
+    project,
     strain,
-    strain_partials,
-    tensor_dot,
-    to_coeffs,
+    stress,
     to_grid,
 )
 from .trajectory import Trajectory, check_same_grid
@@ -86,14 +85,12 @@ class EnergyReport:
 
 def state_rhs_coeffs(basis: SpectralBasis, params: ModelParams, y_coeffs: np.ndarray) -> np.ndarray:
     """Projection coefficients of F(y) = -(y.grad)y + div N(y) + div S(y)."""
-    y = Field(y_coeffs, basis)
-    vel, jac = to_grid(y), jacobian(y)
-    a = strain(jac)
-    conv = np.einsum("jxy,ijxy->ixy", vel, jac)
-    stress = nonnewtonian_tensor(params, vel, jac, a, strain_partials(y))
-    if params.beta != 0.0:
-        stress = stress + params.beta * tensor_dot(a, a) * a
-    return project_div(basis, stress).coeffs - to_coeffs(basis, conv).coeffs
+    g = to_grid(Field(y_coeffs, basis), 2)
+    t11, t12, t22 = stress(params, g)
+    conv = advect(g, g)
+    # -F pairs (y.grad)y with h_i and, by summation by parts, N + S with grad h_i
+    grid = np.array([[conv[0], t11, t12], [conv[1], t12, t22]])
+    return -project(basis, grid).sum(axis=0)
 
 
 def _cn_factors(basis: SpectralBasis, params: ModelParams, dt: float):
@@ -174,20 +171,17 @@ def solve_state(
     return traj, energy_report(traj, params)
 
 
+def _strain_quartic(basis: SpectralBasis, coeffs: np.ndarray) -> float:
+    """int_D |A(y)|^4 dx of the field with the given coefficients."""
+    a = strain(to_grid(Field(coeffs, basis), 1))
+    return basis.quad(frobenius(a, a) ** 2)
+
+
 def energy_report(traj: Trajectory, params: ModelParams) -> EnergyReport:
     basis = traj.basis
-    n_nodes = traj.times.size
-    h1 = np.empty(n_nodes)
-    h2 = np.empty(n_nodes)
-    h3 = np.empty(n_nodes)
-    quartic = np.empty(n_nodes)
-    for k in range(n_nodes):
-        f = traj.field(k)
-        h1[k] = norms(f, "H1")
-        h2[k] = norms(f, "H2")
-        h3[k] = norms(f, "H3")
-        a = strain(jacobian(f))
-        quartic[k] = basis.quad(tensor_dot(a, a) ** 2)
+    weights = np.stack([norm_weights(basis, kind) for kind in ("H1", "H2", "H3")])
+    h1, h2, h3 = np.sqrt(np.sum(traj.coeffs[:, None] ** 2 * weights, axis=2)).T
+    quartic = np.array([_strain_quartic(basis, c) for c in traj.coeffs])
     # 2 ||D y||_2^2 = sum lam a^2 / (1 + alpha1 lam) for V-normalized modes
     mids = traj.midpoints()
     dstrain_sq = 0.5 * np.sum(mids ** 2 * basis.lam / basis.vmult, axis=1)
@@ -215,19 +209,14 @@ def energy_balance_residuals(
     """
     check_same_grid(traj, control)
     basis = traj.basis
-    dt = traj.dt
     y_mid = traj.midpoints()
     u_mid = control.midpoints()
-    res = np.empty(traj.n_steps)
-    for k in range(traj.n_steps):
-        v_incr = float(np.sum(traj.coeffs[k + 1] ** 2) - np.sum(traj.coeffs[k] ** 2))
-        # 4 nu ||D y_m||_2^2 = 2 nu sum lam a^2 / (1 + alpha1 lam)
-        dvisc = 2.0 * params.nu * float(np.sum(y_mid[k] ** 2 * basis.lam / basis.vmult))
-        a = strain(jacobian(Field(y_mid[k], basis)))
-        quartic = basis.quad(tensor_dot(a, a) ** 2)
-        work = float(np.sum(u_mid[k] * y_mid[k] / basis.vmult))
-        res[k] = v_incr + dt * (dvisc + params.beta * quartic - 2.0 * work)
-    return res
+    v_incr = np.diff(np.sum(traj.coeffs ** 2, axis=1))
+    # 4 nu ||D y_m||_2^2 = 2 nu sum lam a^2 / (1 + alpha1 lam)
+    dvisc = 2.0 * params.nu * np.sum(y_mid ** 2 * basis.lam / basis.vmult, axis=1)
+    quartic = np.array([_strain_quartic(basis, c) for c in y_mid])
+    work = np.sum(u_mid * y_mid / basis.vmult, axis=1)
+    return v_incr + traj.dt * (dvisc + params.beta * quartic - 2.0 * work)
 
 
 def manufactured_control(

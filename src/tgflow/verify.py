@@ -14,6 +14,13 @@ lambda-tilde, all reported as lower bounds from randomized maximization with
 local ascent) next to an empirical multi-start agreement test.  The stability
 and adjoint constants that the theory leaves abstract are never asserted
 numerically, only reported.
+
+Reordering floating-point operations moves report values by about 1e-12
+relative or less (defects near 1e-16 by O(1) of their own size), except
+four that amplify roundoff; a change that only reorders arithmetic is
+compared on those by `passed` flags and the optimizer's iteration count: the
+`gateaux_taylor` slope at the smallest rho, the `optimizer_contract`
+`cost_reduction` and `vi_min`, and the `stability_scaling` spread.
 """
 
 from __future__ import annotations
@@ -38,10 +45,12 @@ from .spectral import (
     Field,
     build_basis,
     constitutive_terms,
+    frobenius,
     invert_modified_stokes,
     apply_modified_stokes,
-    jacobian,
+    norm_weights,
     norms,
+    strain,
     to_coeffs,
     to_grid,
     trilinear_b,
@@ -96,35 +105,28 @@ def _check_basis(basis, rng):
     div_max = 0.0
     bc_max = 0.0
     edges = [0, basis.grid_size]  # grid rows/columns lying on x = 0 and x = pi
-    modes = [Field(e, basis) for e in np.eye(basis.n_modes)]
-    grids = [to_grid(f) for f in modes]
-    jacs = [jacobian(f) for f in modes]
-    for g, jac in zip(grids, jacs):
-        div_max = max(div_max, float(np.max(np.abs(jac[0, 0] + jac[1, 1]))))
-        d12 = 0.5 * (jac[0, 1] + jac[1, 0])
+    grids = [to_grid(Field(e, basis), 1) for e in np.eye(basis.n_modes)]
+    for g in grids:
+        div_max = max(div_max, float(np.max(np.abs(g[0, 1] + g[1, 2]))))
+        d12 = 0.5 * (g[0, 2] + g[1, 1])
         for e in edges:
-            bc_max = max(bc_max, float(np.max(np.abs(g[0][e, :]))))   # y . eta on x-walls
-            bc_max = max(bc_max, float(np.max(np.abs(g[1][:, e]))))   # y . eta on y-walls
-            bc_max = max(bc_max, float(np.max(np.abs(d12[e, :]))))    # tangential stress
+            bc_max = max(bc_max, float(np.max(np.abs(g[0, 0][e, :]))))   # y . eta on x-walls
+            bc_max = max(bc_max, float(np.max(np.abs(g[1, 0][:, e]))))   # y . eta on y-walls
+            bc_max = max(bc_max, float(np.max(np.abs(d12[e, :]))))       # tangential stress
             bc_max = max(bc_max, float(np.max(np.abs(d12[:, e]))))
-    # V-orthonormality through the grid quadrature Gram matrix
+    # V-orthonormality through the grid quadrature Gram matrix, (Du, Dz) = (A(u), A(z)) / 4
+    strains = [strain(g) for g in grids]
     vv = np.zeros((basis.n_modes, basis.n_modes))
     for i in range(basis.n_modes):
         for j in range(i, basis.n_modes):
-            lij = basis.pair_velocity(grids[i], grids[j])
-            dij = basis.quad(
-                np.einsum(
-                    "ijxy,ijxy->xy",
-                    0.5 * (jacs[i] + np.swapaxes(jacs[i], 0, 1)),
-                    0.5 * (jacs[j] + np.swapaxes(jacs[j], 0, 1)),
-                )
-            )
+            lij = basis.pair_velocity(grids[i][:, 0], grids[j][:, 0])
+            dij = 0.25 * basis.quad(frobenius(strains[i], strains[j]))
             vv[i, j] = vv[j, i] = lij + 2.0 * basis.alpha1 * dij
     ortho_err = float(np.max(np.abs(vv - np.eye(basis.n_modes))))
     # eigenratio mu against the quadrature Gram of the W inner product
     mu_err = 0.0
     for i in range(basis.n_modes):
-        l2_sq = basis.pair_velocity(grids[i], grids[i])
+        l2_sq = basis.pair_velocity(grids[i][:, 0], grids[i][:, 0])
         w_sq = vv[i, i] + basis.vmult[i] ** 2 * l2_sq
         mu_err = max(mu_err, abs(w_sq / vv[i, i] - basis.mu[i]) / basis.mu[i])
     return _check(
@@ -375,6 +377,11 @@ def stability_check(
     initial states).
     """
     base, _ = solve_state(y0, u1, params)
+
+    def w_dist(traj):  # ||y(t_k) - y_1(t_k)||_W at every node
+        diff_sq = (traj.coeffs - base.coeffs) ** 2
+        return np.sqrt(np.sum(diff_sq * norm_weights(u1.basis, "W"), axis=1))
+
     direction = u2.coeffs - u1.coeffs
     d_norm_sq = pair_l2l2_mid(
         Trajectory(u1.times, direction, u1.basis, "control"),
@@ -384,11 +391,7 @@ def stability_check(
     for e in eps:
         pert = Trajectory(u1.times, u1.coeffs + e * direction, u1.basis, "control")
         traj, _ = solve_state(y0, pert, params)
-        dw = [
-            norms(Field(traj.coeffs[k] - base.coeffs[k], u1.basis), "W")
-            for k in range(traj.times.size)
-        ]
-        sup_sq = max(dw) ** 2
+        sup_sq = float(np.max(w_dist(traj))) ** 2
         sweep.append(
             {
                 "eps": float(e),
@@ -399,14 +402,11 @@ def stability_check(
     out = {"sweep": sweep, "control_direction_l2l2_sq": d_norm_sq}
     if y0_2 is not None:
         traj2, _ = solve_state(y0_2, u1, params)
-        dw = [
-            norms(Field(traj2.coeffs[k] - base.coeffs[k], u1.basis), "W")
-            for k in range(base.times.size)
-        ]
+        dw = w_dist(traj2)
         out["initial_data"] = {
             "y0_diff_w_sq": norms(y0_2 - y0, "W") ** 2,
-            "sup_w_sq": max(dw) ** 2,
-            "final_w_sq": dw[-1] ** 2,
+            "sup_w_sq": float(np.max(dw)) ** 2,
+            "final_w_sq": float(dw[-1]) ** 2,
         }
     return out
 
@@ -466,8 +466,8 @@ def estimate_gamma_curl(basis, rng, n_samples=200, n_ascent=50) -> float:
     def ratio(c):
         z = Field(c, basis)
         vel = to_grid(z)
-        jac_v = jacobian(Field(c * basis.vmult, basis))
-        curl_v = jac_v[1, 0] - jac_v[0, 1]
+        v = to_grid(Field(c * basis.vmult, basis), 1)
+        curl_v = v[1, 1] - v[0, 2]
         g = np.stack([-curl_v * vel[1], curl_v * vel[0]])
         d = to_coeffs(basis, g).coeffs / basis.vmult
         dual = math.sqrt(float(np.sum(d ** 2 / h2_mult)))
@@ -519,7 +519,7 @@ def uniqueness_diagnostics(
     gamma_sup = report.gamma
     f = Trajectory(ref.times, ref.coeffs - cfg.y_d.coeffs, basis, "state")
     p_ref = solve_adjoint(ref, f, params)
-    lam_tilde = max(norms(Field(p_ref.coeffs[k], basis), "W") for k in range(times.size))
+    lam_tilde = float(np.sqrt(np.max(np.sum(p_ref.coeffs ** 2 * norm_weights(basis, "W"), axis=1))))
 
     proxy = (
         gamma_curl + 4.0 * kappa * params.alpha_sum + 12.0 * kappa * params.beta * gamma_sup

@@ -1,10 +1,12 @@
 """Independent reference computations for the test suite.
 
-Everything here evaluates the analytic mode formulas directly on inclusive
-[0, pi]^2 tensor grids and integrates by composite trapezoid, bypassing the
-package's synthesis/projection pipeline entirely.  Trapezoid quadrature is exact
-for the trigonometric integrands involved, so these serve as high-precision
-oracles at whatever resolution the caller picks.
+Everything here evaluates the analytic mode formulas directly, bypassing the
+package's synthesis/projection pipeline entirely.  The Gram, norm and
+trilinear oracles use inclusive [0, pi]^2 tensor grids and composite
+trapezoid quadrature, which is exact for the trigonometric integrands
+involved, so they serve as high-precision oracles at whatever resolution the
+caller picks.  The right-hand-side references at the end use the solver's
+extended grid, where the plain grid sum is the exact quadrature.
 """
 
 import math
@@ -127,3 +129,106 @@ def strain_quartic_oracle(modes, coeffs, alpha1, res):
     a = jac + np.transpose(jac, (1, 0, 2, 3))
     a_sq = np.einsum("abxy,abxy->xy", a, a)
     return float(np.sum(a_sq ** 2 * w))
+
+
+# -- reference assembly of the solver right-hand sides --------------------------
+#
+# The package fuses synthesis, the symmetric-component stress algebra and one
+# projection per right-hand side.  These references assemble the same terms as
+# plain full-tensor code: fields by summing the analytic modes on the solver's
+# extended grid, 2x2 tensor algebra by einsum, and projection by one
+# quadrature per mode.  Each takes the basis only for its mode list, alpha1
+# and grid size.
+
+
+def _ext_grid(basis):
+    P = basis.n_ext
+    return 2.0 * math.pi * np.arange(P) / P
+
+
+def _fields(basis, coeffs):
+    """Velocity (2, P, P), Jacobian [i, j] = d_j y_i and strain partials [k, i, j] = d_k A_ij."""
+    x = _ext_grid(basis)
+    vel = np.zeros((2, x.size, x.size))
+    jac = np.zeros((2, 2, x.size, x.size))
+    hess = np.zeros((2, 2, 2, x.size, x.size))
+    for (m, n), c in zip(basis.modes, coeffs):
+        vel += c * np.array(mode_velocity(m, n, basis.alpha1, x))
+        jac += c * mode_jacobian(m, n, basis.alpha1, x)
+        hess += c * mode_hessian(m, n, basis.alpha1, x)
+    return vel, jac, hess + np.swapaxes(hess, 1, 2)
+
+
+def _matmul(a, b):
+    return np.einsum("ikxy,kjxy->ijxy", a, b)
+
+
+def _ddot(a, b):
+    return np.einsum("ijxy,ijxy->xy", a, b)
+
+
+def _advect(vel, jac):
+    return np.einsum("jxy,ijxy->ixy", vel, jac)
+
+
+def _transpose(t):
+    return np.swapaxes(t, 0, 1)
+
+
+def _project(basis, value, stress=None):
+    """c_i = (1 + alpha1 lam_i) quad(value . h_i - stress : grad h_i), mode by mode."""
+    x = _ext_grid(basis)
+    weight = math.pi ** 2 / x.size ** 2
+    out = np.empty(len(basis.modes))
+    for i, (m, n) in enumerate(basis.modes):
+        pair = np.sum(value * np.array(mode_velocity(m, n, basis.alpha1, x)))
+        if stress is not None:
+            pair -= np.sum(_ddot(stress, mode_jacobian(m, n, basis.alpha1, x)))
+        out[i] = (1.0 + basis.alpha1 * (m * m + n * n)) * weight * pair
+    return out
+
+
+def _tangent(a, b, coef, beta):
+    """coef (A B + B A) + beta |A|^2 B + 2 beta (A : B) A."""
+    return coef * (_matmul(a, b) + _matmul(b, a)) + beta * (
+        _ddot(a, a) * b + 2.0 * _ddot(a, b) * a
+    )
+
+
+def state_rhs_oracle(basis, params, y):
+    """Coefficients of F(y) = -(y.grad)y + div N(y) + div S(y)."""
+    vel, jac, a_partials = _fields(basis, y)
+    a = jac + _transpose(jac)
+    n = params.alpha1 * (
+        vel[0] * a_partials[0] + vel[1] * a_partials[1]
+        + _matmul(_transpose(jac), a) + _matmul(a, jac)
+    ) + params.alpha2 * _matmul(a, a)
+    s = params.beta * _ddot(a, a) * a
+    return _project(basis, -_advect(vel, jac), n + s)
+
+
+def linearized_rhs_oracle(basis, params, y, z):
+    """Coefficients of F'(y)[z]."""
+    vel, jac, a_partials = _fields(basis, y)
+    vel_z, jac_z, a_partials_z = _fields(basis, z)
+    a, a_z = jac + _transpose(jac), jac_z + _transpose(jac_z)
+    stress = params.alpha1 * (
+        vel[0] * a_partials_z[0] + vel[1] * a_partials_z[1]
+        + vel_z[0] * a_partials[0] + vel_z[1] * a_partials[1]
+        + _matmul(_transpose(jac_z), a) + _matmul(_transpose(jac), a_z)
+        + _matmul(a, jac_z) + _matmul(a_z, jac)
+    ) + _tangent(a, a_z, params.alpha2, params.beta)
+    conv = _advect(vel, jac_z) + _advect(vel_z, jac)
+    return _project(basis, -conv, stress)
+
+
+def adjoint_rhs_oracle(basis, params, y, q):
+    """(inner, outer) terms of the reversed adjoint ODE at the frozen state y."""
+    vel, jac, _ = _fields(basis, y)
+    v_vel, v_jac, _ = _fields(basis, y * (1.0 + basis.alpha1 * basis.lam))
+    vel_q, jac_q, _ = _fields(basis, q)
+    a, a_q = jac + _transpose(jac), jac_q + _transpose(jac_q)
+    force = np.einsum("ljxy,lxy->jxy", jac_q, v_vel) + _advect(vel_q, v_jac)
+    inner = _project(basis, force, _tangent(a, a_q, params.alpha_sum, params.beta))
+    outer = _project(basis, _advect(vel, jac_q) - _advect(vel_q, jac))
+    return inner, outer

@@ -2,7 +2,7 @@ import numpy as np
 
 from conftest import random_field, random_traj
 from tgflow.linearized import (
-    _FrozenState,
+    FrozenState,
     gateaux_taylor_test,
     linearized_form,
     linearized_rhs_coeffs,
@@ -69,7 +69,7 @@ def test_weak_form_equivalence(basis, params, rng):
         y = random_field(basis, rng, amp=0.5)
         z = random_field(basis, rng, amp=0.5)
         phi = random_field(basis, rng, amp=0.5)
-        frozen = _FrozenState(basis, y.coeffs)
+        frozen = FrozenState(basis, y.coeffs)
         rhs = linearized_rhs_coeffs(frozen, params, z.coeffs)
         pairing = float(np.sum(rhs * phi.coeffs / basis.vmult))
         visc = params.nu * float(np.sum(z.coeffs * phi.coeffs * basis.lam / basis.vmult))

@@ -1,0 +1,70 @@
+"""The fused right-hand-side kernels against the plain full-tensor assembly."""
+
+import numpy as np
+import pytest
+
+from oracles import adjoint_rhs_oracle, linearized_rhs_oracle, state_rhs_oracle
+from tgflow import build_basis, validate_params
+from tgflow.adjoint import adjoint_rhs_terms
+from tgflow.linearized import FrozenState, linearized_rhs_coeffs
+from tgflow.state import state_rhs_coeffs
+
+# the default model and one case for each constant the kernels branch on or drop
+MODELS = {
+    "default": dict(nu=1.0, alpha1=0.5, alpha2=-0.2, beta=0.4),
+    "alpha1=0": dict(nu=1.0, alpha1=0.0, alpha2=-0.2, beta=0.4),
+    "alpha2=0": dict(nu=1.0, alpha1=0.5, alpha2=0.0, beta=0.4),
+    "beta=0": dict(nu=1.0, alpha1=0.5, alpha2=-0.5, beta=0.0),
+}
+CASES = [(m, name) for m in (3, 4, 8, 16) for name in MODELS]
+TOL = 1e-13
+
+
+def _setup(max_mode, model, seed=0):
+    params = validate_params(**MODELS[model])
+    basis = build_basis(max_mode, params.alpha1)
+    rng = np.random.default_rng(seed + max_mode)
+    y, z = 0.5 * rng.normal(size=(2, basis.n_modes)) / np.sqrt(1.0 + basis.lam)
+    return basis, params, y, z
+
+
+def _rel(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("max_mode,model", CASES)
+def test_state_rhs_matches_oracle(max_mode, model):
+    basis, params, y, _ = _setup(max_mode, model)
+    assert _rel(state_rhs_coeffs(basis, params, y), state_rhs_oracle(basis, params, y)) <= TOL
+
+
+@pytest.mark.parametrize("max_mode,model", CASES)
+def test_linearized_rhs_matches_oracle(max_mode, model):
+    basis, params, y, z = _setup(max_mode, model)
+    got = linearized_rhs_coeffs(FrozenState(basis, y), params, z)
+    assert _rel(got, linearized_rhs_oracle(basis, params, y, z)) <= TOL
+
+
+@pytest.mark.parametrize("max_mode,model", CASES)
+def test_adjoint_terms_match_oracle(max_mode, model):
+    basis, params, y, q = _setup(max_mode, model)
+    inner, outer = adjoint_rhs_terms(FrozenState(basis, y), params, q)
+    want_inner, want_outer = adjoint_rhs_oracle(basis, params, y, q)
+    assert _rel(inner, want_inner) <= TOL
+    assert _rel(outer, want_outer) <= TOL
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_linearized_rhs_is_jvp_of_state_rhs(model):
+    """Central differences of the cubic state rhs along z, with the h^2 term
+    removed by Richardson extrapolation (exact for a cubic), give F'(y)[z]."""
+    basis, params, y, z = _setup(4, model)
+
+    def central(h):
+        up = state_rhs_coeffs(basis, params, y + h * z)
+        down = state_rhs_coeffs(basis, params, y - h * z)
+        return (up - down) / (2.0 * h)
+
+    h = 1e-2
+    jvp = (4.0 * central(h / 2.0) - central(h)) / 3.0
+    assert _rel(jvp, linearized_rhs_coeffs(FrozenState(basis, y), params, z)) <= 1e-12

@@ -8,11 +8,8 @@ from oracles import l2_norm_oracle, mode_hessian, mode_jacobian, mode_velocity
 from tgflow.errors import ShapeMismatch
 from tgflow.spectral import (
     Field,
-    jacobian,
     norms,
     project_div,
-    strain,
-    strain_partials,
     to_coeffs,
     to_grid,
 )
@@ -39,11 +36,12 @@ def test_single_mode_derivatives_match_closed_forms(basis):
     for i in (0, 5, 9, basis.n_modes - 1):
         m, n = basis.modes[i]
         f = Field(np.eye(basis.n_modes)[i], basis)
-        hess = mode_hessian(m, n, basis.alpha1, x)
+        hess = mode_hessian(m, n, basis.alpha1, x)  # [k, i, j] = d_k d_j h_i
+        second = np.stack([hess[0, :, 0], hess[0, :, 1], hess[1, :, 1]], axis=1)
         pairs = [
             (to_grid(f), np.array(mode_velocity(m, n, basis.alpha1, x))),
-            (jacobian(f), mode_jacobian(m, n, basis.alpha1, x)),
-            (strain_partials(f), hess + np.swapaxes(hess, 1, 2)),
+            (to_grid(f, 1)[:, 1:], mode_jacobian(m, n, basis.alpha1, x)),
+            (to_grid(f, 2)[:, 3:], second),  # d_xx, d_xy, d_yy
         ]
         for got, want in pairs:
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -52,7 +50,8 @@ def test_single_mode_derivatives_match_closed_forms(basis):
 def test_project_div_of_strain_is_laplacian(basis, rng):
     """For divergence-free z, div A(z) = Lap z, whose coefficients are -lam z."""
     z = random_field(basis, rng)
-    got = project_div(basis, strain(jacobian(z))).coeffs
+    jac = to_grid(z, 1)[:, 1:]
+    got = project_div(basis, jac + np.swapaxes(jac, 0, 1)).coeffs
     want = -basis.lam * z.coeffs
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -62,6 +61,13 @@ def test_shape_mismatch_raises(basis):
         to_coeffs(basis, np.zeros((2, 8, 8)))
     with pytest.raises(ShapeMismatch):
         Field(np.zeros(3), basis)
+
+
+def test_to_grid_rejects_unknown_order(basis, rng):
+    with pytest.raises(ValueError):
+        to_grid(random_field(basis, rng), 3)
+    with pytest.raises(ValueError):
+        to_grid(random_field(basis, rng), -1)
 
 
 def test_projection_kills_gradient_fields(basis, rng):
