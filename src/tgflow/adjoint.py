@@ -10,10 +10,10 @@ test function phi in the basis span,
       + 2 beta ((A(p):A(y)) A(y), grad phi) = (f, phi).
 
 Substituting q(t) = p(T - t) gives a forward problem with reversed
-coefficients ybar(t) = y(T - t), which is advanced by the same
-Crank-Nicolson/midpoint scheme as the other solvers and re-reversed.  The
-spatial form above is the exact transpose of the linearized form, term by
-term, under the grid quadrature pairing, so the discrete duality
+coefficients ybar(t) = y(T - t), advanced by the same Crank-Nicolson/midpoint
+scheme as the other solvers (`state.march`) and re-reversed.  The spatial form
+above is the exact transpose of the linearized form, term by term, under the
+grid quadrature pairing, so the discrete duality
 
     sum_k dt (psi_mid, p_mid) = sum_k dt (f_mid, z_mid)
 
@@ -27,7 +27,7 @@ import numpy as np
 from .linearized import FrozenState, _stress_pairing, solve_linearized
 from .params import ModelParams
 from .spectral import Field, advect, project, strain, tangent_stress, to_grid, trilinear_b
-from .state import _cn_factors, _fixed_point
+from .state import march
 from .trajectory import Trajectory, check_same_grid, pair_l2l2_mid
 
 __all__ = ["solve_adjoint", "check_duality", "adjoint_form"]
@@ -57,31 +57,28 @@ def adjoint_rhs_terms(
 
 
 def solve_adjoint(y_traj: Trajectory, f: Trajectory, params: ModelParams) -> Trajectory:
-    """Solve the adjoint equation with source f; returns p with p(T) = 0."""
+    """Solve the adjoint equation with source f; returns p with p(T) = 0.
+
+    The march runs in reversed time, so the `step` of a FixedPointDiverged
+    raised here counts intervals back from T: step k is [t_{N-k-1}, t_{N-k}].
+    """
     check_same_grid(y_traj, f)
     basis = y_traj.basis
-    dt = y_traj.dt
-    numer, denom = _cn_factors(basis, params, dt)
+    y_mid = y_traj.reversed().midpoints()
+    f_mid = f.reversed().midpoints()
 
-    ybar = y_traj.coeffs[::-1]
-    fbar = f.coeffs[::-1]
-    y_mid = 0.5 * (ybar[:-1] + ybar[1:])
-    f_mid = 0.5 * (fbar[:-1] + fbar[1:])
-
-    coeffs = np.zeros((y_traj.times.size, basis.n_modes))
-    q = coeffs[0]
-    for k in range(y_traj.n_steps):
+    def rhs_at(k):
         frozen = FrozenState(basis, y_mid[k])
         src = f_mid[k] / basis.vmult
 
-        def explicit(mid, frozen=frozen, src=src):
+        def rhs(mid):
             inner, outer = adjoint_rhs_terms(frozen, params, mid)
             return inner / basis.vmult + src + outer
 
-        guess = 2.0 * coeffs[k] - coeffs[k - 1] if k > 0 else None
-        q = _fixed_point(q, explicit, numer, denom, dt, step=k, guess=guess)
-        coeffs[k + 1] = q
-    return Trajectory(y_traj.times.copy(), coeffs[::-1].copy(), basis, "adjoint")
+        return rhs
+
+    q = march(basis, params, y_traj.dt, np.zeros(basis.n_modes), y_traj.n_steps, rhs_at)
+    return Trajectory(y_traj.times.copy(), q, basis, "adjoint").reversed()
 
 
 def check_duality(

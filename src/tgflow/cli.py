@@ -54,7 +54,7 @@ from .storage import (
     norms_csv,
     save_trajectory,
 )
-from .trajectory import Trajectory, time_grid
+from .trajectory import Trajectory, random_field, random_traj, time_grid
 from .verify import LEVELS, run_suite
 
 VALIDATION_ERRORS = (
@@ -279,27 +279,12 @@ def _cmd_taylor(cfg: _Config, args) -> int:
     basis, times = _disc(cfg, params)
     seed = _seed(cfg, args)
     rng = np.random.default_rng(seed)
-    amp = cfg.get_float("taylor", "amplitude", default=0.3) if cfg.parser.has_section(
-        "taylor"
-    ) else 0.3
-    if cfg.parser.has_section("taylor") and cfg.has("taylor", "rhos"):
-        rhos = [float(p) for p in cfg.get_str("taylor", "rhos").split(",")]
-    else:
-        rhos = [1e-1, 1e-2, 1e-3, 1e-4]
-    decay = 1.0 / (1.0 + basis.lam)
-    control = Trajectory(
-        times,
-        (1.0 + 0.3 * np.sin(times))[:, None] * (amp * rng.normal(size=basis.n_modes) * decay),
-        basis,
-        "control",
-    )
-    psi = Trajectory(
-        times,
-        (1.0 + 0.3 * np.cos(2.0 * times))[:, None] * (amp * rng.normal(size=basis.n_modes) * decay),
-        basis,
-        "control",
-    )
-    y0 = Field(amp * rng.normal(size=basis.n_modes) * decay, basis)
+    amp = cfg.get_float("taylor", "amplitude", default=0.3)
+    rhos = cfg.get_str("taylor", "rhos", default="1e-1,1e-2,1e-3,1e-4")
+    rhos = [float(p) for p in rhos.split(",")]
+    y0 = random_field(basis, rng, amp=amp)
+    control = random_traj(basis, times, rng, amp=amp)
+    psi = random_traj(basis, times, rng, amp=amp)
     result = gateaux_taylor_test(control, psi, y0, rhos, params)
     os.makedirs(args.out, exist_ok=True)
     out = {

@@ -6,13 +6,13 @@ coefficients,
     d/dt v(z) = P [ nu Lap z - (y . grad) z - (z . grad) y
                     + div N'(y)[z] + div S'(y)[z] + psi ],    z(0) = 0,
 
-with the same Crank-Nicolson/midpoint scheme, frozen midpoint states taken by
-averaging adjacent stored nodes.  Since the divergence-form Jacobian and the
-weak formulation of the linearized equation differ only by a pressure
-gradient, which projects to zero, the coefficient ODEs here are exactly the
-Galerkin system of the weak form; `linearized_form` assembles that weak form
-term by term so tests can check the agreement, and the adjoint module checks
-its transpose.
+with the same Crank-Nicolson/midpoint scheme (`state.march`), frozen midpoint
+states taken by averaging adjacent stored nodes.  Since the divergence-form
+Jacobian and the weak formulation of the linearized equation differ only by a
+pressure gradient, which projects to zero, the coefficient ODEs here are
+exactly the Galerkin system of the weak form; `linearized_form` assembles that
+weak form term by term so tests can check the agreement, and the adjoint
+module checks its transpose.
 
 Because the scheme's midpoint is the average of the step endpoints, this
 discrete solve is also the exact derivative of the discrete state solve, which
@@ -38,7 +38,7 @@ from .spectral import (
     to_grid,
     trilinear_b,
 )
-from .state import _cn_factors, _fixed_point, solve_state
+from .state import march, solve_state
 from .trajectory import Trajectory, check_same_grid
 
 __all__ = ["solve_linearized", "gateaux_taylor_test", "TaylorResult", "linearized_form"]
@@ -83,23 +83,15 @@ def solve_linearized(y_traj: Trajectory, psi: Trajectory, params: ModelParams) -
     """Solve the linearized equation driven by psi around the stored state."""
     check_same_grid(y_traj, psi)
     basis = y_traj.basis
-    dt = y_traj.dt
-    numer, denom = _cn_factors(basis, params, dt)
     y_mid = y_traj.midpoints()
     psi_mid = psi.midpoints()
 
-    coeffs = np.zeros((y_traj.times.size, basis.n_modes))
-    z = coeffs[0]
-    for k in range(y_traj.n_steps):
+    def rhs_at(k):
         frozen = FrozenState(basis, y_mid[k])
         src = psi_mid[k] / basis.vmult
+        return lambda mid: linearized_rhs_coeffs(frozen, params, mid) / basis.vmult + src
 
-        def explicit(mid, frozen=frozen, src=src):
-            return linearized_rhs_coeffs(frozen, params, mid) / basis.vmult + src
-
-        guess = 2.0 * coeffs[k] - coeffs[k - 1] if k > 0 else None
-        z = _fixed_point(z, explicit, numer, denom, dt, step=k, guess=guess)
-        coeffs[k + 1] = z
+    coeffs = march(basis, params, y_traj.dt, np.zeros(basis.n_modes), y_traj.n_steps, rhs_at)
     return Trajectory(y_traj.times.copy(), coeffs, basis, "linearized")
 
 

@@ -13,7 +13,8 @@ where c_i is the basis projection of the nonlinear force F and the control.
 One step is Crank-Nicolson on the diagonal viscous part with the nonlinear
 terms evaluated at the interval midpoint (y_k + y_{k+1}) / 2, resolved by
 fixed-point iteration.  Controls are sampled at midpoints by averaging
-adjacent nodes.
+adjacent nodes.  `march` carries out this scheme for the state, linearized
+and adjoint solvers alike; each solver only supplies its explicit term.
 
 Because every projection is an exact quadrature pairing, the scheme satisfies
 a discrete V-norm energy identity per step,
@@ -28,6 +29,7 @@ continuous H1 estimate rests on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +52,7 @@ from .trajectory import Trajectory, check_same_grid
 
 __all__ = [
     "EnergyReport",
+    "march",
     "step_state",
     "solve_state",
     "energy_report",
@@ -93,61 +96,67 @@ def state_rhs_coeffs(basis: SpectralBasis, params: ModelParams, y_coeffs: np.nda
     return -project(basis, grid).sum(axis=0)
 
 
-def _cn_factors(basis: SpectralBasis, params: ModelParams, dt: float):
-    imp = 0.5 * dt * params.nu * basis.lam / basis.vmult
-    return 1.0 - imp, 1.0 + imp
+def march(
+    basis: SpectralBasis, params: ModelParams, dt: float, a0: np.ndarray, n_steps: int, rhs_at
+) -> np.ndarray:
+    """Advance a0 by n_steps Crank-Nicolson/midpoint steps; return all n_steps + 1 nodes.
 
-
-def _fixed_point(
-    a_prev: np.ndarray, explicit, numer, denom, dt: float, step: int | None, guess=None
-):
-    """Solve a_new = (numer a_prev + dt explicit(mid)) / denom by iteration."""
-    a_new = a_prev.copy() if guess is None else guess.copy()
-    residuals = []
-    for _ in range(FP_MAX_ITER):
-        mid = 0.5 * (a_prev + a_new)
-        with np.errstate(over="ignore", invalid="ignore"):
-            a_next = (numer * a_prev + dt * explicit(mid)) / denom
-        if not np.all(np.isfinite(a_next)):
-            raise FixedPointDiverged(
-                "midpoint iteration produced non-finite values; dt is too large",
-                step=step,
-                residuals=residuals,
-            )
-        scale = max(float(np.max(np.abs(a_next))), 1e-30)
-        res = float(np.max(np.abs(a_next - a_new))) / scale
-        residuals.append(res)
-        a_new = a_next
-        if res <= FP_TOL:
-            return a_new
-    raise FixedPointDiverged(
-        f"midpoint iteration did not reach {FP_TOL} in {FP_MAX_ITER} iterations "
-        f"(last residuals {residuals[-3:]}); dt is too large",
-        step=step,
-        residuals=residuals,
-    )
-
-
-def step_state(
-    y_n: Field,
-    u_half: Field,
-    dt: float,
-    params: ModelParams,
-    step: int | None = None,
-    guess: np.ndarray | None = None,
-) -> Field:
-    """One Crank-Nicolson/midpoint step of the state equation."""
+    Step k solves a_{k+1} = (numer a_k + dt rhs(mid)) / denom, mid = (a_k + a_{k+1}) / 2,
+    for rhs = rhs_at(k) by fixed-point iteration from the guess 2 a_k - a_{k-1}.
+    A step that does not converge raises FixedPointDiverged with its index k.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    imp = 0.5 * dt * params.nu * basis.lam / basis.vmult
+    numer, denom = 1.0 - imp, 1.0 + imp
+    nodes = np.empty((n_steps + 1, basis.n_modes))
+    nodes[0] = a0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            rhs = rhs_at(k)
+            a_prev = nodes[k]
+            cn_part = numer * a_prev
+            a_new = 2.0 * a_prev - nodes[k - 1] if k > 0 else a_prev
+            residuals = []
+            for _ in range(FP_MAX_ITER):
+                a_next = (cn_part + dt * rhs(0.5 * (a_prev + a_new))) / denom
+                # a NaN or inf in a_next makes scale non-finite
+                scale = max(float(np.abs(a_next).max()), 1e-30)
+                if not math.isfinite(scale):
+                    raise FixedPointDiverged(
+                        "midpoint iteration produced non-finite values; dt is too large",
+                        step=k,
+                        residuals=residuals,
+                    )
+                res = float(np.abs(a_next - a_new).max()) / scale
+                residuals.append(res)
+                a_new = a_next
+                if res <= FP_TOL:
+                    break
+            else:
+                raise FixedPointDiverged(
+                    f"midpoint iteration did not reach {FP_TOL} in {FP_MAX_ITER} iterations "
+                    f"(last residuals {residuals[-3:]}); dt is too large",
+                    step=k,
+                    residuals=residuals,
+                )
+            nodes[k + 1] = a_new
+    return nodes
+
+
+def _state_rhs_at(basis: SpectralBasis, params: ModelParams, u_mid: np.ndarray):
+    def rhs_at(k):
+        u_term = u_mid[k] / basis.vmult
+        return lambda mid: state_rhs_coeffs(basis, params, mid) / basis.vmult + u_term
+
+    return rhs_at
+
+
+def step_state(y_n: Field, u_half: Field, dt: float, params: ModelParams) -> Field:
+    """One Crank-Nicolson/midpoint step of the state equation."""
     y_n._check(u_half)
-    basis = y_n.basis
-    numer, denom = _cn_factors(basis, params, dt)
-    u_term = u_half.coeffs / basis.vmult
-
-    def explicit(mid):
-        return state_rhs_coeffs(basis, params, mid) / basis.vmult + u_term
-
-    return Field(_fixed_point(y_n.coeffs, explicit, numer, denom, dt, step, guess), basis)
+    rhs_at = _state_rhs_at(y_n.basis, params, u_half.coeffs[None])
+    return Field(march(y_n.basis, params, dt, y_n.coeffs, 1, rhs_at)[1], y_n.basis)
 
 
 def solve_state(
@@ -157,16 +166,8 @@ def solve_state(
     basis = y0.basis
     if not basis.compatible(control.basis):
         raise GridMismatch("initial state and control live on incompatible bases")
-    n_steps = control.n_steps
-    dt = control.dt
-    u_mid = control.midpoints()
-    coeffs = np.empty((n_steps + 1, basis.n_modes))
-    coeffs[0] = y0.coeffs
-    y = y0
-    for k in range(n_steps):
-        guess = 2.0 * coeffs[k] - coeffs[k - 1] if k > 0 else None
-        y = step_state(y, Field(u_mid[k], basis), dt, params, step=k, guess=guess)
-        coeffs[k + 1] = y.coeffs
+    rhs_at = _state_rhs_at(basis, params, control.midpoints())
+    coeffs = march(basis, params, control.dt, y0.coeffs, control.n_steps, rhs_at)
     traj = Trajectory(control.times.copy(), coeffs, basis, "state")
     return traj, energy_report(traj, params)
 

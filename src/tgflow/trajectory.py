@@ -18,7 +18,9 @@ import numpy as np
 from .errors import GridMismatch, UnknownKind
 from .spectral import Field, SpectralBasis
 
-__all__ = ["Trajectory", "KINDS", "time_grid", "zeros_like", "constant_control"]
+__all__ = [
+    "Trajectory", "KINDS", "time_grid", "zeros_like", "constant_control", "random_field", "random_traj"
+]
 
 KINDS = ("state", "linearized", "adjoint", "control", "target")
 
@@ -100,6 +102,20 @@ def zeros_like(traj: Trajectory, kind: str) -> Trajectory:
 def constant_control(field: Field, times: np.ndarray) -> Trajectory:
     coeffs = np.tile(field.coeffs, (times.size, 1))
     return Trajectory(times, coeffs, field.basis, "control")
+
+
+def random_field(basis: SpectralBasis, rng, amp: float = 0.3) -> Field:
+    """Random smooth field: normal coefficients damped by (1 + lam)^(-1/2)."""
+    return Field(amp * rng.normal(size=basis.n_modes) / np.sqrt(1.0 + basis.lam), basis)
+
+
+def random_traj(basis: SpectralBasis, times, rng, amp: float = 0.3, kind: str = "control"):
+    """Random smooth trajectory: one damped mode profile times a random sinusoid in t."""
+    phase = rng.uniform(0.0, 2.0 * np.pi)
+    omega = rng.uniform(1.0, 4.0)
+    profile = 1.0 + 0.5 * np.sin(omega * times + phase)
+    coeffs = profile[:, None] * (amp * rng.normal(size=basis.n_modes) / (1.0 + basis.lam))[None, :]
+    return Trajectory(times, coeffs, basis, kind)
 
 
 def check_same_grid(a: Trajectory, b: Trajectory) -> None:

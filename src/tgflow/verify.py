@@ -61,6 +61,8 @@ from .trajectory import (
     norm_l2h1_trap,
     norm_l2l2_mid,
     pair_l2l2_mid,
+    random_field,
+    random_traj,
     time_grid,
 )
 
@@ -84,18 +86,6 @@ def _check(name, passed, measured, tolerance, details=None):
         "tolerance": tolerance,
         "details": details or {},
     }
-
-
-def _random_field(basis, rng, amp=0.3):
-    return Field(amp * rng.normal(size=basis.n_modes) / np.sqrt(1.0 + basis.lam), basis)
-
-
-def _random_traj(basis, times, rng, amp=0.3, kind="control"):
-    phase = rng.uniform(0.0, 2.0 * np.pi)
-    omega = rng.uniform(1.0, 4.0)
-    profile = 1.0 + 0.5 * np.sin(omega * times + phase)
-    coeffs = profile[:, None] * (amp * rng.normal(size=basis.n_modes) / (1.0 + basis.lam))[None, :]
-    return Trajectory(times, coeffs, basis, kind)
 
 
 # -- individual checks --------------------------------------------------------
@@ -138,7 +128,7 @@ def _check_basis(basis, rng):
 
 
 def _check_transforms(basis, rng):
-    f = _random_field(basis, rng)
+    f = random_field(basis, rng)
     g = to_grid(f)
     round_err = float(np.max(np.abs(to_coeffs(basis, g).coeffs - f.coeffs)))
     scale = float(np.max(np.abs(f.coeffs)) + 1e-30)
@@ -159,9 +149,9 @@ def _check_transforms(basis, rng):
 def _check_skew(basis, rng, draws):
     worst = 0.0
     for _ in range(draws):
-        y = _random_field(basis, rng)
-        z = _random_field(basis, rng)
-        phi = _random_field(basis, rng)
+        y = random_field(basis, rng)
+        z = random_field(basis, rng)
+        phi = random_field(basis, rng)
         s = trilinear_b(y, z, phi) + trilinear_b(y, phi, z)
         scale = max(abs(trilinear_b(y, z, phi)), 1e-10)
         worst = max(worst, abs(s) / scale)
@@ -172,7 +162,7 @@ def _check_dissipativity(basis, params, rng, draws):
     worst_rel = 0.0
     worst_sign = -np.inf
     for _ in range(draws):
-        y = _random_field(basis, rng, amp=0.6)
+        y = random_field(basis, rng, amp=0.6)
         ct = constitutive_terms(y, params)
         lhs = float(np.sum(ct.div_s.coeffs * y.coeffs / basis.vmult))
         rhs = -0.5 * params.beta * basis.quad(ct.a_sq ** 2)
@@ -187,8 +177,8 @@ def _check_dissipativity(basis, params, rng, draws):
 
 
 def _check_energy(basis, params, times, rng):
-    y0 = _random_field(basis, rng, amp=0.4)
-    control = _random_traj(basis, times, rng, amp=0.3)
+    y0 = random_field(basis, rng, amp=0.4)
+    control = random_traj(basis, times, rng, amp=0.3)
     traj, _ = solve_state(y0, control, params)
     res = energy_balance_residuals(traj, control, params)
     scale = float(np.max(np.sum(traj.coeffs ** 2, axis=1)))
@@ -225,22 +215,22 @@ def _check_convergence(basis, params, horizon, refinements):
 
 
 def _check_duality(basis, params, times, rng, draws):
-    y0 = _random_field(basis, rng, amp=0.4)
-    control = _random_traj(basis, times, rng, amp=0.3)
+    y0 = random_field(basis, rng, amp=0.4)
+    control = random_traj(basis, times, rng, amp=0.3)
     traj, _ = solve_state(y0, control, params)
     worst = 0.0
     for _ in range(draws):
-        psi = _random_traj(basis, times, rng, amp=0.5)
-        f = _random_traj(basis, times, rng, amp=0.5)
+        psi = random_traj(basis, times, rng, amp=0.5)
+        f = random_traj(basis, times, rng, amp=0.5)
         _, _, gap = check_duality(traj, psi, f, params)
         worst = max(worst, gap)
     return _check("duality_gap", worst <= 1e-6, worst, 1e-6)
 
 
 def _check_taylor(basis, params, times, rng, rhos):
-    y0 = _random_field(basis, rng, amp=0.3)
-    control = _random_traj(basis, times, rng, amp=0.3)
-    psi = _random_traj(basis, times, rng, amp=0.5)
+    y0 = random_field(basis, rng, amp=0.3)
+    control = random_traj(basis, times, rng, amp=0.3)
+    psi = random_traj(basis, times, rng, amp=0.5)
     result = gateaux_taylor_test(control, psi, y0, rhos, params)
     min_slope = float(np.min(result.slopes))
     return _check(
@@ -253,9 +243,9 @@ def _check_taylor(basis, params, times, rng, rhos):
 
 
 def _check_stability(basis, params, times, rng):
-    y0 = _random_field(basis, rng, amp=0.3)
-    u1 = _random_traj(basis, times, rng, amp=0.3)
-    psi = _random_traj(basis, times, rng, amp=0.3)
+    y0 = random_field(basis, rng, amp=0.3)
+    u1 = random_traj(basis, times, rng, amp=0.3)
+    psi = random_traj(basis, times, rng, amp=0.3)
     u2 = Trajectory(times, u1.coeffs + psi.coeffs, basis, "control")
     table = stability_check(u1, u2, y0, params)
     ratios = [row["ratio"] for row in table["sweep"]]
@@ -264,16 +254,16 @@ def _check_stability(basis, params, times, rng):
 
 
 def _check_gradient(basis, params, times, rng, draws):
-    y0 = _random_field(basis, rng, amp=0.2)
-    u_true = _random_traj(basis, times, rng, amp=0.4)
+    y0 = random_field(basis, rng, amp=0.2)
+    u_true = random_traj(basis, times, rng, amp=0.4)
     target, _ = solve_state(y0, u_true, params)
     cfg = CostConfig(y_d=target.with_kind("target"), lam=1e-3, radius=10.0)
-    control = _random_traj(basis, times, rng, amp=0.2)
+    control = random_traj(basis, times, rng, amp=0.2)
     g, _, _ = gradient_direction(control, y0, cfg, params)
     rho = 1e-4
     worst = 0.0
     for _ in range(draws):
-        psi = _random_traj(basis, times, rng, amp=0.5)
+        psi = random_traj(basis, times, rng, amp=0.5)
         pred = pair_l2l2_mid(g, psi)
         up = Trajectory(times, control.coeffs + rho * psi.coeffs, basis, "control")
         um = Trajectory(times, control.coeffs - rho * psi.coeffs, basis, "control")
@@ -285,8 +275,8 @@ def _check_gradient(basis, params, times, rng, draws):
 
 
 def _check_optimizer(basis, params, times, rng, max_iter, vi_tol=1e-6):
-    y0 = _random_field(basis, rng, amp=0.2)
-    u_true = _random_traj(basis, times, rng, amp=0.5)
+    y0 = random_field(basis, rng, amp=0.2)
+    u_true = random_traj(basis, times, rng, amp=0.5)
     target, _ = solve_state(y0, u_true, params)
     radius = 2.0 * norm_l2h1_trap(u_true)
     cfg = CostConfig(y_d=target.with_kind("target"), lam=1e-6, radius=radius)

@@ -7,8 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from tgflow import build_basis, validate_params
-from tgflow.spectral import Field
-from tgflow.trajectory import Trajectory
+from tgflow.trajectory import random_field, random_traj  # noqa: F401  (shared by the tests)
 
 
 @pytest.fixture
@@ -24,15 +23,3 @@ def basis(params):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
-
-
-def random_field(basis, rng, amp=0.3):
-    return Field(amp * rng.normal(size=basis.n_modes) / np.sqrt(1.0 + basis.lam), basis)
-
-
-def random_traj(basis, times, rng, amp=0.3, kind="control"):
-    phase = rng.uniform(0.0, 2.0 * np.pi)
-    omega = rng.uniform(1.0, 4.0)
-    profile = 1.0 + 0.5 * np.sin(omega * times + phase)
-    coeffs = profile[:, None] * (amp * rng.normal(size=basis.n_modes) / (1.0 + basis.lam))[None, :]
-    return Trajectory(times, coeffs, basis, kind)
