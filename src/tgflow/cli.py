@@ -46,7 +46,7 @@ from .errors import (
 from .linearized import gateaux_taylor_test
 from .params import validate_params
 from .spectral import Field, build_basis
-from .state import solve_state
+from .state import energy_report, solve_state
 from .storage import (
     atomic_write_text,
     cost_history_csv,
@@ -191,7 +191,8 @@ def _cmd_simulate(cfg: _Config, args) -> int:
     basis, times = _disc(cfg, params)
     y0 = _initial_state(cfg, basis)
     control = _control(cfg, basis, times)
-    traj, report = solve_state(y0, control, params)
+    traj = solve_state(y0, control, params)
+    report = energy_report(traj, params)
     os.makedirs(args.out, exist_ok=True)
     save_trajectory(
         os.path.join(args.out, "state.traj"), traj, config_hash=cfg.sha256, seed=_seed(cfg, args)

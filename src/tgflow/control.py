@@ -101,7 +101,7 @@ def eval_cost(
 ) -> tuple[float, Trajectory]:
     """Solve the state under U and return (J, state trajectory)."""
     check_same_grid(U, cfg.y_d)
-    y_traj, _ = solve_state(y0, U, params)
+    y_traj = solve_state(y0, U, params)
     diff = Trajectory(y_traj.times, y_traj.coeffs - cfg.y_d.coeffs, y_traj.basis, "state")
     track = 0.5 * pair_l2l2_mid(diff, diff)
     penalty = 0.5 * cfg.lam * pair_l2l2_mid(U, U)

@@ -116,14 +116,14 @@ def gateaux_taylor_test(
     rhos = np.asarray(sorted(rhos, reverse=True), dtype=float)
     if np.any(rhos <= 0):
         raise ValueError("rhos must be positive")
-    base, _ = solve_state(y0, control, params)
+    base = solve_state(y0, control, params)
     z = solve_linearized(base, psi, params)
     remainders = np.empty(rhos.size)
     for i, rho in enumerate(rhos):
         perturbed = Trajectory(
             control.times, control.coeffs + rho * psi.coeffs, control.basis, "control"
         )
-        y_rho, _ = solve_state(y0, perturbed, params)
+        y_rho = solve_state(y0, perturbed, params)
         delta = (y_rho.coeffs - base.coeffs) / rho - z.coeffs
         remainders[i] = float(np.max(np.sqrt(np.sum(delta ** 2, axis=1))))
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -21,17 +21,18 @@ D_mn = 1 + alpha1 lambda, hence (h, h)_W = mu (h, h)_V with mu = 2 + alpha1 lamb
 
 Grids and transforms
 --------------------
-All pointwise work happens on the even/odd periodic extension of the square to
-[0, 2pi)^2, sampled on P x P points with P = 2 * grid_size.  Each mode is a
-product of one sin/cos in x and one in y (sin x cos for u1, cos x sin for u2),
-so the basis stores per-axis tables only: for both components, the x- and
-y-factors of the six partials 1, d_x, d_y, d_xx, d_xy, d_yy, stacked and
-contiguous.  Every right-hand side makes one pass through three kernels:
+All pointwise work happens on the (G + 1) x (G + 1) tensor grid x_j = pi j / G,
+j = 0..G, over the square itself (G = grid_size, both walls included).  Each
+mode is a product of one sin/cos in x and one in y (sin x cos for u1, cos x
+sin for u2), so the basis stores per-axis tables only: for both components,
+the x- and y-factors of the six partials 1, d_x, d_y, d_xx, d_xy, d_yy,
+stacked and contiguous.  Every right-hand side makes one pass through three
+kernels:
 
 - synthesis (to_grid): with C the (M, M) coefficient matrix, all partials of
   both components up to the requested order come out of two batched matrix
-  products, X_p^T (C * amp) Y_p, as one (2, n, P, P) grid.  No derivative is
-  ever taken of grid data;
+  products, X_p^T (C * amp) Y_p, as one (2, n, G + 1, G + 1) grid.  No
+  derivative is ever taken of grid data;
 - pointwise algebra on named components: A(y), N(y), S(y) and the tangent
   stresses are symmetric, so each is a triple (t11, t12, t22) of plain ufunc
   expressions in the scalar partials (strain, stress, convected_strain,
@@ -41,17 +42,23 @@ contiguous.  Every right-hand side makes one pass through three kernels:
   product, c_i = (1 + alpha1 lam_i) quad(g . d^s h_i).  A force F fills the
   value slot and a stress T, by summation by parts for P div T, the d_x and
   d_y slots as -T[:, 0] and -T[:, 1]; to_coeffs and project_div are the one-
-  and two-slot cases.
+  and two-slot cases.  The trapezoid weights sit in the test tables, so no
+  pass over the grid applies them.
 
-Every quantity in the pipeline extends to a trigonometric polynomial on the
-torus, and integrals over D of parity-matched products are exactly
-(pi^2 / P^2) * sum over the extended grid.  Summation by parts is exact on the
-grid for any tensor: the modes carry no content at the Nyquist wavenumber
-P / 2, so pairing h_i with the spectral divergence of T equals minus pairing
-grad h_i with T.  Content that no mode carries never reaches a coefficient,
-so the projection is alias-free by construction.  For the cubic stress to be
-alias-free, grid_size >= 2M + 2 is recommended; the default 4M matches that
-comfortably.
+Quadrature is the trapezoid rule per axis, weights h (1/2, 1, ..., 1, 1/2)
+with h = pi / G (quad, pair_velocity).  Every field and derivative here is
+even or odd about both walls of each axis, so every integrand the solver forms
+(a parity-matched product) is even about x = 0 and x = pi, that is a cosine
+polynomial sum_k c_k cos(k x) per axis.  The trapezoid rule on G intervals
+integrates cos(k x) over [0, pi] exactly for 0 <= k < 2G, so quadrature of
+products of degree below 2G per axis is exact; it equals the plain sum over
+the even/odd periodic extension to 2G x 2G points of [0, 2pi)^2, at a quarter
+of the points.  Summation by parts is exact on the grid for any tensor: the
+modes carry no content at the Nyquist wavenumber G, so pairing h_i with the
+spectral divergence of T equals minus pairing grad h_i with T.  Content that
+no mode carries never reaches a coefficient, so the projection is alias-free
+by construction.  For the cubic stress to be alias-free, grid_size >= 2M + 2
+is recommended; the default 4M matches that comfortably.
 """
 
 from __future__ import annotations
@@ -116,12 +123,12 @@ class SpectralBasis:
     modes, lam and mu are aligned arrays over the M^2 modes in lexicographic
     (m, n) order, so a coefficient vector reshaped to (M, M) is indexed by
     (m - 1, n - 1).  For component c (u1: sin x cos, u2: cos x sin) the tables
-    hold the x- and y-factors of each PARTIALS slot p on the P extended-grid
-    points (P = 2 * grid_size): synth_x[c] stacks the (P, M) x-factors of the
-    six slots row-wise, synth_y[c, p] is the (M, P) y-factor; test_x and test_y
-    are the same factors, transposed, for the projection slots.  amp holds the
-    (M, M) factors s_mn n and -s_mn m of the two components, and proj_weight
-    the (M, M) per-mode factor (1 + alpha1 lam) pi^2 / P^2 of the projection.
+    hold the x- and y-factors of each PARTIALS slot p on the Q = grid_size + 1
+    grid points of [0, pi]: synth_x[c] stacks the (Q, M) x-factors of the six
+    slots row-wise, synth_y[c, p] is the (M, Q) y-factor; test_x and test_y are
+    the same factors, transposed and multiplied by the trapezoid weights, for
+    the projection slots.  amp holds the (M, M) factors s_mn n and -s_mn m of
+    the two components, and weights the (Q,) trapezoid weights of one axis.
     """
 
     max_mode: int
@@ -131,26 +138,21 @@ class SpectralBasis:
     lam: np.ndarray            # (n_modes,) Stokes eigenvalue m^2 + n^2
     mu: np.ndarray             # (n_modes,) W/V eigenratio 2 + alpha1 lam
     vmult: np.ndarray          # (n_modes,) 1 + alpha1 lam, the action of v
-    synth_x: np.ndarray = field(repr=False)      # (2, 6 P, M)
-    synth_y: np.ndarray = field(repr=False)      # (2, 6, M, P)
-    test_x: np.ndarray = field(repr=False)       # (2, 4, M, P)
-    test_y: np.ndarray = field(repr=False)       # (2, 4, P, M)
-    amp: np.ndarray = field(repr=False)          # (2, M, M) component factors of each mode
-    proj_weight: np.ndarray = field(repr=False)  # (M, M)
+    synth_x: np.ndarray = field(repr=False)  # (2, 6 Q, M)
+    synth_y: np.ndarray = field(repr=False)  # (2, 6, M, Q)
+    test_x: np.ndarray = field(repr=False)   # (2, 4, M, Q), weighted
+    test_y: np.ndarray = field(repr=False)   # (2, 4, Q, M), weighted
+    amp: np.ndarray = field(repr=False)      # (2, M, M) component factors of each mode
+    weights: np.ndarray = field(repr=False)  # (Q,) trapezoid weights on [0, pi]
 
     @property
     def n_modes(self) -> int:
         return self.modes.shape[0]
 
     @property
-    def n_ext(self) -> int:
-        """Points per axis of the extended periodic grid."""
-        return 2 * self.grid_size
-
-    @property
-    def quad_weight(self) -> float:
-        """Weight turning an extended-grid sum into an integral over [0, pi]^2."""
-        return math.pi ** 2 / self.n_ext ** 2
+    def n_points(self) -> int:
+        """Grid points per axis, both walls included."""
+        return self.grid_size + 1
 
     def compatible(self, other: "SpectralBasis") -> bool:
         return (
@@ -160,12 +162,12 @@ class SpectralBasis:
         )
 
     def quad(self, g: np.ndarray) -> float:
-        """Integral over [0, pi]^2 of a parity-even scalar grid field."""
-        return float(np.sum(g) * self.quad_weight)
+        """Integral over [0, pi]^2 of a parity-even scalar grid field (trapezoid rule)."""
+        return float(self.weights @ g @ self.weights)
 
     def pair_velocity(self, g: np.ndarray, w: np.ndarray) -> float:
-        """L2 inner product over D of two (2, P, P) velocity grids."""
-        return float(np.sum(g * w) * self.quad_weight)
+        """L2 inner product over D of two (2, Q, Q) velocity grids."""
+        return self.quad(g[0] * w[0] + g[1] * w[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,10 +211,11 @@ class Field:
 
 @dataclass(frozen=True)
 class ConstitutiveTerms:
-    """Strain and stress quantities of a state y on the extended grid.
+    """Strain and stress quantities of a state y on the (Q, Q) grid, Q = grid_size + 1.
 
-    a      : A(y) = grad y + (grad y)^T, shape (2, 2, P, P)
-    a_sq   : |A|^2 pointwise
+    a      : A(y) = grad y + (grad y)^T, shape (2, 2, Q, Q)
+    a_sq   : |A|^2 pointwise, shape (Q, Q)
+    s, n   : shape (2, 2, Q, Q)
     s      : cubic stress beta |A|^2 A
     n      : alpha1 (y . grad A + J^T A + A J) + alpha2 A^2
     div_s  : Leray-projected divergence of s, as a Field
@@ -245,11 +248,13 @@ def build_basis(max_mode: int, alpha1: float, grid_size: int | None = None) -> S
             f"grid_size {grid_size} below the 2/3-rule minimum {min_grid_size(max_mode)}"
         )
 
-    P = 2 * grid_size
-    x = 2.0 * math.pi * np.arange(P) / P
+    Q = grid_size + 1
+    x = math.pi * np.arange(Q) / grid_size
+    weights = np.full(Q, math.pi / grid_size)  # trapezoid rule: h (1/2, 1, ..., 1, 1/2)
+    weights[[0, -1]] *= 0.5
     k = np.arange(1, max_mode + 1)[:, None]
     sin_kx, cos_kx = np.sin(k * x), np.cos(k * x)
-    # d-th derivatives, d = 0..2, of sin(k x) and cos(k x), each (M, P)
+    # d-th derivatives, d = 0..2, of sin(k x) and cos(k x), each (M, Q)
     sin = (sin_kx, k * cos_kx, -(k * k) * sin_kx)
     cos = (cos_kx, -k * sin_kx, -(k * k) * cos_kx)
     factors = ((sin, cos), (cos, sin))  # (x, y) factors of u1 and u2
@@ -271,34 +276,34 @@ def build_basis(max_mode: int, alpha1: float, grid_size: int | None = None) -> S
         mu=mu,
         vmult=vmult,
         synth_x=np.array([[fx[a].T for a, _ in PARTIALS] for fx, _ in factors]).reshape(
-            2, len(PARTIALS) * P, max_mode
+            2, len(PARTIALS) * Q, max_mode
         ),
         synth_y=np.array([[fy[b] for _, b in PARTIALS] for _, fy in factors]),
-        test_x=np.array([[fx[a] for a, _ in _TESTS] for fx, _ in factors]),
-        test_y=np.array([[fy[b].T for _, b in _TESTS] for _, fy in factors]),
+        test_x=np.array([[fx[a] * weights for a, _ in _TESTS] for fx, _ in factors]),
+        test_y=np.array([[(fy[b] * weights).T for _, b in _TESTS] for _, fy in factors]),
         amp=amp,
-        proj_weight=(vmult * math.pi ** 2 / P ** 2).reshape(max_mode, max_mode),
+        weights=weights,
     )
 
 
 def to_grid(f: Field, order: int = 0) -> np.ndarray:
-    """Synthesize a Field and its partials up to order (0, 1 or 2) on the extended grid.
+    """Synthesize a Field and its partials up to order (0, 1 or 2) on the grid.
 
-    order 0 gives the (2, P, P) velocity.  Orders 1 and 2 give the (2, n, P, P)
+    order 0 gives the (2, Q, Q) velocity.  Orders 1 and 2 give the (2, n, Q, Q)
     grid g[i, p] = d^p f_i over the first n = 3 or 6 PARTIALS slots, so
     g[:, 1:3] is the Jacobian J[i, j] = d_j f_i.
     """
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
     b = f.basis
-    M, P, n = b.max_mode, b.n_ext, _N_PARTIALS[order]
+    M, Q, n = b.max_mode, b.n_points, _N_PARTIALS[order]
     coef = f.coeffs.reshape(M, M) * b.amp
-    g = (b.synth_x[:, : n * P] @ coef).reshape(2, n, P, M) @ b.synth_y[:, :n]
+    g = (b.synth_x[:, : n * Q] @ coef).reshape(2, n, Q, M) @ b.synth_y[:, :n]
     return g[:, 0] if order == 0 else g
 
 
 def project(basis: SpectralBasis, g: np.ndarray, first: int = 0) -> np.ndarray:
-    """Pair a (2, k, P, P) grid slot by slot with the test partials of every mode.
+    """Pair a (2, k, Q, Q) grid slot by slot with the test partials of every mode.
 
     Slot s is tested against partial first + s of the sequence 1, d_x, d_y, 1;
     row s of the (k, n_modes) result is (1 + alpha1 lam_i) quad(g[:, s] . d h_i),
@@ -308,24 +313,25 @@ def project(basis: SpectralBasis, g: np.ndarray, first: int = 0) -> np.ndarray:
     k = g.shape[1]
     tests = slice(first, first + k)
     r = b.test_x[:, tests] @ (g @ b.test_y[:, tests])
-    return ((r[0] * b.amp[0] + r[1] * b.amp[1]) * b.proj_weight).reshape(k, b.n_modes)
+    vmult = b.vmult.reshape(b.max_mode, b.max_mode)
+    return ((r[0] * b.amp[0] + r[1] * b.amp[1]) * vmult).reshape(k, b.n_modes)
 
 
 def to_coeffs(basis: SpectralBasis, vel: np.ndarray) -> Field:
-    """Project a (2, P, P) velocity grid onto the div-free basis.
+    """Project a (2, Q, Q) velocity grid onto the div-free basis.
 
     This is the L2-orthogonal (equivalently V-orthogonal) projection onto the
     span: c_i = (1 + alpha1 lam_i) (vel, h_i)_{L2(D)}, evaluated by exact grid
     quadrature as the transpose of synthesis.
     """
-    P = basis.n_ext
-    if vel.shape != (2, P, P):
-        raise ShapeMismatch(f"expected velocity grid of shape (2, {P}, {P}), got {vel.shape}")
+    Q = basis.n_points
+    if vel.shape != (2, Q, Q):
+        raise ShapeMismatch(f"expected velocity grid of shape (2, {Q}, {Q}), got {vel.shape}")
     return Field(project(basis, vel[:, None])[0], basis)
 
 
 def project_div(basis: SpectralBasis, t: np.ndarray) -> Field:
-    """Project (div T)_i = sum_j d_j T[i, j] of a (2, 2, P, P) grid tensor onto the basis.
+    """Project (div T)_i = sum_j d_j T[i, j] of a (2, 2, Q, Q) grid tensor onto the basis.
 
     Summation by parts gives c_i = -(1 + alpha1 lam_i) quad(T : grad h_i), so
     T itself is never differentiated.
@@ -346,7 +352,7 @@ def invert_modified_stokes(f: Field, alpha1: float) -> Field:
 
 
 def advect(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(w . grad) x, shape (2, P, P), from synthesised grids of order >= 1."""
+    """(w . grad) x, shape (2, Q, Q), from synthesised grids of order >= 1."""
     return w[0, 0] * x[:, 1] + w[1, 0] * x[:, 2]
 
 
@@ -430,7 +436,7 @@ def stress(params: ModelParams, g: np.ndarray) -> tuple:
 
 
 def _full(t) -> np.ndarray:
-    """(2, 2, P, P) array of a symmetric tensor given as (t11, t12, t22)."""
+    """(2, 2, Q, Q) array of a symmetric tensor given as (t11, t12, t22)."""
     return np.array([[t[0], t[1]], [t[1], t[2]]])
 
 

@@ -42,7 +42,6 @@ from .spectral import (
     advect,
     frobenius,
     norm_weights,
-    norms,
     project,
     strain,
     stress,
@@ -58,7 +57,6 @@ __all__ = [
     "energy_report",
     "energy_balance_residuals",
     "manufactured_control",
-    "suggested_dt",
     "FP_TOL",
     "FP_MAX_ITER",
 ]
@@ -159,17 +157,17 @@ def step_state(y_n: Field, u_half: Field, dt: float, params: ModelParams) -> Fie
     return Field(march(y_n.basis, params, dt, y_n.coeffs, 1, rhs_at)[1], y_n.basis)
 
 
-def solve_state(
-    y0: Field, control: Trajectory, params: ModelParams
-) -> tuple[Trajectory, EnergyReport]:
-    """Integrate the state over the control's time grid; store every node."""
+def solve_state(y0: Field, control: Trajectory, params: ModelParams) -> Trajectory:
+    """Integrate the state over the control's time grid; store every node.
+
+    The diagnostics of the result are energy_report(traj, params).
+    """
     basis = y0.basis
     if not basis.compatible(control.basis):
         raise GridMismatch("initial state and control live on incompatible bases")
     rhs_at = _state_rhs_at(basis, params, control.midpoints())
     coeffs = march(basis, params, control.dt, y0.coeffs, control.n_steps, rhs_at)
-    traj = Trajectory(control.times.copy(), coeffs, basis, "state")
-    return traj, energy_report(traj, params)
+    return Trajectory(control.times.copy(), coeffs, basis, "state")
 
 
 def _strain_quartic(basis: SpectralBasis, coeffs: np.ndarray) -> float:
@@ -252,9 +250,3 @@ def manufactured_control(
         Trajectory(times, u, basis, "control"),
         Trajectory(times, ystar, basis, "state"),
     )
-
-
-def suggested_dt(y0: Field, params: ModelParams) -> float:
-    """Step-size heuristic dt <= 0.5 / (nu lam_max + ||y0||_{H3})."""
-    lam_max = float(np.max(y0.basis.lam))
-    return 0.5 / (params.nu * lam_max + norms(y0, "H3") + 1e-12)

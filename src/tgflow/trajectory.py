@@ -18,9 +18,7 @@ import numpy as np
 from .errors import GridMismatch, UnknownKind
 from .spectral import Field, SpectralBasis
 
-__all__ = [
-    "Trajectory", "KINDS", "time_grid", "zeros_like", "constant_control", "random_field", "random_traj"
-]
+__all__ = ["Trajectory", "KINDS", "time_grid", "random_field", "random_traj"]
 
 KINDS = ("state", "linearized", "adjoint", "control", "target")
 
@@ -93,15 +91,6 @@ def time_grid(horizon: float, n_steps: int) -> np.ndarray:
     if horizon <= 0 or n_steps < 1:
         raise ValueError("need horizon > 0 and n_steps >= 1")
     return np.linspace(0.0, horizon, n_steps + 1)
-
-
-def zeros_like(traj: Trajectory, kind: str) -> Trajectory:
-    return Trajectory(traj.times, np.zeros_like(traj.coeffs), traj.basis, kind)
-
-
-def constant_control(field: Field, times: np.ndarray) -> Trajectory:
-    coeffs = np.tile(field.coeffs, (times.size, 1))
-    return Trajectory(times, coeffs, field.basis, "control")
 
 
 def random_field(basis: SpectralBasis, rng, amp: float = 0.3) -> Field:

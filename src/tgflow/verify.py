@@ -55,7 +55,7 @@ from .spectral import (
     to_grid,
     trilinear_b,
 )
-from .state import energy_balance_residuals, manufactured_control, solve_state
+from .state import energy_balance_residuals, energy_report, manufactured_control, solve_state
 from .trajectory import (
     Trajectory,
     norm_l2h1_trap,
@@ -179,7 +179,7 @@ def _check_dissipativity(basis, params, rng, draws):
 def _check_energy(basis, params, times, rng):
     y0 = random_field(basis, rng, amp=0.4)
     control = random_traj(basis, times, rng, amp=0.3)
-    traj, _ = solve_state(y0, control, params)
+    traj = solve_state(y0, control, params)
     res = energy_balance_residuals(traj, control, params)
     scale = float(np.max(np.sum(traj.coeffs ** 2, axis=1)))
     identity_err = float(np.max(np.abs(res))) / max(scale, 1e-30)
@@ -204,7 +204,7 @@ def _check_convergence(basis, params, horizon, refinements):
     for n_steps in steps:
         times = time_grid(horizon, n_steps)
         control, ystar = manufactured_control(basis, params, times, 0, g, gp)
-        traj, _ = solve_state(Field(ystar.coeffs[0].copy(), basis), control, params)
+        traj = solve_state(Field(ystar.coeffs[0].copy(), basis), control, params)
         errs.append(float(np.max(np.sqrt(np.sum((traj.coeffs - ystar.coeffs) ** 2, axis=1)))))
     log_e = np.log(errs)
     log_h = np.log([horizon / s for s in steps])
@@ -217,7 +217,7 @@ def _check_convergence(basis, params, horizon, refinements):
 def _check_duality(basis, params, times, rng, draws):
     y0 = random_field(basis, rng, amp=0.4)
     control = random_traj(basis, times, rng, amp=0.3)
-    traj, _ = solve_state(y0, control, params)
+    traj = solve_state(y0, control, params)
     worst = 0.0
     for _ in range(draws):
         psi = random_traj(basis, times, rng, amp=0.5)
@@ -256,7 +256,7 @@ def _check_stability(basis, params, times, rng):
 def _check_gradient(basis, params, times, rng, draws):
     y0 = random_field(basis, rng, amp=0.2)
     u_true = random_traj(basis, times, rng, amp=0.4)
-    target, _ = solve_state(y0, u_true, params)
+    target = solve_state(y0, u_true, params)
     cfg = CostConfig(y_d=target.with_kind("target"), lam=1e-3, radius=10.0)
     control = random_traj(basis, times, rng, amp=0.2)
     g, _, _ = gradient_direction(control, y0, cfg, params)
@@ -277,7 +277,7 @@ def _check_gradient(basis, params, times, rng, draws):
 def _check_optimizer(basis, params, times, rng, max_iter, vi_tol=1e-6):
     y0 = random_field(basis, rng, amp=0.2)
     u_true = random_traj(basis, times, rng, amp=0.5)
-    target, _ = solve_state(y0, u_true, params)
+    target = solve_state(y0, u_true, params)
     radius = 2.0 * norm_l2h1_trap(u_true)
     cfg = CostConfig(y_d=target.with_kind("target"), lam=1e-6, radius=radius)
     u0 = Trajectory(times, np.zeros_like(u_true.coeffs), basis, "control")
@@ -366,7 +366,7 @@ def stability_check(
     given the initial-data variant is also reported (same controls, different
     initial states).
     """
-    base, _ = solve_state(y0, u1, params)
+    base = solve_state(y0, u1, params)
 
     def w_dist(traj):  # ||y(t_k) - y_1(t_k)||_W at every node
         diff_sq = (traj.coeffs - base.coeffs) ** 2
@@ -380,7 +380,7 @@ def stability_check(
     sweep = []
     for e in eps:
         pert = Trajectory(u1.times, u1.coeffs + e * direction, u1.basis, "control")
-        traj, _ = solve_state(y0, pert, params)
+        traj = solve_state(y0, pert, params)
         sup_sq = float(np.max(w_dist(traj))) ** 2
         sweep.append(
             {
@@ -391,7 +391,7 @@ def stability_check(
         )
     out = {"sweep": sweep, "control_direction_l2l2_sq": d_norm_sq}
     if y0_2 is not None:
-        traj2, _ = solve_state(y0_2, u1, params)
+        traj2 = solve_state(y0_2, u1, params)
         dw = w_dist(traj2)
         out["initial_data"] = {
             "y0_diff_w_sq": norms(y0_2 - y0, "W") ** 2,
@@ -505,8 +505,8 @@ def uniqueness_diagnostics(
     if y0 is None:
         y0 = Field(np.zeros(basis.n_modes), basis)
     u_zero = Trajectory(times, np.zeros((times.size, basis.n_modes)), basis, "control")
-    ref, report = solve_state(y0, u_zero, params)
-    gamma_sup = report.gamma
+    ref = solve_state(y0, u_zero, params)
+    gamma_sup = energy_report(ref, params).gamma
     f = Trajectory(ref.times, ref.coeffs - cfg.y_d.coeffs, basis, "state")
     p_ref = solve_adjoint(ref, f, params)
     lam_tilde = float(np.sqrt(np.max(np.sum(p_ref.coeffs ** 2 * norm_weights(basis, "W"), axis=1))))

@@ -5,8 +5,11 @@ package's synthesis/projection pipeline entirely.  The Gram, norm and
 trilinear oracles use inclusive [0, pi]^2 tensor grids and composite
 trapezoid quadrature, which is exact for the trigonometric integrands
 involved, so they serve as high-precision oracles at whatever resolution the
-caller picks.  The right-hand-side references at the end use the solver's
-extended grid, where the plain grid sum is the exact quadrature.
+caller picks.  The right-hand-side references at the end use a grid of their
+own: the full periodic grid of 2 * grid_size points per axis on [0, 2pi)^2,
+where the plain grid sum is the exact quadrature.  The solver uses only the
+grid_size + 1 of those points per axis that lie in [0, pi], with trapezoid
+weights, so these references check its quadrature independently.
 """
 
 import math
@@ -135,19 +138,22 @@ def strain_quartic_oracle(modes, coeffs, alpha1, res):
 #
 # The package fuses synthesis, the symmetric-component stress algebra and one
 # projection per right-hand side.  These references assemble the same terms as
-# plain full-tensor code: fields by summing the analytic modes on the solver's
-# extended grid, 2x2 tensor algebra by einsum, and projection by one
-# quadrature per mode.  Each takes the basis only for its mode list, alpha1
-# and grid size.
+# plain full-tensor code: fields by summing the analytic modes on the periodic
+# grid of [0, 2pi)^2, 2x2 tensor algebra by einsum, and projection by one
+# plain-sum quadrature per mode.  Each takes the basis only for its mode list,
+# alpha1 and grid size.
 
 
 def _ext_grid(basis):
-    P = basis.n_ext
+    P = 2 * basis.grid_size
     return 2.0 * math.pi * np.arange(P) / P
 
 
 def _fields(basis, coeffs):
-    """Velocity (2, P, P), Jacobian [i, j] = d_j y_i and strain partials [k, i, j] = d_k A_ij."""
+    """Velocity (2, P, P), Jacobian [i, j] = d_j y_i and strain partials [k, i, j] = d_k A_ij.
+
+    All on the periodic grid of _ext_grid.
+    """
     x = _ext_grid(basis)
     vel = np.zeros((2, x.size, x.size))
     jac = np.zeros((2, 2, x.size, x.size))

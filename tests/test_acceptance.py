@@ -40,7 +40,7 @@ def _state(rng, n_steps, amp=0.3):
     times = time_grid(HORIZON, n_steps)
     y0 = random_field(BASIS, rng, amp=amp)
     control = random_traj(BASIS, times, rng, amp=amp)
-    traj, _ = solve_state(y0, control, PARAMS)
+    traj = solve_state(y0, control, PARAMS)
     return traj, control, y0, times
 
 
@@ -142,7 +142,7 @@ def test_criterion_6_manufactured_convergence():
     for n_steps in steps:
         times = time_grid(HORIZON, n_steps)
         control, ystar = manufactured_control(BASIS, PARAMS, times, 0, g, gp)
-        traj, _ = solve_state(Field(ystar.coeffs[0].copy(), BASIS), control, PARAMS)
+        traj = solve_state(Field(ystar.coeffs[0].copy(), BASIS), control, PARAMS)
         errs.append(float(np.max(np.sqrt(np.sum((traj.coeffs - ystar.coeffs) ** 2, axis=1)))))
     order = float(np.polyfit(np.log([HORIZON / s for s in steps]), np.log(errs), 1)[0])
     _report(6, "manufactured convergence", order >= 1.8, f"observed order {order:.3f} >= 1.8")
@@ -155,7 +155,7 @@ def test_criterion_7_optimizer_contract():
     times = time_grid(HORIZON, 64)
     y0 = random_field(BASIS, rng, amp=0.2)
     u_true = random_traj(BASIS, times, rng, amp=0.5)
-    target, _ = solve_state(y0, u_true, PARAMS)
+    target = solve_state(y0, u_true, PARAMS)
     radius = 2.0 * norm_l2h1_trap(u_true)
     cfg = CostConfig(y_d=target.with_kind("target"), lam=1e-6, radius=radius)
     u0 = Trajectory(times, np.zeros_like(u_true.coeffs), BASIS, "control")
@@ -185,7 +185,7 @@ def test_criterion_8_uniqueness_at_large_lambda():
     times = time_grid(HORIZON, 64)
     y0 = random_field(BASIS, rng, amp=0.2)
     u_true = random_traj(BASIS, times, rng, amp=0.4)
-    target, _ = solve_state(y0, u_true, PARAMS)
+    target = solve_state(y0, u_true, PARAMS)
     cfg = CostConfig(y_d=target.with_kind("target"), lam=1.0, radius=1.0)
     diag = uniqueness_diagnostics(cfg, PARAMS, n_starts=3, seed=108, y0=y0)
     dist = diag["max_pairwise_distance"]

@@ -49,8 +49,7 @@ def test_strain_magnitude_single_mode_symbolic(basis, params):
     lam = float(basis.lam[i])
     s = 1.0 / math.sqrt((1.0 + basis.alpha1 * lam) * lam * math.pi ** 2 / 4.0)
     ct = constitutive_terms(Field(np.eye(basis.n_modes)[i], basis), params)
-    P = basis.n_ext
-    x = 2.0 * math.pi * np.arange(P) / P
+    x = math.pi * np.arange(basis.n_points) / basis.grid_size
     X, Y = x[:, None], x[None, :]
     # A11 = -A22 = 2 s m n cos cos, A12 = s (m^2 - n^2) sin sin
     expected = (
@@ -68,8 +67,7 @@ def test_curl_modified_velocity_single_mode(basis, params):
     d = 1.0 + basis.alpha1 * lam
     s = 1.0 / math.sqrt(d * lam * math.pi ** 2 / 4.0)
     ct = constitutive_terms(Field(np.eye(basis.n_modes)[i], basis), params)
-    P = basis.n_ext
-    x = 2.0 * math.pi * np.arange(P) / P
+    x = math.pi * np.arange(basis.n_points) / basis.grid_size
     expected = d * lam * s * np.sin(m * x[:, None]) * np.sin(n * x[None, :])
     assert np.max(np.abs(ct.curl_v - expected)) <= 1e-10 * np.max(np.abs(expected))
 

@@ -27,7 +27,7 @@ def setup(basis, params, rng):
     times = time_grid(0.5, 32)
     y0 = random_field(basis, rng, amp=0.2)
     u_true = random_traj(basis, times, rng, amp=0.5)
-    target, _ = solve_state(y0, u_true, params)
+    target = solve_state(y0, u_true, params)
     return times, y0, u_true, target
 
 
@@ -38,7 +38,7 @@ def zero_traj(basis, times):
 def test_cost_zero_when_target_is_uncontrolled_flow(basis, params, rng):
     times = time_grid(0.5, 16)
     y0 = random_field(basis, rng, amp=0.3)
-    free, _ = solve_state(y0, zero_traj(basis, times), params)
+    free = solve_state(y0, zero_traj(basis, times), params)
     cfg = CostConfig(y_d=free.with_kind("target"), lam=0.0, radius=1.0)
     j, _ = eval_cost(zero_traj(basis, times), y0, cfg, params)
     assert j == 0.0
@@ -58,7 +58,7 @@ def test_control_term_closed_form(basis, params, rng):
     """Constant single-mode control: penalty is (lam/2) T ||U||_2^2 exactly."""
     times = time_grid(0.5, 16)
     y0 = Field(np.zeros(basis.n_modes), basis)
-    free, _ = solve_state(y0, zero_traj(basis, times), params)
+    free = solve_state(y0, zero_traj(basis, times), params)
     lam = 0.3
     amp = 0.7
     i = 5
@@ -76,7 +76,7 @@ def test_control_term_closed_form(basis, params, rng):
 def test_gradient_zero_at_perfect_tracking(basis, params, rng):
     times = time_grid(0.5, 16)
     y0 = random_field(basis, rng, amp=0.3)
-    free, _ = solve_state(y0, zero_traj(basis, times), params)
+    free = solve_state(y0, zero_traj(basis, times), params)
     cfg = CostConfig(free.with_kind("target"), 0.0, 1.0)
     g, j, _ = gradient_direction(zero_traj(basis, times), y0, cfg, params)
     assert j == 0.0
@@ -141,7 +141,7 @@ def test_optimize_already_optimal(basis, params, rng):
     """Starting at the optimum of a self-generated target stops immediately."""
     times = time_grid(0.5, 16)
     y0 = random_field(basis, rng, amp=0.3)
-    free, _ = solve_state(y0, zero_traj(basis, times), params)
+    free = solve_state(y0, zero_traj(basis, times), params)
     cfg = CostConfig(free.with_kind("target"), 1e-4, 1.0)
     u_star, report = optimize(
         zero_traj(basis, times), y0, cfg, params, OptimizeOptions(max_iter=10, tol=1e-10), rng
@@ -190,7 +190,7 @@ def test_all_iterates_admissible_with_active_constraint(basis, params, rng):
     times = time_grid(0.5, 16)
     y0 = random_field(basis, rng, amp=0.3)
     u_true = random_traj(basis, times, rng, amp=0.8)
-    target, _ = solve_state(y0, u_true, params)
+    target = solve_state(y0, u_true, params)
     radius = 0.3 * norm_l2h1_trap(u_true)
     cfg = CostConfig(target.with_kind("target"), 1e-8, radius)
     u0 = zero_traj(basis, times)

@@ -16,7 +16,7 @@ def make_state(basis, params, rng, n_steps=32, amp=0.3):
     times = time_grid(0.5, n_steps)
     y0 = random_field(basis, rng, amp=amp)
     control = random_traj(basis, times, rng, amp=amp)
-    traj, _ = solve_state(y0, control, params)
+    traj = solve_state(y0, control, params)
     return traj, control, y0, times
 
 

@@ -10,10 +10,10 @@ from tgflow.errors import FixedPointDiverged
 from tgflow.spectral import Field, norms, to_grid
 from tgflow.state import (
     energy_balance_residuals,
+    energy_report,
     manufactured_control,
     solve_state,
     step_state,
-    suggested_dt,
 )
 from tgflow.trajectory import Trajectory, time_grid
 
@@ -24,7 +24,8 @@ def zero_control(basis, times):
 
 def test_zero_is_equilibrium(basis, params):
     times = time_grid(0.5, 16)
-    traj, report = solve_state(Field(np.zeros(basis.n_modes), basis), zero_control(basis, times), params)
+    traj = solve_state(Field(np.zeros(basis.n_modes), basis), zero_control(basis, times), params)
+    report = energy_report(traj, params)
     assert np.all(traj.coeffs == 0.0)
     assert np.all(report.h1 == 0.0)
     assert np.all(report.dissipation == 0.0)
@@ -60,7 +61,7 @@ def test_small_amplitude_step_matches_linear_decay(basis):
 
 def test_divergence_free_preserved(basis, params, rng):
     times = time_grid(0.25, 16)
-    traj, _ = solve_state(random_field(basis, rng), random_traj(basis, times, rng), params)
+    traj = solve_state(random_field(basis, rng), random_traj(basis, times, rng), params)
     jac = to_grid(traj.field(traj.n_steps), 1)[:, 1:]
     assert np.max(np.abs(jac[0, 0] + jac[1, 1])) <= 1e-12
 
@@ -73,7 +74,7 @@ def test_manufactured_solution_convergence(basis, params):
     for n_steps in steps:
         times = time_grid(0.5, n_steps)
         control, ystar = manufactured_control(basis, params, times, 0, g, gp)
-        traj, _ = solve_state(Field(ystar.coeffs[0].copy(), basis), control, params)
+        traj = solve_state(Field(ystar.coeffs[0].copy(), basis), control, params)
         errs.append(np.max(np.sqrt(np.sum((traj.coeffs - ystar.coeffs) ** 2, axis=1))))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.min(orders) >= 1.8
@@ -83,7 +84,7 @@ def test_energy_identity_and_inequality(basis, params, rng):
     times = time_grid(0.5, 32)
     y0 = random_field(basis, rng, amp=0.4)
     control = random_traj(basis, times, rng, amp=0.3)
-    traj, _ = solve_state(y0, control, params)
+    traj = solve_state(y0, control, params)
     res = energy_balance_residuals(traj, control, params)
     scale = float(np.max(np.sum(traj.coeffs ** 2, axis=1)))
     assert np.max(np.abs(res)) <= 1e-8 * scale
@@ -100,7 +101,7 @@ def test_energy_check_detects_sign_corruption(basis, params, rng):
     times = time_grid(0.5, 16)
     y0 = random_field(basis, rng, amp=0.5)
     control = random_traj(basis, times, rng, amp=0.3)
-    traj, _ = solve_state(y0, control, params)
+    traj = solve_state(y0, control, params)
     scale = float(np.max(np.sum(traj.coeffs ** 2, axis=1)))
     good = np.max(np.abs(energy_balance_residuals(traj, control, params)))
     flipped = dataclasses.replace(params, beta=-params.beta)
@@ -120,7 +121,7 @@ def test_fixed_point_divergence_reports_step(basis, params, rng):
 def test_energy_report_gamma_attained_at_start(basis, params, rng):
     times = time_grid(0.5, 16)
     y0 = random_field(basis, rng, amp=0.3)
-    traj, report = solve_state(y0, zero_control(basis, times), params)
+    report = energy_report(solve_state(y0, zero_control(basis, times), params), params)
     assert report.gamma >= norms(y0, "H3") * (1.0 - 1e-10)
     assert np.all(np.isfinite(report.h3))
     assert np.all(report.dissipation >= 0.0)
@@ -131,11 +132,6 @@ def test_single_mode_h1_monotone_decay():
     params = validate_params(nu=1.0, alpha1=0.3, alpha2=-0.1, beta=0.2)
     b = build_basis(1, params.alpha1)
     times = time_grid(1.0, 64)
-    traj, report = solve_state(
-        Field(np.array([0.8]), b), Trajectory(times, np.zeros((65, 1)), b, "control"), params
-    )
+    control = Trajectory(times, np.zeros((65, 1)), b, "control")
+    report = energy_report(solve_state(Field(np.array([0.8]), b), control, params), params)
     assert np.all(np.diff(report.h1) <= 1e-14)
-
-
-def test_suggested_dt_positive(basis, params, rng):
-    assert suggested_dt(random_field(basis, rng), params) > 0.0

@@ -11,11 +11,9 @@ from tgflow.state import solve_state
 from tgflow.trajectory import (
     Trajectory,
     check_same_grid,
-    constant_control,
     norm_l2h1_trap,
     pair_l2l2_mid,
     time_grid,
-    zeros_like,
 )
 
 
@@ -66,14 +64,6 @@ def test_reversed_traverses_nodes_backward(basis, rng):
     assert np.array_equal(r.times, t.times)
 
 
-def test_constant_control_and_zeros(basis, rng):
-    f = random_field(basis, rng)
-    t = constant_control(f, time_grid(0.5, 3))
-    assert np.array_equal(t.coeffs[2], f.coeffs)
-    z = zeros_like(t, "control")
-    assert np.all(z.coeffs == 0.0)
-
-
 def test_check_same_grid(basis, rng):
     a = random_traj(basis, time_grid(0.5, 4), rng)
     b = random_traj(basis, time_grid(0.5, 5), rng)
@@ -83,7 +73,8 @@ def test_check_same_grid(basis, rng):
 
 def test_midpoint_pairing_exact_for_constants(basis, rng):
     f = random_field(basis, rng)
-    t = constant_control(f, time_grid(0.5, 16))
+    times = time_grid(0.5, 16)
+    t = Trajectory(times, np.tile(f.coeffs, (times.size, 1)), basis, "control")
     from tgflow.spectral import norms
 
     assert abs(pair_l2l2_mid(t, t) - 0.5 * norms(f, "L2") ** 2) <= 1e-14
@@ -115,12 +106,12 @@ def test_concurrent_solves_match_serial(basis, params, rng):
         (random_field(basis, rng, amp=0.3), random_traj(basis, times, rng, amp=0.3))
         for _ in range(4)
     ]
-    serial = [solve_state(y0, u, params)[0].coeffs for y0, u in jobs]
+    serial = [solve_state(y0, u, params).coeffs for y0, u in jobs]
     results = [None] * len(jobs)
 
     def worker(i):
         y0, u = jobs[i]
-        results[i] = solve_state(y0, u, params)[0].coeffs
+        results[i] = solve_state(y0, u, params).coeffs
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(jobs))]
     for th in threads:

@@ -31,8 +31,7 @@ def test_l2_norm_matches_dense_quadrature(basis, rng):
 
 def test_single_mode_derivatives_match_closed_forms(basis):
     """Synthesised values, first and second derivatives of single modes at the grid points."""
-    P = basis.n_ext
-    x = 2.0 * math.pi * np.arange(P) / P
+    x = math.pi * np.arange(basis.n_points) / basis.grid_size
     for i in (0, 5, 9, basis.n_modes - 1):
         m, n = basis.modes[i]
         f = Field(np.eye(basis.n_modes)[i], basis)
@@ -74,8 +73,7 @@ def test_projection_kills_gradient_fields(basis, rng):
     """to_coeffs is the Leray projection: gradients contribute nothing."""
     f = random_field(basis, rng)
     g = to_grid(f)
-    P = basis.n_ext
-    x = 2.0 * math.pi * np.arange(P) / P
+    x = math.pi * np.arange(basis.n_points) / basis.grid_size
     X, Y = x[:, None], x[None, :]
     for m, n in [(1, 1), (2, 3)]:
         # grad of cos(m x) cos(n y) has the velocity parity classes
@@ -91,3 +89,18 @@ def test_parseval(basis, rng):
     g = to_grid(f)
     quad = math.sqrt(basis.quad(g[0] ** 2 + g[1] ** 2))
     assert abs(norms(f, "L2") - quad) <= 1e-10 * max(quad, 1e-30)
+
+
+def test_quad_exact_below_twice_grid_size(basis):
+    """The trapezoid rule integrates cos(k x) cos(l y) exactly for k, l < 2G, not at k = 2G."""
+    G = basis.grid_size
+    x = math.pi * np.arange(basis.n_points) / G
+
+    def error(k, l):
+        exact = math.pi ** 2 if k == l == 0 else 0.0
+        return abs(basis.quad(np.outer(np.cos(k * x), np.cos(l * x))) - exact)
+
+    assert max(error(k, l) for k in range(2 * G) for l in range(2 * G)) <= 1e-13
+    # cos(2G x) is 1 at every node, so it aliases onto the mean: pi^2 in place of 0
+    assert error(2 * G, 0) >= 1.0
+    assert error(0, 2 * G) >= 1.0

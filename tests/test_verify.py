@@ -131,7 +131,7 @@ def test_uniqueness_multistart_agreement(rng):
     times = time_grid(0.5, 32)
     y0 = random_field(basis, rng, amp=0.2)
     u_true = random_traj(basis, times, rng, amp=0.4)
-    target, _ = solve_state(y0, u_true, params)
+    target = solve_state(y0, u_true, params)
     cfg = CostConfig(y_d=target.with_kind("target"), lam=1.0, radius=1.0)
     diag = uniqueness_diagnostics(cfg, params, n_starts=3, seed=5, y0=y0)
     assert diag["agrees"]
