@@ -8,7 +8,6 @@ from .spectral import (
     Field,
     SpectralBasis,
     build_basis,
-    constitutive_terms,
     invert_modified_stokes,
     norms,
     to_coeffs,
@@ -23,7 +22,6 @@ __all__ = [
     "Field",
     "SpectralBasis",
     "build_basis",
-    "constitutive_terms",
     "invert_modified_stokes",
     "norms",
     "to_coeffs",

@@ -23,6 +23,7 @@ import argparse
 import configparser
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -90,49 +91,46 @@ class _Config:
     def has(self, section: str, key: str) -> bool:
         return self.parser.has_option(section, key)
 
-    def _raw(self, section: str, key: str) -> str:
-        if not self.parser.has_option(section, key):
+    def get(self, section: str, key: str, kind=float, default=None):
+        """section.key parsed as kind (float, int or str), or default when absent.
+
+        A key without a default is required.
+        """
+        if not self.has(section, key):
+            if default is not None:
+                return default
             raise ConfigInvalid(f"missing required key {section}.{key}")
-        return self.parser.get(section, key)
+        return _parse(f"{section}.{key}", self.parser.get(section, key), kind)
 
-    def get_float(self, section: str, key: str, default=None) -> float:
-        if default is not None and not self.has(section, key):
-            return default
-        raw = self._raw(section, key)
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigInvalid(f"{section}.{key} = {raw!r} is not a number") from exc
 
-    def get_int(self, section: str, key: str, default=None) -> int:
-        if default is not None and not self.has(section, key):
-            return default
-        raw = self._raw(section, key)
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigInvalid(f"{section}.{key} = {raw!r} is not an integer") from exc
-
-    def get_str(self, section: str, key: str, default=None) -> str:
-        if default is not None and not self.has(section, key):
-            return default
-        return self._raw(section, key)
+def _parse(name: str, raw: str, kind):
+    """raw as kind (float, int or str); a float must be finite."""
+    if kind is str:
+        return raw
+    try:
+        value = kind(raw)
+    except ValueError as exc:
+        noun = "a number" if kind is float else "an integer"
+        raise ConfigInvalid(f"{name} = {raw!r} is not {noun}") from exc
+    if not math.isfinite(value):
+        raise ConfigInvalid(f"{name} = {raw!r} is not finite")
+    return value
 
 
 def _model(cfg: _Config):
     return validate_params(
-        cfg.get_float("model", "nu"),
-        cfg.get_float("model", "alpha1"),
-        cfg.get_float("model", "alpha2"),
-        cfg.get_float("model", "beta"),
+        cfg.get("model", "nu"),
+        cfg.get("model", "alpha1"),
+        cfg.get("model", "alpha2"),
+        cfg.get("model", "beta"),
     )
 
 
 def _disc(cfg: _Config, params):
-    max_mode = cfg.get_int("disc", "M")
-    grid = cfg.get_int("disc", "grid", default=-1)
-    dt = cfg.get_float("disc", "dt")
-    horizon = cfg.get_float("disc", "T")
+    max_mode = cfg.get("disc", "M", int)
+    grid = cfg.get("disc", "grid", int) if cfg.has("disc", "grid") else None
+    dt = cfg.get("disc", "dt")
+    horizon = cfg.get("disc", "T")
     if dt <= 0 or horizon <= 0:
         raise ConfigInvalid("disc.dt and disc.T must be positive")
     ratio = horizon / dt
@@ -140,14 +138,14 @@ def _disc(cfg: _Config, params):
     if n_steps < 1 or abs(ratio - n_steps) > 1e-9 * max(1.0, ratio):
         raise ConfigInvalid(f"disc.dt = {dt} does not divide disc.T = {horizon}")
     try:
-        basis = build_basis(max_mode, params.alpha1, None if grid < 0 else grid)
+        basis = build_basis(max_mode, params.alpha1, grid)
     except ValueError as exc:
         raise ConfigInvalid(f"disc: {exc}") from exc
     return basis, time_grid(horizon, n_steps)
 
 
 def _parse_mode(cfg: _Config, section: str, basis) -> int:
-    raw = cfg.get_str(section, "mode")
+    raw = cfg.get(section, "mode", str)
     try:
         m, n = (int(p) for p in raw.split(","))
     except ValueError as exc:
@@ -162,7 +160,7 @@ def _initial_state(cfg: _Config, basis) -> Field:
     coeffs = np.zeros(basis.n_modes)
     if cfg.parser.has_section("init") and cfg.has("init", "mode"):
         idx = _parse_mode(cfg, "init", basis)
-        coeffs[idx] = cfg.get_float("init", "amplitude", default=0.1)
+        coeffs[idx] = cfg.get("init", "amplitude", default=0.1)
     return Field(coeffs, basis)
 
 
@@ -170,8 +168,8 @@ def _control(cfg: _Config, basis, times) -> Trajectory:
     coeffs = np.zeros((times.size, basis.n_modes))
     if cfg.parser.has_section("control") and cfg.has("control", "mode"):
         idx = _parse_mode(cfg, "control", basis)
-        amp = cfg.get_float("control", "amplitude", default=0.1)
-        omega = cfg.get_float("control", "omega", default=0.0)
+        amp = cfg.get("control", "amplitude", default=0.1)
+        omega = cfg.get("control", "omega", default=0.0)
         profile = amp * (1.0 + 0.5 * np.sin(omega * times)) if omega else amp * np.ones_like(times)
         coeffs[:, idx] = profile
     return Trajectory(times, coeffs, basis, "control")
@@ -180,7 +178,7 @@ def _control(cfg: _Config, basis, times) -> Trajectory:
 def _seed(cfg: _Config, args) -> int:
     if args.seed is not None:
         return args.seed
-    return cfg.get_int("run", "seed", default=0)
+    return cfg.get("run", "seed", int, default=0)
 
 
 # -- commands ------------------------------------------------------------------
@@ -216,9 +214,9 @@ def _cmd_optimize(cfg: _Config, args) -> int:
     params = _model(cfg)
     basis, times = _disc(cfg, params)
     y0 = _initial_state(cfg, basis)
-    lam = cfg.get_float("cost", "lambda")
-    radius = cfg.get_float("cost", "K")
-    target_path = cfg.get_str("cost", "target_path")
+    lam = cfg.get("cost", "lambda")
+    radius = cfg.get("cost", "K")
+    target_path = cfg.get("cost", "target_path", str)
     if not os.path.isabs(target_path):
         target_path = os.path.join(os.path.dirname(os.path.abspath(args.config)), target_path)
     if not os.path.exists(target_path):
@@ -226,10 +224,13 @@ def _cmd_optimize(cfg: _Config, args) -> int:
     y_d = load_trajectory(target_path).with_kind("target")
     if not y_d.basis.compatible(basis) or y_d.times.size != times.size:
         raise GridMismatch("target trajectory does not match the disc section")
-    cost_cfg = CostConfig(y_d=y_d, lam=lam, radius=radius)
-    opts = OptimizeOptions(
-        max_iter=cfg.get_int("opt", "max_iter"), tol=cfg.get_float("opt", "tol")
-    )
+    try:
+        cost_cfg = CostConfig(y_d=y_d, lam=lam, radius=radius)
+    except ValueError as exc:
+        raise ConfigInvalid(f"cost: {exc}") from exc
+    opts = OptimizeOptions(max_iter=cfg.get("opt", "max_iter", int), tol=cfg.get("opt", "tol"))
+    if opts.max_iter < 1:
+        raise ConfigInvalid(f"opt.max_iter = {opts.max_iter} must be at least 1")
     seed = _seed(cfg, args)
     u0 = Trajectory(times, np.zeros((times.size, basis.n_modes)), basis, "control")
     j0, _ = eval_cost(u0, y0, cost_cfg, params)
@@ -259,7 +260,7 @@ def _cmd_optimize(cfg: _Config, args) -> int:
 
 def _cmd_verify(cfg: _Config | None, args) -> int:
     seed = args.seed if args.seed is not None else (
-        cfg.get_int("run", "seed", default=0) if cfg else 0
+        cfg.get("run", "seed", int, default=0) if cfg else 0
     )
     report = run_suite(args.level, seed=seed)
     os.makedirs(args.out, exist_ok=True)
@@ -280,13 +281,16 @@ def _cmd_taylor(cfg: _Config, args) -> int:
     basis, times = _disc(cfg, params)
     seed = _seed(cfg, args)
     rng = np.random.default_rng(seed)
-    amp = cfg.get_float("taylor", "amplitude", default=0.3)
-    rhos = cfg.get_str("taylor", "rhos", default="1e-1,1e-2,1e-3,1e-4")
-    rhos = [float(p) for p in rhos.split(",")]
+    amp = cfg.get("taylor", "amplitude", default=0.3)
+    rhos = cfg.get("taylor", "rhos", str, default="1e-1,1e-2,1e-3,1e-4")
+    rhos = [_parse("taylor.rhos", p, float) for p in rhos.split(",")]
     y0 = random_field(basis, rng, amp=amp)
     control = random_traj(basis, times, rng, amp=amp)
     psi = random_traj(basis, times, rng, amp=amp)
-    result = gateaux_taylor_test(control, psi, y0, rhos, params)
+    try:
+        result = gateaux_taylor_test(control, psi, y0, rhos, params)
+    except ValueError as exc:
+        raise ConfigInvalid(f"taylor.rhos: {exc}") from exc
     os.makedirs(args.out, exist_ok=True)
     out = {
         "command": "taylor",
@@ -308,8 +312,8 @@ def _cmd_taylor(cfg: _Config, args) -> int:
 
 
 def _cmd_export_plot(cfg: _Config, args) -> int:
-    what = cfg.get_str("export", "what", default="norms")
-    path = cfg.get_str("export", "input")
+    what = cfg.get("export", "what", str, default="norms")
+    path = cfg.get("export", "input", str)
     if not os.path.isabs(path):
         path = os.path.join(os.path.dirname(os.path.abspath(args.config)), path)
     os.makedirs(args.out, exist_ok=True)

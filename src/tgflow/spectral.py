@@ -64,7 +64,7 @@ is recommended; the default 4M matches that comfortably.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,7 +74,6 @@ from .params import ModelParams
 __all__ = [
     "SpectralBasis",
     "Field",
-    "ConstitutiveTerms",
     "build_basis",
     "default_grid_size",
     "min_grid_size",
@@ -91,7 +90,6 @@ __all__ = [
     "convected_strain",
     "tangent_stress",
     "stress",
-    "constitutive_terms",
     "norm_weights",
     "norms",
 ]
@@ -192,45 +190,6 @@ class Field:
         if self.basis is not other.basis and not self.basis.compatible(other.basis):
             raise ShapeMismatch("fields live on incompatible bases")
 
-    def __add__(self, other: "Field") -> "Field":
-        self._check(other)
-        return Field(self.coeffs + other.coeffs, self.basis)
-
-    def __sub__(self, other: "Field") -> "Field":
-        self._check(other)
-        return Field(self.coeffs - other.coeffs, self.basis)
-
-    def __mul__(self, a: float) -> "Field":
-        return Field(self.coeffs * float(a), self.basis)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Field":
-        return Field(-self.coeffs, self.basis)
-
-
-@dataclass(frozen=True)
-class ConstitutiveTerms:
-    """Strain and stress quantities of a state y on the (Q, Q) grid, Q = grid_size + 1.
-
-    a      : A(y) = grad y + (grad y)^T, shape (2, 2, Q, Q)
-    a_sq   : |A|^2 pointwise, shape (Q, Q)
-    s, n   : shape (2, 2, Q, Q)
-    s      : cubic stress beta |A|^2 A
-    n      : alpha1 (y . grad A + J^T A + A J) + alpha2 A^2
-    div_s  : Leray-projected divergence of s, as a Field
-    div_n  : Leray-projected divergence of n, as a Field
-    curl_v : scalar curl of the modified velocity v(y)
-    """
-
-    a: np.ndarray
-    a_sq: np.ndarray
-    s: np.ndarray
-    n: np.ndarray
-    div_s: Field
-    div_n: Field
-    curl_v: np.ndarray
-
 
 def build_basis(max_mode: int, alpha1: float, grid_size: int | None = None) -> SpectralBasis:
     """Construct the basis with M^2 modes, 1 <= m, n <= max_mode.
@@ -239,8 +198,8 @@ def build_basis(max_mode: int, alpha1: float, grid_size: int | None = None) -> S
     """
     if max_mode < 1:
         raise ValueError("max_mode must be >= 1")
-    if alpha1 < 0:
-        raise ValueError("alpha1 must be >= 0")
+    if not 0.0 <= alpha1 < math.inf:
+        raise ValueError("alpha1 must be finite and >= 0")
     if grid_size is None:
         grid_size = default_grid_size(max_mode)
     if grid_size < min_grid_size(max_mode):
@@ -432,30 +391,6 @@ def stress(params: ModelParams, g: np.ndarray) -> tuple:
         t[0] + a11 * (params.alpha2 * a11 + cubic) + p * a12,
         t[1] + a12 * (params.alpha2 * (a11 + a22) + cubic),
         t[2] + a22 * (params.alpha2 * a22 + cubic) + p * a12,
-    )
-
-
-def _full(t) -> np.ndarray:
-    """(2, 2, Q, Q) array of a symmetric tensor given as (t11, t12, t22)."""
-    return np.array([[t[0], t[1]], [t[1], t[2]]])
-
-
-def constitutive_terms(y: Field, params: ModelParams) -> ConstitutiveTerms:
-    """Evaluate A, S, N, their projected divergences and curl v(y) for a state."""
-    b = y.basis
-    g = to_grid(y, 2)
-    a = strain(g)
-    n = _full(stress(replace(params, beta=0.0), g))
-    s = _full(stress(replace(params, alpha1=0.0, alpha2=0.0), g))
-    v = to_grid(Field(y.coeffs * b.vmult, b), 1)
-    return ConstitutiveTerms(
-        a=_full(a),
-        a_sq=frobenius(a, a),
-        s=s,
-        n=n,
-        div_s=project_div(b, s),
-        div_n=project_div(b, n),
-        curl_v=v[1, 1] - v[0, 2],
     )
 
 

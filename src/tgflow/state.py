@@ -52,7 +52,6 @@ from .trajectory import Trajectory, check_same_grid
 __all__ = [
     "EnergyReport",
     "march",
-    "step_state",
     "solve_state",
     "energy_report",
     "energy_balance_residuals",
@@ -69,17 +68,14 @@ FP_MAX_ITER = 50
 class EnergyReport:
     """Per-node diagnostics of a state trajectory.
 
-    h1, h2, h3        : Sobolev norms ||y(t_k)||_{H1,H2,H3}
-    strain_quartic    : int_D |A(y(t_k))|^4 dx
-    dissipation       : cumulative 4 nu int_0^{t_k} ||D y||_2^2 ds (midpoint rule)
-    gamma             : sup_k ||y(t_k)||_{H3}, fed to the uniqueness diagnostics
+    h1, h3       : Sobolev norms ||y(t_k)||_{H1}, ||y(t_k)||_{H3}
+    dissipation  : cumulative 4 nu int_0^{t_k} ||D y||_2^2 ds (midpoint rule)
+    gamma        : sup_k ||y(t_k)||_{H3}, fed to the uniqueness diagnostics
     """
 
     times: np.ndarray
     h1: np.ndarray
-    h2: np.ndarray
     h3: np.ndarray
-    strain_quartic: np.ndarray
     dissipation: np.ndarray
     gamma: float
 
@@ -142,21 +138,6 @@ def march(
     return nodes
 
 
-def _state_rhs_at(basis: SpectralBasis, params: ModelParams, u_mid: np.ndarray):
-    def rhs_at(k):
-        u_term = u_mid[k] / basis.vmult
-        return lambda mid: state_rhs_coeffs(basis, params, mid) / basis.vmult + u_term
-
-    return rhs_at
-
-
-def step_state(y_n: Field, u_half: Field, dt: float, params: ModelParams) -> Field:
-    """One Crank-Nicolson/midpoint step of the state equation."""
-    y_n._check(u_half)
-    rhs_at = _state_rhs_at(y_n.basis, params, u_half.coeffs[None])
-    return Field(march(y_n.basis, params, dt, y_n.coeffs, 1, rhs_at)[1], y_n.basis)
-
-
 def solve_state(y0: Field, control: Trajectory, params: ModelParams) -> Trajectory:
     """Integrate the state over the control's time grid; store every node.
 
@@ -165,7 +146,11 @@ def solve_state(y0: Field, control: Trajectory, params: ModelParams) -> Trajecto
     basis = y0.basis
     if not basis.compatible(control.basis):
         raise GridMismatch("initial state and control live on incompatible bases")
-    rhs_at = _state_rhs_at(basis, params, control.midpoints())
+    u_term = control.midpoints() / basis.vmult
+
+    def rhs_at(k):
+        return lambda mid: state_rhs_coeffs(basis, params, mid) / basis.vmult + u_term[k]
+
     coeffs = march(basis, params, control.dt, y0.coeffs, control.n_steps, rhs_at)
     return Trajectory(control.times.copy(), coeffs, basis, "state")
 
@@ -178,9 +163,8 @@ def _strain_quartic(basis: SpectralBasis, coeffs: np.ndarray) -> float:
 
 def energy_report(traj: Trajectory, params: ModelParams) -> EnergyReport:
     basis = traj.basis
-    weights = np.stack([norm_weights(basis, kind) for kind in ("H1", "H2", "H3")])
-    h1, h2, h3 = np.sqrt(np.sum(traj.coeffs[:, None] ** 2 * weights, axis=2)).T
-    quartic = np.array([_strain_quartic(basis, c) for c in traj.coeffs])
+    weights = np.stack([norm_weights(basis, kind) for kind in ("H1", "H3")])
+    h1, h3 = np.sqrt(np.sum(traj.coeffs[:, None] ** 2 * weights, axis=2)).T
     # 2 ||D y||_2^2 = sum lam a^2 / (1 + alpha1 lam) for V-normalized modes
     mids = traj.midpoints()
     dstrain_sq = 0.5 * np.sum(mids ** 2 * basis.lam / basis.vmult, axis=1)
@@ -188,9 +172,7 @@ def energy_report(traj: Trajectory, params: ModelParams) -> EnergyReport:
     return EnergyReport(
         times=traj.times.copy(),
         h1=h1,
-        h2=h2,
         h3=h3,
-        strain_quartic=quartic,
         dissipation=dissipation,
         gamma=float(np.max(h3)),
     )

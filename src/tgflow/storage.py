@@ -33,8 +33,14 @@ import zlib
 import numpy as np
 
 from . import __version__
-from .errors import ChecksumFailed, MagicMismatch, UnknownKind, VersionUnsupported
-from .spectral import build_basis
+from .errors import (
+    ChecksumFailed,
+    GridMismatch,
+    MagicMismatch,
+    UnknownKind,
+    VersionUnsupported,
+)
+from .spectral import build_basis, norm_weights
 from .trajectory import KINDS, Trajectory
 
 __all__ = [
@@ -125,7 +131,10 @@ def load_trajectory(path: str) -> Trajectory:
         raise UnknownKind(f"{path} carries unknown kind tag {kind_idx}")
     payload = blob[off : off + n_bytes]
     coeffs = np.frombuffer(payload, dtype="<f8").reshape(n_steps + 1, n_modes).copy()
-    basis = build_basis(max_mode, alpha1, grid_size)
+    try:
+        basis = build_basis(max_mode, alpha1, grid_size)
+    except ValueError as exc:
+        raise GridMismatch(f"{path} describes an impossible basis: {exc}") from exc
     times = dt * np.arange(n_steps + 1)
     return Trajectory(times, coeffs, basis, KINDS[kind_idx])
 
@@ -137,14 +146,13 @@ def _fmt(x: float) -> str:
 
 def norms_csv(traj: Trajectory) -> str:
     """Time series of spatial norms of a trajectory, one row per node."""
-    from .spectral import norms
-
     kinds = ("L2", "V", "W", "H1", "H2", "H3")
+    columns = [traj.times] + [
+        np.sqrt(np.sum(traj.coeffs ** 2 * norm_weights(traj.basis, kind), axis=1))
+        for kind in kinds
+    ]
     lines = ["t," + ",".join(k.lower() for k in kinds)]
-    for k in range(traj.times.size):
-        f = traj.field(k)
-        row = [_fmt(traj.times[k])] + [_fmt(norms(f, kind)) for kind in kinds]
-        lines.append(",".join(row))
+    lines += [",".join(_fmt(x) for x in row) for row in zip(*columns)]
     return "\n".join(lines) + "\n"
 
 

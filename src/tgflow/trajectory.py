@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, UnknownKind
-from .spectral import Field, SpectralBasis
+from .spectral import Field, SpectralBasis, norm_weights
 
 __all__ = ["Trajectory", "KINDS", "time_grid", "random_field", "random_traj"]
 
@@ -52,13 +52,13 @@ class Trajectory:
                 f"coefficients {self.coeffs.shape} do not match "
                 f"{self.times.size} nodes x {self.basis.n_modes} modes"
             )
-        dt = np.diff(self.times)
         if (
             self.times.size < 2
-            or np.any(dt <= 0)
+            or not np.isfinite(self.times).all()
+            or np.any((dt := np.diff(self.times)) <= 0)
             or np.max(np.abs(dt - dt[0])) > _time_tol(self.times)
         ):
-            raise GridMismatch("times must be strictly increasing and uniform")
+            raise GridMismatch("times must be finite, strictly increasing and uniform")
 
     @property
     def n_steps(self) -> int:
@@ -71,9 +71,6 @@ class Trajectory:
     @property
     def horizon(self) -> float:
         return float(self.times[-1] - self.times[0])
-
-    def field(self, k: int) -> Field:
-        return Field(self.coeffs[k], self.basis)
 
     def midpoints(self) -> np.ndarray:
         """Interval midpoint coefficients by node averaging, shape (N_t, n_modes)."""
@@ -134,15 +131,7 @@ def _trap_weights(n_nodes: int, dt: float) -> np.ndarray:
 
 def norm_l2h1_trap(a: Trajectory) -> float:
     """Trapezoidal L2(0,T; H1) norm of node values, used for the admissible ball."""
-    b = a.basis
-    mult = (1.0 + b.lam) / b.vmult
-    per_node = np.sum(a.coeffs ** 2 * mult, axis=1)
+    per_node = np.sum(a.coeffs ** 2 * norm_weights(a.basis, "H1"), axis=1)
     w = _trap_weights(a.times.size, a.dt)
     return float(np.sqrt(np.sum(w * per_node)))
 
-
-def sup_norm(a: Trajectory, kind: str) -> float:
-    """sup over nodes of a spatial coefficient norm (V, W, L2, H1..H3)."""
-    from .spectral import norms
-
-    return max(norms(a.field(k), kind) for k in range(a.times.size))

@@ -26,6 +26,7 @@ compared on those by `passed` flags and the optimizer's iteration count: the
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -44,13 +45,14 @@ from .params import ModelParams, validate_params
 from .spectral import (
     Field,
     build_basis,
-    constitutive_terms,
     frobenius,
     invert_modified_stokes,
     apply_modified_stokes,
     norm_weights,
     norms,
+    project_div,
     strain,
+    stress,
     to_coeffs,
     to_grid,
     trilinear_b,
@@ -159,13 +161,17 @@ def _check_skew(basis, rng, draws):
 
 
 def _check_dissipativity(basis, params, rng, draws):
+    cubic = replace(params, alpha1=0.0, alpha2=0.0)  # stress() is then S(y) alone
     worst_rel = 0.0
     worst_sign = -np.inf
     for _ in range(draws):
         y = random_field(basis, rng, amp=0.6)
-        ct = constitutive_terms(y, params)
-        lhs = float(np.sum(ct.div_s.coeffs * y.coeffs / basis.vmult))
-        rhs = -0.5 * params.beta * basis.quad(ct.a_sq ** 2)
+        g = to_grid(y, 2)
+        s11, s12, s22 = stress(cubic, g)
+        div_s = project_div(basis, np.array([[s11, s12], [s12, s22]]))
+        a = strain(g)
+        lhs = float(np.sum(div_s.coeffs * y.coeffs / basis.vmult))
+        rhs = -0.5 * params.beta * basis.quad(frobenius(a, a) ** 2)
         worst_rel = max(worst_rel, abs(lhs - rhs) / max(abs(rhs), 1e-30))
         worst_sign = max(worst_sign, lhs)
     return _check(
@@ -394,20 +400,30 @@ def stability_check(
         traj2 = solve_state(y0_2, u1, params)
         dw = w_dist(traj2)
         out["initial_data"] = {
-            "y0_diff_w_sq": norms(y0_2 - y0, "W") ** 2,
+            "y0_diff_w_sq": norms(Field(y0_2.coeffs - y0.coeffs, y0.basis), "W") ** 2,
             "sup_w_sq": float(np.max(dw)) ** 2,
             "final_w_sq": float(dw[-1]) ** 2,
         }
     return out
 
 
-def _ascend(ratio, c0, rng, n_steps=50, step0=0.3):
-    """Normalized finite-difference ascent of a 0-homogeneous ratio."""
-    c = c0 / np.linalg.norm(c0)
-    best = ratio(c)
-    step = step0
+def _maximize(ratio, basis, rng, n_samples, n_ascent):
+    """Lower bound for the sup of a 0-homogeneous ratio of coefficient vectors.
+
+    The best of n_samples normal draws starts a normalized finite-difference
+    ascent of at most n_ascent steps.
+    """
+    best_c, best = None, -np.inf
+    for _ in range(n_samples):
+        c = rng.normal(size=basis.n_modes)
+        val = ratio(c)
+        if val > best:
+            best, best_c = val, c
+    c = best_c / np.linalg.norm(best_c)
+    ascent = ratio(c)
+    step = 0.3
     h = 1e-6
-    for _ in range(n_steps):
+    for _ in range(n_ascent):
         grad = np.zeros_like(c)
         for i in range(c.size):
             e = np.zeros_like(c)
@@ -419,13 +435,13 @@ def _ascend(ratio, c0, rng, n_steps=50, step0=0.3):
         cand = c + step * grad / g_norm
         cand /= np.linalg.norm(cand)
         val = ratio(cand)
-        if val > best:
-            best, c = val, cand
+        if val > ascent:
+            ascent, c = val, cand
         else:
             step *= 0.5
             if step < 1e-6:
                 break
-    return best, c
+    return max(best, ascent)
 
 
 def estimate_kappa(basis, rng, n_samples=200, n_ascent=50) -> float:
@@ -435,14 +451,7 @@ def estimate_kappa(basis, rng, n_samples=200, n_ascent=50) -> float:
         f = Field(c, basis)
         return norms(f, "W14") ** 2 / max(norms(f, "W") ** 2, 1e-30)
 
-    best_c, best = None, -np.inf
-    for _ in range(n_samples):
-        c = rng.normal(size=basis.n_modes)
-        val = ratio(c)
-        if val > best:
-            best, best_c = val, c
-    val, _ = _ascend(ratio, best_c, rng, n_steps=n_ascent)
-    return max(best, val)
+    return _maximize(ratio, basis, rng, n_samples, n_ascent)
 
 
 def estimate_gamma_curl(basis, rng, n_samples=200, n_ascent=50) -> float:
@@ -451,7 +460,7 @@ def estimate_gamma_curl(basis, rng, n_samples=200, n_ascent=50) -> float:
     For fixed z the optimal test function is the H2 Riesz representative, so
     only the maximization over z is randomized.
     """
-    h2_mult = (1.0 + basis.lam + basis.lam ** 2) / basis.vmult
+    h2 = norm_weights(basis, "H2")
 
     def ratio(c):
         z = Field(c, basis)
@@ -460,17 +469,10 @@ def estimate_gamma_curl(basis, rng, n_samples=200, n_ascent=50) -> float:
         curl_v = v[1, 1] - v[0, 2]
         g = np.stack([-curl_v * vel[1], curl_v * vel[0]])
         d = to_coeffs(basis, g).coeffs / basis.vmult
-        dual = math.sqrt(float(np.sum(d ** 2 / h2_mult)))
+        dual = math.sqrt(float(np.sum(d ** 2 / h2)))
         return dual / max(norms(z, "H2") ** 2, 1e-30)
 
-    best_c, best = None, -np.inf
-    for _ in range(n_samples):
-        c = rng.normal(size=basis.n_modes)
-        val = ratio(c)
-        if val > best:
-            best, best_c = val, c
-    val, _ = _ascend(ratio, best_c, rng, n_steps=n_ascent)
-    return max(best, val)
+    return _maximize(ratio, basis, rng, n_samples, n_ascent)
 
 
 def uniqueness_diagnostics(

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import random_field, random_traj
+from conftest import random_field, random_traj, sup_w
 from tgflow.adjoint import adjoint_form, check_duality, solve_adjoint
 from tgflow.errors import GridMismatch
 from tgflow.linearized import linearized_form
 from tgflow.state import solve_state
-from tgflow.trajectory import Trajectory, time_grid, sup_norm, norm_l2l2_mid
+from tgflow.trajectory import Trajectory, time_grid, norm_l2l2_mid
 
 
 def make_state(basis, params, rng, n_steps=32, amp=0.3):
@@ -110,6 +110,6 @@ def test_bound_ratio_invariant_under_rescaling(basis, params, rng):
     p1 = solve_adjoint(traj, f, params)
     f3 = Trajectory(times, 3.0 * f.coeffs, basis, "control")
     p3 = solve_adjoint(traj, f3, params)
-    r1 = sup_norm(p1, "W") / norm_l2l2_mid(f)
-    r3 = sup_norm(p3, "W") / norm_l2l2_mid(f3)
+    r1 = sup_w(p1) / norm_l2l2_mid(f)
+    r3 = sup_w(p3) / norm_l2l2_mid(f3)
     assert abs(r1 - r3) <= 1e-9 * r1

@@ -2,9 +2,12 @@ import json
 import os
 
 import numpy as np
+import pytest
 
+from tgflow import build_basis
 from tgflow.cli import main
-from tgflow.storage import load_trajectory
+from tgflow.storage import load_trajectory, save_trajectory
+from tgflow.trajectory import Trajectory, time_grid
 
 MODEL = """
 [model]
@@ -136,3 +139,39 @@ def test_verify_cli_deterministic(tmp_path):
 def test_dt_must_divide_horizon(tmp_path):
     cfg = write(tmp_path / "c.ini", MODEL + "\n[disc]\nM = 3\ngrid = 12\ndt = 0.3\nT = 0.5\n")
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+BAD_VALUE_BASE = (
+    MODEL
+    + DISC
+    + "\n[init]\nmode = 1,1\namplitude = 0.2\n"
+    + "\n[cost]\nlambda = 1e-6\nK = 5.0\ntarget_path = target.traj\n"
+    + "\n[opt]\nmax_iter = 5\ntol = 1e-7\n"
+    + "\n[taylor]\nrhos = 1e-1,1e-2\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command, line, bad",
+    [
+        ("simulate", "dt = 0.015625", "dt = nan"),
+        ("simulate", "T = 0.5", "T = inf"),
+        ("simulate", "grid = 12", "grid = -12"),
+        ("simulate", "amplitude = 0.2", "amplitude = nan"),
+        ("optimize", "lambda = 1e-6", "lambda = -1"),
+        ("optimize", "K = 5.0", "K = 0"),
+        ("optimize", "K = 5.0", "K = nan"),
+        ("optimize", "max_iter = 5", "max_iter = 0"),
+        ("taylor", "rhos = 1e-1,1e-2", "rhos = 1e-1,abc"),
+        ("taylor", "rhos = 1e-1,1e-2", "rhos = 1e-1,-1e-2"),
+    ],
+)
+def test_bad_value_exits_2(tmp_path, command, line, bad):
+    """Each value is rejected as a configuration error, never a traceback or solver failure."""
+    assert BAD_VALUE_BASE.count(line) == 1
+    times = time_grid(0.5, 32)
+    basis = build_basis(3, 0.5, 12)
+    target = Trajectory(times, np.zeros((times.size, basis.n_modes)), basis, "state")
+    save_trajectory(str(tmp_path / "target.traj"), target)
+    cfg = write(tmp_path / "c.ini", BAD_VALUE_BASE.replace(line, bad))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2

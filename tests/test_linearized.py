@@ -1,6 +1,6 @@
 import numpy as np
 
-from conftest import random_field, random_traj
+from conftest import random_field, random_traj, sup_w
 from tgflow.linearized import (
     FrozenState,
     gateaux_taylor_test,
@@ -9,7 +9,7 @@ from tgflow.linearized import (
     solve_linearized,
 )
 from tgflow.state import solve_state
-from tgflow.trajectory import Trajectory, time_grid, sup_norm, norm_l2l2_mid
+from tgflow.trajectory import Trajectory, time_grid, norm_l2l2_mid
 
 
 def make_state(basis, params, rng, n_steps=32, amp=0.3):
@@ -91,8 +91,8 @@ def test_bound_ratio_invariant_under_rescaling(basis, params, rng):
     z1 = solve_linearized(traj, psi, params)
     psi4 = Trajectory(times, 4.0 * psi.coeffs, basis, "control")
     z4 = solve_linearized(traj, psi4, params)
-    r1 = sup_norm(z1, "W") / norm_l2l2_mid(psi)
-    r4 = sup_norm(z4, "W") / norm_l2l2_mid(psi4)
+    r1 = sup_w(z1) / norm_l2l2_mid(psi)
+    r4 = sup_w(z4) / norm_l2l2_mid(psi4)
     assert abs(r1 - r4) <= 1e-9 * r1
 
 

@@ -9,7 +9,9 @@ import pytest
 from conftest import random_traj
 from tgflow import build_basis
 from tgflow.errors import ChecksumFailed, GridMismatch, MagicMismatch, VersionUnsupported
+from tgflow.spectral import Field, norms
 from tgflow.storage import (
+    FORMAT_VERSION,
     MAGIC,
     atomic_write_bytes,
     cost_history_csv,
@@ -135,14 +137,40 @@ def test_atomic_write_leaves_no_partial_file(tmp_path, monkeypatch):
 
 
 def test_norms_csv_roundtrips_floats(traj):
-    text = norms_csv(traj)
-    lines = text.strip().split("\n")
-    assert lines[0].startswith("t,")
-    cells = lines[1].split(",")
-    assert float(cells[0]) == traj.times[0]
-    from tgflow.spectral import norms
+    """Every cell reads back as the node's time or as norms() of its Field, bitwise."""
+    rows = [line.split(",") for line in norms_csv(traj).strip().split("\n")]
+    kinds = [k.upper() for k in rows[0][1:]]
+    assert rows[0][0] == "t" and kinds == ["L2", "V", "W", "H1", "H2", "H3"]
+    assert len(rows) == traj.times.size + 1
+    for k, row in enumerate(rows[1:]):
+        assert float(row[0]) == traj.times[k]
+        f = Field(traj.coeffs[k], traj.basis)
+        for kind, cell in zip(kinds, row[1:]):
+            assert float(cell) == norms(f, kind), (k, kind)
 
-    assert float(cells[2]) == norms(traj.field(0), "V")
+
+@pytest.mark.parametrize(
+    "max_mode, grid_size, alpha1, dt",
+    [
+        (0, 8, 0.5, 0.1),        # no modes
+        (2, 8, -0.5, 0.1),       # negative alpha1
+        (4, 5, 0.5, 0.1),        # grid below ceil(3M/2) = 6
+        (2, 8, float("nan"), 0.1),
+        (2, 8, 0.5, float("nan")),
+    ],
+)
+def test_impossible_header_is_a_validation_error(tmp_path, max_mode, grid_size, alpha1, dt):
+    """A header with a valid CRC that no basis or time grid fits is rejected as such."""
+    n_steps = 3
+    header = struct.pack(
+        "<IIIIB3xdd", FORMAT_VERSION, max_mode, grid_size, n_steps, 0, alpha1, dt
+    )
+    payload = np.zeros((n_steps + 1) * max_mode ** 2, dtype="<f8").tobytes()
+    body = MAGIC + header + payload
+    path = str(tmp_path / "bad.traj")
+    open(path, "wb").write(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+    with pytest.raises(GridMismatch):
+        load_trajectory(path)
 
 
 def test_cost_history_csv_shape():

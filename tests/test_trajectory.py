@@ -28,6 +28,14 @@ def test_nonuniform_times_rejected(basis):
         Trajectory(fine, np.zeros((5, basis.n_modes)), basis, "state")
 
 
+@pytest.mark.parametrize(
+    "times", [np.full(3, np.nan), [0.0, np.inf, np.inf], [0.0, 0.1, np.nan], [-np.inf, 0.0, np.inf]]
+)
+def test_nonfinite_times_rejected(basis, times):
+    with pytest.raises(GridMismatch):
+        Trajectory(times, np.zeros((3, basis.n_modes)), basis, "state")
+
+
 def test_long_uniform_grid_accepted(basis):
     """Spacings of time_grid carry roundoff of the largest node, not of dt."""
     times = time_grid(1.0, 100000)
