@@ -13,7 +13,9 @@ Substituting q(t) = p(T - t) gives a forward problem with reversed
 coefficients ybar(t) = y(T - t), advanced by the same Crank-Nicolson/midpoint
 scheme as the other solvers (`state.march`) and re-reversed.  The spatial form
 above is the exact transpose of the linearized form, term by term, under the
-grid quadrature pairing, so the discrete duality
+grid quadrature pairing.  Its (alpha1 + alpha2) term pairs (A(y):A(p)) I, a
+pressure, with grad phi, so it vanishes and only the beta terms are formed.
+The discrete duality
 
     sum_k dt (psi_mid, p_mid) = sum_k dt (f_mid, z_mid)
 
@@ -26,7 +28,7 @@ import numpy as np
 
 from .linearized import FrozenState, _stress_pairing, solve_linearized
 from .params import ModelParams
-from .spectral import Field, advect, project, strain, tangent_stress, to_grid, trilinear_b
+from .spectral import Field, advect, project, strain_spin, tangent_stress, to_grid, trilinear_b
 from .state import march
 from .trajectory import Trajectory, check_same_grid, pair_l2l2_mid
 
@@ -44,13 +46,14 @@ def adjoint_rhs_terms(
     """
     y, v = frozen.y, frozen.v
     q = to_grid(Field(q_coeffs, frozen.basis), 1)
-    t11, t12, t22 = tangent_stress(frozen.a, frozen.a_sq, strain(q), params.alpha_sum, params.beta)
+    a_q, b_q, _ = strain_spin(q)
+    t11, t12 = tangent_stress(frozen.a, frozen.b, frozen.a_sq, a_q, b_q, params.beta)
     # -b(phi, q, v(ybar)) and +b(q, phi, v(ybar)) move to the right-hand side as
     # +((grad q)^T v(ybar), phi) and +((q . grad) v(ybar), phi)
     force = q[0, 1:] * v[0, 0] + q[1, 1:] * v[1, 0] + advect(q, v)
     # +b(q, ybar, v(phi)) - b(ybar, q, v(phi)) contribute through v(phi)
     through_v = advect(y, q) - advect(q, y)
-    grid = np.array([[force[0], t11, t12, through_v[0]], [force[1], t12, t22, through_v[1]]])
+    grid = np.array([[force[0], t11, t12, through_v[0]], [force[1], t12, -t11, through_v[1]]])
     # slots: phi, d_x phi, d_y phi (the stress, by summation by parts), phi again
     r = project(frozen.basis, grid)
     return r[0] - r[1] - r[2], r[3]

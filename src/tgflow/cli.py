@@ -131,17 +131,18 @@ def _disc(cfg: _Config, params):
     grid = cfg.get("disc", "grid", int) if cfg.has("disc", "grid") else None
     dt = cfg.get("disc", "dt")
     horizon = cfg.get("disc", "T")
-    if dt <= 0 or horizon <= 0:
-        raise ConfigInvalid("disc.dt and disc.T must be positive")
+    if dt <= 0 or horizon <= 0 or not math.isfinite(horizon / dt):
+        raise ConfigInvalid("disc.dt and disc.T must be positive with a finite ratio")
     ratio = horizon / dt
     n_steps = round(ratio)
     if n_steps < 1 or abs(ratio - n_steps) > 1e-9 * max(1.0, ratio):
         raise ConfigInvalid(f"disc.dt = {dt} does not divide disc.T = {horizon}")
-    try:
+    try:  # the time grid first: a step count too large to allocate fails here
+        times = time_grid(horizon, n_steps)
         basis = build_basis(max_mode, params.alpha1, grid)
-    except ValueError as exc:
-        raise ConfigInvalid(f"disc: {exc}") from exc
-    return basis, time_grid(horizon, n_steps)
+    except (ValueError, MemoryError) as exc:
+        raise ConfigInvalid(f"disc ({n_steps} steps): {exc}") from exc
+    return basis, times
 
 
 def _parse_mode(cfg: _Config, section: str, basis) -> int:
@@ -175,16 +176,21 @@ def _control(cfg: _Config, basis, times) -> Trajectory:
     return Trajectory(times, coeffs, basis, "control")
 
 
-def _seed(cfg: _Config, args) -> int:
-    if args.seed is not None:
-        return args.seed
-    return cfg.get("run", "seed", int, default=0)
+def _seed(cfg: _Config | None, args) -> int:
+    """--seed, else [run] seed, else 0; numpy generators need it non-negative."""
+    seed = args.seed
+    if seed is None:
+        seed = cfg.get("run", "seed", int, default=0) if cfg else 0
+    if seed < 0:
+        raise ConfigInvalid(f"seed = {seed} must be non-negative")
+    return seed
 
 
 # -- commands ------------------------------------------------------------------
 
 
 def _cmd_simulate(cfg: _Config, args) -> int:
+    seed = _seed(cfg, args)
     params = _model(cfg)
     basis, times = _disc(cfg, params)
     y0 = _initial_state(cfg, basis)
@@ -193,7 +199,7 @@ def _cmd_simulate(cfg: _Config, args) -> int:
     report = energy_report(traj, params)
     os.makedirs(args.out, exist_ok=True)
     save_trajectory(
-        os.path.join(args.out, "state.traj"), traj, config_hash=cfg.sha256, seed=_seed(cfg, args)
+        os.path.join(args.out, "state.traj"), traj, config_hash=cfg.sha256, seed=seed
     )
     atomic_write_text(os.path.join(args.out, "norms.csv"), norms_csv(traj))
     summary = {
@@ -211,6 +217,7 @@ def _cmd_simulate(cfg: _Config, args) -> int:
 
 
 def _cmd_optimize(cfg: _Config, args) -> int:
+    seed = _seed(cfg, args)
     params = _model(cfg)
     basis, times = _disc(cfg, params)
     y0 = _initial_state(cfg, basis)
@@ -231,7 +238,6 @@ def _cmd_optimize(cfg: _Config, args) -> int:
     opts = OptimizeOptions(max_iter=cfg.get("opt", "max_iter", int), tol=cfg.get("opt", "tol"))
     if opts.max_iter < 1:
         raise ConfigInvalid(f"opt.max_iter = {opts.max_iter} must be at least 1")
-    seed = _seed(cfg, args)
     u0 = Trajectory(times, np.zeros((times.size, basis.n_modes)), basis, "control")
     j0, _ = eval_cost(u0, y0, cost_cfg, params)
     u_star, report = optimize(u0, y0, cost_cfg, params, opts, np.random.default_rng(seed))
@@ -259,10 +265,7 @@ def _cmd_optimize(cfg: _Config, args) -> int:
 
 
 def _cmd_verify(cfg: _Config | None, args) -> int:
-    seed = args.seed if args.seed is not None else (
-        cfg.get("run", "seed", int, default=0) if cfg else 0
-    )
-    report = run_suite(args.level, seed=seed)
+    report = run_suite(args.level, seed=_seed(cfg, args))
     os.makedirs(args.out, exist_ok=True)
     atomic_write_text(
         os.path.join(args.out, "verify_report.json"),

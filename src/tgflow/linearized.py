@@ -12,7 +12,10 @@ Jacobian and the weak formulation of the linearized equation differ only by a
 pressure gradient, which projects to zero, the coefficient ODEs here are
 exactly the Galerkin system of the weak form; `linearized_form` assembles that
 weak form term by term so tests can check the agreement, and the adjoint
-module checks its transpose.
+module checks its transpose.  In 2D A(y) and A(z) are symmetric and traceless,
+so A(y)A(z) + A(z)A(y) = (A(y):A(z)) I: the alpha2 part of N'(y)[z], the
+matching part of its alpha1 term and the (alpha1 + alpha2) term of the weak
+form are pressures too, and neither the rhs kernel nor linearized_form forms them.
 
 Because the scheme's midpoint is the average of the step endpoints, this
 discrete solve is also the exact derivative of the discrete state solve, which
@@ -30,10 +33,9 @@ from .spectral import (
     Field,
     SpectralBasis,
     advect,
-    convected_strain,
-    frobenius,
+    advect_strain,
     project,
-    strain,
+    strain_spin,
     tangent_stress,
     to_grid,
     trilinear_b,
@@ -48,34 +50,33 @@ class FrozenState:
     """Grids of a frozen state midpoint y, shared by every rhs of one step.
 
     y holds the velocity and its partials up to order 2, v those of v(y) up to
-    order 1, a and a_sq the strain A(y) and |A(y)|^2.  The linearized and the
-    adjoint solvers both build one per step.
+    order 1, (a, b, w) = strain_spin(y) and a_sq = |A(y)|^2.  The linearized and
+    the adjoint solvers both build one per step.
     """
 
     def __init__(self, basis: SpectralBasis, coeffs: np.ndarray):
         self.basis = basis
         self.y = to_grid(Field(coeffs, basis), 2)
         self.v = to_grid(Field(coeffs * basis.vmult, basis), 1)
-        self.a = strain(self.y)
-        self.a_sq = frobenius(self.a, self.a)
+        self.a, self.b, self.w = strain_spin(self.y)
+        self.a_sq = 2.0 * (self.a * self.a + self.b * self.b)
 
 
 def linearized_rhs_coeffs(
     frozen: FrozenState, params: ModelParams, z_coeffs: np.ndarray
 ) -> np.ndarray:
-    """Projection coefficients of F'(y)[z] at the frozen state."""
-    y = frozen.y
+    """Projection coefficients of F'(y)[z] at the frozen state, stress the tangent of `stress`."""
+    y, a, b, w = frozen.y, frozen.a, frozen.b, frozen.w
     z = to_grid(Field(z_coeffs, frozen.basis), 2)
-    a_z = strain(z)
-    # N'(y)[z] + S'(y)[z]: the tangent stress with alpha2 and the alpha1 convected strains
-    t = tangent_stress(frozen.a, frozen.a_sq, a_z, params.alpha2, params.beta)
+    a_z, b_z, w_z = strain_spin(z)
+    t11, t12 = tangent_stress(a, b, frozen.a_sq, a_z, b_z, params.beta)
     if params.alpha1 != 0.0:
-        k1 = convected_strain(y, z, a_z, params.alpha1)
-        k2 = convected_strain(z, y, frozen.a, params.alpha1)
-        t = tuple(ti + p + q for ti, p, q in zip(t, k1, k2))
-    t11, t12, t22 = t
+        ya, yb = advect_strain(y, z)
+        za, zb = advect_strain(z, y)
+        t11 = t11 + params.alpha1 * (ya + za - (w * b_z + w_z * b))
+        t12 = t12 + params.alpha1 * (yb + zb + (w * a_z + w_z * a))
     conv = advect(y, z) + advect(z, y)
-    grid = np.array([[conv[0], t11, t12], [conv[1], t12, t22]])
+    grid = np.array([[conv[0], t11, t12], [conv[1], t12, -t11]])
     return -project(frozen.basis, grid).sum(axis=0)
 
 
@@ -155,11 +156,13 @@ def linearized_form(y: Field, z: Field, phi: Field, params: ModelParams) -> floa
 
 
 def _stress_pairing(y: Field, z: Field, phi: Field, params: ModelParams) -> float:
-    """(T, grad phi) for the tangent stress T of A(y) along A(z), coef alpha1 + alpha2.
+    """(T, grad phi), T the cubic tangent stress of A(y) along A(z).
 
-    The stress term of both linearized_form and the adjoint's adjoint_form.
+    The stress term of linearized_form and adjoint_form, whose (alpha1 + alpha2) part vanishes.
     """
-    a_y, a_z = strain(to_grid(y, 1)), strain(to_grid(z, 1))
-    t = tangent_stress(a_y, frobenius(a_y, a_y), a_z, params.alpha_sum, params.beta)
-    # T : grad phi = T : A(phi) / 2 for symmetric T
-    return 0.5 * y.basis.quad(frobenius(t, strain(to_grid(phi, 1))))
+    y = FrozenState(y.basis, y.coeffs)
+    a_z, b_z, _ = strain_spin(to_grid(z, 1))
+    t11, t12 = tangent_stress(y.a, y.b, y.a_sq, a_z, b_z, params.beta)
+    # T : grad phi = T : A(phi) / 2 = t11 a_phi + t12 b_phi for traceless symmetric T
+    a_phi, b_phi, _ = strain_spin(to_grid(phi, 1))
+    return phi.basis.quad(t11 * a_phi + t12 * b_phi)

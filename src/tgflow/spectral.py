@@ -33,10 +33,11 @@ kernels:
   both components up to the requested order come out of two batched matrix
   products, X_p^T (C * amp) Y_p, as one (2, n, G + 1, G + 1) grid.  No
   derivative is ever taken of grid data;
-- pointwise algebra on named components: A(y), N(y), S(y) and the tangent
-  stresses are symmetric, so each is a triple (t11, t12, t22) of plain ufunc
-  expressions in the scalar partials (strain, stress, convected_strain,
-  tangent_stress);
+- pointwise algebra on named components: in 2D A(y) = [[a, b], [b, -a]], so
+  A^2 = (a^2 + b^2) I and A B + B A = (A : B) I are pressures, which no
+  projection sees, and are never formed; each stress is a traceless triple
+  (t11, t12, -t11) of plain ufunc expressions in a, b and the spin w
+  (strain_spin, advect_strain, stress, tangent_stress);
 - projection (project), the transpose of synthesis: one stacked grid is paired
   slot by slot with the test partials 1, d_x, d_y of every mode in one batched
   product, c_i = (1 + alpha1 lam_i) quad(g . d^s h_i).  A force F fills the
@@ -87,7 +88,8 @@ __all__ = [
     "trilinear_b",
     "strain",
     "frobenius",
-    "convected_strain",
+    "strain_spin",
+    "advect_strain",
     "tangent_stress",
     "stress",
     "norm_weights",
@@ -336,62 +338,47 @@ def frobenius(a, b) -> np.ndarray:
     return a[0] * b[0] + 2.0 * (a[1] * b[1]) + a[2] * b[2]
 
 
-def convected_strain(w: np.ndarray, x: np.ndarray, a_x, coef: float) -> tuple:
-    """coef (w . grad A(x) + A(x) J(w) + J(w)^T A(x)) with J(w) = grad w.
+def strain_spin(g: np.ndarray) -> tuple:
+    """(a, b, w), A(y) = [[a, b], [b, -a]] and spin w = d_y y1 - d_x y2, from g of order >= 1.
 
-    w and x are synthesised grids of orders >= 1 and 2, a_x = strain(x).
-    N(y) holds this at w = x = y, coef = alpha1; its tangent at y along z is
-    the sum of the two mixed terms (w, x) = (y, z) and (z, y).
+    The difference form of a keeps A exactly traceless under roundoff.
     """
-    w1, w1x, w1y = w[0, :3]
-    w2, w2x, w2y = w[1, :3]
-    x1xx, x1xy, x1yy = x[0, 3:]
-    x2xx, x2xy, x2yy = x[1, 3:]
-    a11, a12, a22 = a_x
-    return (
-        (2.0 * coef) * (w1 * x1xx + w2 * x1xy + a11 * w1x + a12 * w2x),
-        coef * (
-            w1 * (x1xy + x2xx) + w2 * (x1yy + x2xy) + a11 * w1y + a12 * (w1x + w2y) + a22 * w2x
-        ),
-        (2.0 * coef) * (w1 * x2xy + w2 * x2yy + a12 * w1y + a22 * w2y),
-    )
+    return g[0, 1] - g[1, 2], g[0, 2] + g[1, 1], g[0, 2] - g[1, 1]
 
 
-def tangent_stress(a, a_sq: np.ndarray, b, coef: float, beta: float) -> tuple:
-    """coef (A B + B A) + beta |A|^2 B + 2 beta (A : B) A, with a_sq = |A|^2.
+def advect_strain(w: np.ndarray, x: np.ndarray) -> tuple:
+    """((w . grad) a, (w . grad) b) of A(x) = [[a, b], [b, -a]], x of order 2."""
+    d = w[0, 0] * x[:, 3:5] + w[1, 0] * x[:, 4:6]  # d[i, j] = (w . grad) d_j x_i
+    return d[0, 0] - d[1, 1], d[0, 1] + d[1, 0]
 
-    At A = A(y), B = A(z) and coef = alpha1 + alpha2 this is the stress of the
-    linearized weak form and of its transpose; the divergence-form linearized
-    right-hand side takes coef = alpha2 and adds the alpha1 convected strains.
+
+def tangent_stress(a, b, a_sq: np.ndarray, a_z, b_z, beta: float) -> tuple:
+    """(t11, t12) of beta (|A|^2 B + 2 (A : B) A), t22 = -t11, with a_sq = |A|^2.
+
+    At A = A(y) = [[a, b], [b, -a]] and B = A(z) = [[a_z, b_z], [b_z, -a_z]] this is
+    S'(y)[z]; the (alpha1 + alpha2)(A B + B A) = (alpha1 + alpha2)(A : B) I term
+    of the weak forms is a pressure, so it is their whole tangent stress.
     """
-    a11, a12, a22 = a
-    b11, b12, b22 = b
-    p11, p12, p22 = a11 * b11, a12 * b12, a22 * b22
     cubic = beta * a_sq
-    cross = (2.0 * beta) * (p11 + 2.0 * p12 + p22)  # 2 beta A : B
-    return (
-        (2.0 * coef) * (p11 + p12) + cubic * b11 + cross * a11,
-        coef * ((a11 + a22) * b12 + a12 * (b11 + b22)) + cubic * b12 + cross * a12,
-        (2.0 * coef) * (p12 + p22) + cubic * b22 + cross * a22,
-    )
+    cross = (4.0 * beta) * (a * a_z + b * b_z)  # 2 beta A : B
+    return cubic * a_z + cross * a, cubic * b_z + cross * b
 
 
 def stress(params: ModelParams, g: np.ndarray) -> tuple:
-    """N(y) + S(y) from the order-2 synthesised grid g of y.
+    """Deviatoric part of N(y) + S(y) from the order-2 synthesised grid g of y.
 
-    N(y) = alpha1 (y . grad A + J^T A + A J) + alpha2 A^2 and
-    S(y) = beta |A|^2 A, with A^2 = (a11^2 + a12^2, a12 (a11 + a22), a12^2 + a22^2).
+    N(y) = alpha1 (y . grad A + J^T A + A J) + alpha2 A^2 and S(y) = beta |A|^2 A.
+    With J = grad y, A J + J^T A = A^2 + w [[-b, a], [a, b]], and A^2 = (a^2 + b^2) I
+    is a pressure: only the convected and spin terms and S = 2 beta (a^2 + b^2) A remain.
     """
-    a = strain(g)
-    a11, a12, a22 = a
-    t = convected_strain(g, g, a, params.alpha1) if params.alpha1 != 0.0 else (0.0,) * 3
-    cubic = params.beta * frobenius(a, a)
-    p = params.alpha2 * a12
-    return (
-        t[0] + a11 * (params.alpha2 * a11 + cubic) + p * a12,
-        t[1] + a12 * (params.alpha2 * (a11 + a22) + cubic),
-        t[2] + a22 * (params.alpha2 * a22 + cubic) + p * a12,
-    )
+    a, b, w = strain_spin(g)
+    cubic = (2.0 * params.beta) * (a * a + b * b)
+    t11, t12 = cubic * a, cubic * b
+    if params.alpha1 != 0.0:
+        ga, gb = advect_strain(g, g)
+        t11 = t11 + params.alpha1 * (ga - w * b)
+        t12 = t12 + params.alpha1 * (gb + w * a)
+    return t11, t12, -t11
 
 
 def _h_multiplier(lam: np.ndarray, order: int) -> np.ndarray:

@@ -62,6 +62,8 @@ __all__ = [
 
 FP_TOL = 1e-10
 FP_MAX_ITER = 50
+# weights of the nodes k - 3..k (as many as exist) in the first iterate of step k
+_GUESS = tuple(np.array(w) for w in ([1.0], [-1.0, 2.0], [1.0, -3.0, 3.0], [-1.0, 4.0, -6.0, 4.0]))
 
 
 @dataclass(frozen=True)
@@ -96,7 +98,8 @@ def march(
     """Advance a0 by n_steps Crank-Nicolson/midpoint steps; return all n_steps + 1 nodes.
 
     Step k solves a_{k+1} = (numer a_k + dt rhs(mid)) / denom, mid = (a_k + a_{k+1}) / 2,
-    for rhs = rhs_at(k) by fixed-point iteration from the guess 2 a_k - a_{k-1}.
+    for rhs = rhs_at(k) by fixed-point iteration from the polynomial through the last
+    min(k, 3) + 1 nodes: 2 a_1 - a_0, 3 a_2 - 3 a_1 + a_0, then 4 a_k - 6 a_{k-1} + ...
     A step that does not converge raises FixedPointDiverged with its index k.
     """
     if dt <= 0:
@@ -110,7 +113,7 @@ def march(
             rhs = rhs_at(k)
             a_prev = nodes[k]
             cn_part = numer * a_prev
-            a_new = 2.0 * a_prev - nodes[k - 1] if k > 0 else a_prev
+            a_new = _GUESS[min(k, 3)] @ nodes[max(k - 3, 0) : k + 1]
             residuals = []
             for _ in range(FP_MAX_ITER):
                 a_next = (cn_part + dt * rhs(0.5 * (a_prev + a_new))) / denom

@@ -16,11 +16,12 @@ and adjoint constants that the theory leaves abstract are never asserted
 numerically, only reported.
 
 Reordering floating-point operations moves report values by about 1e-12
-relative or less (defects near 1e-16 by O(1) of their own size), except
-four that amplify roundoff; a change that only reorders arithmetic is
-compared on those by `passed` flags and the optimizer's iteration count: the
-`gateaux_taylor` slope at the smallest rho, the `optimizer_contract`
-`cost_reduction` and `vi_min`, and the `stability_scaling` spread.
+relative or less (defects near 1e-16 by O(1) of their own size).  Values that
+amplify it are compared by `passed` flags and the optimizer's iteration count:
+the `gateaux_taylor` slope and remainders, the `optimizer_contract` costs and
+`vi_min`, and the `stability_scaling` spread.  A new first midpoint iterate
+moves each step within FP_TOL: it also moves the `manufactured_convergence`
+errors and order by up to 1e-7, and the optimizer may stop at another iteration.
 """
 
 from __future__ import annotations

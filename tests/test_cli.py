@@ -156,6 +156,10 @@ BAD_VALUE_BASE = (
     [
         ("simulate", "dt = 0.015625", "dt = nan"),
         ("simulate", "T = 0.5", "T = inf"),
+        ("simulate", "dt = 0.015625", "dt = 1e-300"),
+        pytest.param(
+            "simulate", "dt = 0.015625\nT = 0.5", "dt = 1e-300\nT = 1e300", id="dt-and-T-extreme"
+        ),
         ("simulate", "grid = 12", "grid = -12"),
         ("simulate", "amplitude = 0.2", "amplitude = nan"),
         ("optimize", "lambda = 1e-6", "lambda = -1"),
@@ -175,3 +179,16 @@ def test_bad_value_exits_2(tmp_path, command, line, bad):
     save_trajectory(str(tmp_path / "target.traj"), target)
     cfg = write(tmp_path / "c.ini", BAD_VALUE_BASE.replace(line, bad))
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("source", ["config", "flag"])
+@pytest.mark.parametrize("command", ["simulate", "optimize", "taylor", "verify"])
+def test_negative_seed_exits_2(tmp_path, command, source):
+    """numpy's generators take only non-negative seeds; a negative one is a config error."""
+    times = time_grid(0.5, 32)
+    basis = build_basis(3, 0.5, 12)
+    target = Trajectory(times, np.zeros((times.size, basis.n_modes)), basis, "state")
+    save_trajectory(str(tmp_path / "target.traj"), target)
+    text = BAD_VALUE_BASE + ("\n[run]\nseed = -1\n" if source == "config" else "")
+    argv = [command, "--config", write(tmp_path / "c.ini", text), "--out", str(tmp_path / "o")]
+    assert main(argv + (["--seed", "-1"] if source == "flag" else [])) == 2

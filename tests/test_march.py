@@ -45,8 +45,8 @@ def test_steps_see_their_own_explicit_term_in_order(basis, rng):
 
 
 def test_linear_in_time_solution_is_hit_by_the_extrapolated_guess(basis, rng):
-    """With a constant term the nodes are linear in t, so from step 1 on the guess
-    2 a_k - a_{k-1} is already converged and each step takes one rhs evaluation."""
+    """With a constant term the nodes are linear in t, so from step 1 on the
+    extrapolated guess is already converged and each step takes one rhs evaluation."""
     inviscid = validate_params(nu=0.0, alpha1=0.5, alpha2=-0.5, beta=0.0)
     g = rng.normal(size=basis.n_modes)
     calls = []
@@ -59,6 +59,41 @@ def test_linear_in_time_solution_is_hit_by_the_extrapolated_guess(basis, rng):
     march(basis, inviscid, 0.1, rng.normal(size=basis.n_modes), n_steps, lambda k: rhs)
     # step 0 starts from a_0 and needs a second evaluation to confirm convergence
     assert len(calls) == 2 + (n_steps - 1)
+
+
+def calls_per_step(basis, degree, rng, n_steps=8):
+    """rhs evaluations of each step when the nodes are a polynomial of the given degree in t.
+
+    Without viscosity a_{k+1} = a_k + dt g_k, so step-dependent constant terms
+    g_k = (p(t_{k+1}) - p(t_k)) / dt make the nodes the samples of p.
+    """
+    inviscid = validate_params(nu=0.0, alpha1=0.5, alpha2=-0.5, beta=0.0)
+    dt = 0.1
+    c = rng.normal(size=(degree + 1, basis.n_modes))
+    p = np.polynomial.polynomial.polyval(dt * np.arange(n_steps + 1), c).T
+    g = np.diff(p, axis=0) / dt
+    calls = [0] * n_steps
+
+    def rhs_at(k):
+        def rhs(mid):
+            calls[k] += 1
+            return g[k]
+
+        return rhs
+
+    nodes = march(basis, inviscid, dt, p[0], n_steps, rhs_at)
+    assert np.max(np.abs(nodes - p)) <= 1e-13 * np.max(np.abs(p))
+    return calls
+
+
+def test_quadratic_in_time_solution_is_hit_from_step_2(basis, rng):
+    """3 a_2 - 3 a_1 + a_0 and the cubic guess after it are exact on quadratic nodes."""
+    assert calls_per_step(basis, 2, rng) == [2, 2] + [1] * 6
+
+
+def test_cubic_in_time_solution_is_hit_from_step_3(basis, rng):
+    """4 a_k - 6 a_{k-1} + 4 a_{k-2} - a_{k-3} is exact on cubic nodes."""
+    assert calls_per_step(basis, 3, rng) == [2, 2, 2] + [1] * 5
 
 
 def test_non_finite_values_raise_with_step_and_residuals(basis, params):

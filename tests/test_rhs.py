@@ -68,3 +68,20 @@ def test_linearized_rhs_is_jvp_of_state_rhs(model):
     h = 1e-2
     jvp = (4.0 * central(h / 2.0) - central(h)) / 3.0
     assert _rel(jvp, linearized_rhs_coeffs(FrozenState(basis, y), params, z)) <= 1e-12
+
+
+@pytest.mark.parametrize("max_mode", [3, 4, 8])
+def test_alpha2_terms_are_pressures_in_the_oracle(max_mode):
+    """In 2D A^2 and A B + B A are isotropic, so the oracle's full-tensor
+    algebra gives the same coefficients with alpha2 = -0.2 and with alpha2 = 0."""
+    basis, params, y, z = _setup(max_mode, "default")
+    params0 = validate_params(**{**MODELS["default"], "alpha2": 0.0})
+    assert params.alpha2 != 0.0
+    assert _rel(state_rhs_oracle(basis, params, y), state_rhs_oracle(basis, params0, y)) <= TOL
+    assert _rel(
+        linearized_rhs_oracle(basis, params, y, z), linearized_rhs_oracle(basis, params0, y, z)
+    ) <= TOL
+    for got, want in zip(
+        adjoint_rhs_oracle(basis, params, y, z), adjoint_rhs_oracle(basis, params0, y, z)
+    ):
+        assert _rel(got, want) <= TOL
