@@ -13,8 +13,10 @@ Configuration is flat key = value text with sections, read by configparser:
     [taylor]  amplitude, rhos                 (optional)
     [export]  input, what = norms | optimizer (export-plot)
 
-Exit codes: 0 success, 2 configuration or validation error, 3 solver failure.
-All outputs are written atomically into the --out directory.
+Exit codes follow the error classes: 0 success, 2 for any InvalidInput (a bad
+configuration, file or argument), 3 for any SolverFailure.  Paths in the
+config are relative to its directory.  All outputs are written atomically
+into the --out directory.
 """
 
 from __future__ import annotations
@@ -30,25 +32,14 @@ import sys
 import numpy as np
 
 from . import __version__
-from .control import CostConfig, OptimizeOptions, eval_cost, optimize
-from .errors import (
-    ChecksumFailed,
-    ConfigInvalid,
-    FixedPointDiverged,
-    GridMismatch,
-    LineSearchFailed,
-    MagicMismatch,
-    NegativeModulus,
-    NonAdmissible,
-    ShapeMismatch,
-    UnknownKind,
-    VersionUnsupported,
-)
+from .control import CostConfig, OptimizeOptions, optimize
+from .errors import ConfigInvalid, GridMismatch, InvalidInput, SolverFailure
 from .linearized import gateaux_taylor_test
 from .params import validate_params
 from .spectral import Field, build_basis
 from .state import energy_report, solve_state
 from .storage import (
+    atomic_write_json,
     atomic_write_text,
     cost_history_csv,
     load_trajectory,
@@ -58,35 +49,36 @@ from .storage import (
 from .trajectory import Trajectory, random_field, random_traj, time_grid
 from .verify import LEVELS, run_suite
 
-VALIDATION_ERRORS = (
-    ConfigInvalid,
-    NonAdmissible,
-    NegativeModulus,
-    GridMismatch,
-    ShapeMismatch,
-    UnknownKind,
-    MagicMismatch,
-    VersionUnsupported,
-    ChecksumFailed,
-)
-SOLVER_ERRORS = (FixedPointDiverged, LineSearchFailed)
+
+def _existing_file(path: str, name: str) -> str:
+    if not os.path.isfile(path):
+        raise ConfigInvalid(f"{name} {path} is not an existing regular file")
+    return path
 
 
 class _Config:
-    """configparser wrapper reporting missing keys by dotted path."""
+    """configparser wrapper reporting missing keys by dotted path.
+
+    The file is read once: the parsed text and the recorded sha256 come from
+    the same bytes.
+    """
 
     def __init__(self, path: str):
-        if not os.path.exists(path):
-            raise ConfigInvalid(f"config file {path} does not exist")
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        with open(_existing_file(path, "config file"), "rb") as handle:
+            data = handle.read()
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
         try:
-            with open(path) as handle:
-                parser.read_file(handle)
-        except configparser.Error as exc:
+            parser.read_string(data.decode("utf-8"), source=path)
+        except (UnicodeDecodeError, configparser.Error) as exc:
             raise ConfigInvalid(f"config file {path} does not parse: {exc}") from exc
         self.parser = parser
-        with open(path, "rb") as handle:
-            self.sha256 = hashlib.sha256(handle.read()).hexdigest()
+        self.sha256 = hashlib.sha256(data).hexdigest()
+        self.directory = os.path.dirname(os.path.abspath(path))
+
+    def path(self, section: str, key: str) -> str:
+        """section.key as an existing file, relative to the config's directory."""
+        raw = self.get(section, key, str)
+        return _existing_file(os.path.join(self.directory, raw), f"{section}.{key}")
 
     def has(self, section: str, key: str) -> bool:
         return self.parser.has_option(section, key)
@@ -159,7 +151,7 @@ def _parse_mode(cfg: _Config, section: str, basis) -> int:
 
 def _initial_state(cfg: _Config, basis) -> Field:
     coeffs = np.zeros(basis.n_modes)
-    if cfg.parser.has_section("init") and cfg.has("init", "mode"):
+    if cfg.has("init", "mode"):
         idx = _parse_mode(cfg, "init", basis)
         coeffs[idx] = cfg.get("init", "amplitude", default=0.1)
     return Field(coeffs, basis)
@@ -167,7 +159,7 @@ def _initial_state(cfg: _Config, basis) -> Field:
 
 def _control(cfg: _Config, basis, times) -> Trajectory:
     coeffs = np.zeros((times.size, basis.n_modes))
-    if cfg.parser.has_section("control") and cfg.has("control", "mode"):
+    if cfg.has("control", "mode"):
         idx = _parse_mode(cfg, "control", basis)
         amp = cfg.get("control", "amplitude", default=0.1)
         omega = cfg.get("control", "omega", default=0.0)
@@ -197,7 +189,6 @@ def _cmd_simulate(cfg: _Config, args) -> int:
     control = _control(cfg, basis, times)
     traj = solve_state(y0, control, params)
     report = energy_report(traj, params)
-    os.makedirs(args.out, exist_ok=True)
     save_trajectory(
         os.path.join(args.out, "state.traj"), traj, config_hash=cfg.sha256, seed=seed
     )
@@ -209,10 +200,7 @@ def _cmd_simulate(cfg: _Config, args) -> int:
         "dissipation_total": report.dissipation[-1],
         "code_version": __version__,
     }
-    atomic_write_text(
-        os.path.join(args.out, "simulate_summary.json"),
-        json.dumps(summary, sort_keys=True, indent=2) + "\n",
-    )
+    atomic_write_json(os.path.join(args.out, "simulate_summary.json"), summary)
     return 0
 
 
@@ -223,12 +211,7 @@ def _cmd_optimize(cfg: _Config, args) -> int:
     y0 = _initial_state(cfg, basis)
     lam = cfg.get("cost", "lambda")
     radius = cfg.get("cost", "K")
-    target_path = cfg.get("cost", "target_path", str)
-    if not os.path.isabs(target_path):
-        target_path = os.path.join(os.path.dirname(os.path.abspath(args.config)), target_path)
-    if not os.path.exists(target_path):
-        raise ConfigInvalid(f"cost.target_path {target_path} does not exist")
-    y_d = load_trajectory(target_path).with_kind("target")
+    y_d = load_trajectory(cfg.path("cost", "target_path")).with_kind("target")
     if not y_d.basis.compatible(basis) or y_d.times.size != times.size:
         raise GridMismatch("target trajectory does not match the disc section")
     try:
@@ -239,16 +222,14 @@ def _cmd_optimize(cfg: _Config, args) -> int:
     if opts.max_iter < 1:
         raise ConfigInvalid(f"opt.max_iter = {opts.max_iter} must be at least 1")
     u0 = Trajectory(times, np.zeros((times.size, basis.n_modes)), basis, "control")
-    j0, _ = eval_cost(u0, y0, cost_cfg, params)
     u_star, report = optimize(u0, y0, cost_cfg, params, opts, np.random.default_rng(seed))
-    os.makedirs(args.out, exist_ok=True)
     save_trajectory(
         os.path.join(args.out, "control.traj"), u_star, config_hash=cfg.sha256, seed=seed
     )
     atomic_write_text(os.path.join(args.out, "cost_history.csv"), cost_history_csv(report))
     out = {
         "command": "optimize",
-        "initial_cost": j0,
+        "initial_cost": report.cost[0],
         "final_cost": report.cost[-1],
         "iterations": report.n_iter,
         "converged": report.converged,
@@ -257,20 +238,13 @@ def _cmd_optimize(cfg: _Config, args) -> int:
         "seed": seed,
         "code_version": __version__,
     }
-    atomic_write_text(
-        os.path.join(args.out, "optimize_report.json"),
-        json.dumps(out, sort_keys=True, indent=2) + "\n",
-    )
+    atomic_write_json(os.path.join(args.out, "optimize_report.json"), out)
     return 0
 
 
 def _cmd_verify(cfg: _Config | None, args) -> int:
     report = run_suite(args.level, seed=_seed(cfg, args))
-    os.makedirs(args.out, exist_ok=True)
-    atomic_write_text(
-        os.path.join(args.out, "verify_report.json"),
-        json.dumps(report, sort_keys=True, indent=2) + "\n",
-    )
+    atomic_write_json(os.path.join(args.out, "verify_report.json"), report)
     print(
         f"verify {args.level}: "
         + ("all checks passed" if report["all_passed"] else "CHECK FAILURES"),
@@ -294,7 +268,6 @@ def _cmd_taylor(cfg: _Config, args) -> int:
         result = gateaux_taylor_test(control, psi, y0, rhos, params)
     except ValueError as exc:
         raise ConfigInvalid(f"taylor.rhos: {exc}") from exc
-    os.makedirs(args.out, exist_ok=True)
     out = {
         "command": "taylor",
         "rhos": list(result.rhos),
@@ -304,9 +277,7 @@ def _cmd_taylor(cfg: _Config, args) -> int:
         "seed": seed,
         "code_version": __version__,
     }
-    atomic_write_text(
-        os.path.join(args.out, "taylor.json"), json.dumps(out, sort_keys=True, indent=2) + "\n"
-    )
+    atomic_write_json(os.path.join(args.out, "taylor.json"), out)
     lines = ["rho,remainder"] + [
         f"{repr(float(r))},{repr(float(e))}" for r, e in zip(result.rhos, result.remainders)
     ]
@@ -316,20 +287,21 @@ def _cmd_taylor(cfg: _Config, args) -> int:
 
 def _cmd_export_plot(cfg: _Config, args) -> int:
     what = cfg.get("export", "what", str, default="norms")
-    path = cfg.get("export", "input", str)
-    if not os.path.isabs(path):
-        path = os.path.join(os.path.dirname(os.path.abspath(args.config)), path)
-    os.makedirs(args.out, exist_ok=True)
+    if what not in ("norms", "optimizer"):
+        raise ConfigInvalid(f"export.what = {what!r}, expected 'norms' or 'optimizer'")
+    path = cfg.path("export", "input")
     if what == "norms":
-        traj = load_trajectory(path)
-        atomic_write_text(os.path.join(args.out, "norms.csv"), norms_csv(traj))
-    elif what == "optimizer":
-        with open(path) as handle:
-            data = json.load(handle)
+        atomic_write_text(os.path.join(args.out, "norms.csv"), norms_csv(load_trajectory(path)))
+    else:
+        with open(path, "rb") as handle:
+            try:
+                data = json.load(handle)
+            except ValueError as exc:
+                raise ConfigInvalid(f"export.input {path} is not JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigInvalid(f"export.input {path} is not a JSON object")
         lines = ["key,value"] + [f"{k},{v}" for k, v in sorted(data.items())]
         atomic_write_text(os.path.join(args.out, "optimizer_summary.csv"), "\n".join(lines) + "\n")
-    else:
-        raise ConfigInvalid(f"export.what = {what!r}, expected 'norms' or 'optimizer'")
     return 0
 
 
@@ -358,6 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        existing = os.path.abspath(args.out)
+        while not os.path.exists(existing):  # the writes create the missing rest
+            existing = os.path.dirname(existing)
+        if not os.path.isdir(existing):
+            raise ConfigInvalid(f"--out {args.out}: {existing} is not a directory")
         if args.command == "verify":
             cfg = _Config(args.config) if args.config else None
         else:
@@ -365,10 +342,10 @@ def main(argv=None) -> int:
                 raise ConfigInvalid(f"{args.command} requires --config")
             cfg = _Config(args.config)
         return _COMMANDS[args.command](cfg, args)
-    except VALIDATION_ERRORS as exc:
+    except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SOLVER_ERRORS as exc:
+    except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
 

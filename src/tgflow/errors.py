@@ -1,31 +1,43 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every concrete error derives from exactly one of two bases, and the command
+line maps them to its exit codes: InvalidInput to 2, SolverFailure to 3.
+"""
 
 
 class TgflowError(Exception):
     """Base class for all package errors."""
 
 
-class NegativeModulus(TgflowError):
+class InvalidInput(TgflowError):
+    """A configuration, file or argument the package cannot accept."""
+
+
+class SolverFailure(TgflowError):
+    """A solver that was given valid input failed to produce a result."""
+
+
+class NegativeModulus(InvalidInput):
     """A material modulus that must be nonnegative is negative."""
 
 
-class NonAdmissible(TgflowError):
+class NonAdmissible(InvalidInput):
     """Material moduli violate the thermodynamic admissibility inequality."""
 
 
-class ShapeMismatch(TgflowError):
+class ShapeMismatch(InvalidInput):
     """Grid array shape does not match the basis collocation resolution."""
 
 
-class UnknownKind(TgflowError):
+class UnknownKind(InvalidInput):
     """Unrecognized norm or trajectory kind tag."""
 
 
-class GridMismatch(TgflowError):
+class GridMismatch(InvalidInput):
     """Two objects live on incompatible bases or time grids."""
 
 
-class FixedPointDiverged(TgflowError):
+class FixedPointDiverged(SolverFailure):
     """Midpoint fixed-point iteration failed to converge; dt is too large."""
 
     def __init__(self, message, step=None, residuals=None):
@@ -34,21 +46,21 @@ class FixedPointDiverged(TgflowError):
         self.residuals = residuals
 
 
-class LineSearchFailed(TgflowError):
+class LineSearchFailed(SolverFailure):
     """Armijo backtracking found no acceptable step above the minimum."""
 
 
-class ConfigInvalid(TgflowError):
+class ConfigInvalid(InvalidInput):
     """Run configuration is missing keys or contains contradictory values."""
 
 
-class MagicMismatch(TgflowError):
+class MagicMismatch(InvalidInput):
     """Trajectory file does not start with the expected magic bytes."""
 
 
-class VersionUnsupported(TgflowError):
+class VersionUnsupported(InvalidInput):
     """Trajectory file version is not supported by this code."""
 
 
-class ChecksumFailed(TgflowError):
+class ChecksumFailed(InvalidInput):
     """Trajectory file payload fails its CRC32 check."""

@@ -58,8 +58,10 @@ of the points.  Summation by parts is exact on the grid for any tensor: the
 modes carry no content at the Nyquist wavenumber G, so pairing h_i with the
 spectral divergence of T equals minus pairing grad h_i with T.  Content that
 no mode carries never reaches a coefficient, so the projection is alias-free
-by construction.  For the cubic stress to be alias-free, grid_size >= 2M + 2
-is recommended; the default 4M matches that comfortably.
+by construction.  Every quadrature the package forms (the rhs kernels, the
+|A|^4 energy term, the W14 norm) has per-axis degree at most 4M, so it is
+exact once grid_size >= 2M + 1, the smallest resolution accepted; the default
+4M has margin.
 """
 
 from __future__ import annotations
@@ -107,12 +109,12 @@ _TESTS = PARTIALS[:3] + PARTIALS[:1]
 
 
 def min_grid_size(max_mode: int) -> int:
-    """Smallest legal collocation resolution: the 2/3-rule bound ceil(3M/2)."""
-    return math.ceil(1.5 * max_mode)
+    """Smallest legal collocation resolution 2M + 1, where every quadrature is exact."""
+    return 2 * max_mode + 1
 
 
 def default_grid_size(max_mode: int) -> int:
-    """Default resolution 4M: alias-free for the cubic stress (needs >= 2M + 2)."""
+    """Default resolution 4M, above the exactness floor 2M + 1."""
     return 4 * max_mode
 
 
@@ -196,7 +198,7 @@ class Field:
 def build_basis(max_mode: int, alpha1: float, grid_size: int | None = None) -> SpectralBasis:
     """Construct the basis with M^2 modes, 1 <= m, n <= max_mode.
 
-    grid_size defaults to 4 * max_mode and must be at least ceil(3M/2).
+    grid_size defaults to 4 * max_mode and must be at least 2 * max_mode + 1.
     """
     if max_mode < 1:
         raise ValueError("max_mode must be >= 1")
@@ -206,7 +208,7 @@ def build_basis(max_mode: int, alpha1: float, grid_size: int | None = None) -> S
         grid_size = default_grid_size(max_mode)
     if grid_size < min_grid_size(max_mode):
         raise ValueError(
-            f"grid_size {grid_size} below the 2/3-rule minimum {min_grid_size(max_mode)}"
+            f"grid_size {grid_size} below the exact-quadrature minimum {min_grid_size(max_mode)}"
         )
 
     Q = grid_size + 1

@@ -36,6 +36,7 @@ from . import __version__
 from .errors import (
     ChecksumFailed,
     GridMismatch,
+    InvalidInput,
     MagicMismatch,
     UnknownKind,
     VersionUnsupported,
@@ -50,6 +51,7 @@ __all__ = [
     "load_trajectory",
     "atomic_write_bytes",
     "atomic_write_text",
+    "atomic_write_json",
     "norms_csv",
     "cost_history_csv",
 ]
@@ -80,6 +82,11 @@ def atomic_write_text(path: str, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def atomic_write_json(path: str, obj) -> None:
+    """obj as indented JSON with sorted keys and a trailing newline."""
+    atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
 def save_trajectory(
     path: str,
     traj: Trajectory,
@@ -106,11 +113,11 @@ def save_trajectory(
         "format_version": FORMAT_VERSION,
         "kind": traj.kind,
     }
-    atomic_write_text(path + ".json", json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+    atomic_write_json(path + ".json", sidecar)
 
 
 def load_trajectory(path: str) -> Trajectory:
-    """Read a trajectory file, verifying magic, version and the file's CRC32."""
+    """Read a trajectory file, verifying magic, version, CRC32 and finite values."""
     with open(path, "rb") as handle:
         blob = handle.read()
     if len(blob) < len(MAGIC) + _HEADER.size + 4 or blob[: len(MAGIC)] != MAGIC:
@@ -131,6 +138,8 @@ def load_trajectory(path: str) -> Trajectory:
         raise UnknownKind(f"{path} carries unknown kind tag {kind_idx}")
     payload = blob[off : off + n_bytes]
     coeffs = np.frombuffer(payload, dtype="<f8").reshape(n_steps + 1, n_modes).copy()
+    if not np.isfinite(coeffs).all():
+        raise InvalidInput(f"{path} holds non-finite coefficients")
     try:
         basis = build_basis(max_mode, alpha1, grid_size)
     except ValueError as exc:

@@ -25,6 +25,14 @@ def test_grid_size_floor():
     build_basis(4, alpha1=0.5, grid_size=min_grid_size(4))
 
 
+@pytest.mark.parametrize("max_mode", [3, 4])
+def test_grid_2m_is_rejected(max_mode):
+    """G = 2M leaves degree-4M quadratures inexact; 2M + 1 is the floor."""
+    with pytest.raises(ValueError):
+        build_basis(max_mode, alpha1=0.5, grid_size=2 * max_mode)
+    build_basis(max_mode, alpha1=0.5, grid_size=2 * max_mode + 1)
+
+
 def test_modes_divergence_free(basis):
     worst = 0.0
     for i in range(basis.n_modes):

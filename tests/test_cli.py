@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from tgflow import build_basis
+from tgflow import build_basis, errors
 from tgflow.cli import main
 from tgflow.storage import load_trajectory, save_trajectory
 from tgflow.trajectory import Trajectory, time_grid
@@ -162,6 +162,7 @@ BAD_VALUE_BASE = (
         ),
         ("simulate", "grid = 12", "grid = -12"),
         ("simulate", "amplitude = 0.2", "amplitude = nan"),
+        ("simulate", "amplitude = 0.2", "amplitude = 0.2%"),
         ("optimize", "lambda = 1e-6", "lambda = -1"),
         ("optimize", "K = 5.0", "K = 0"),
         ("optimize", "K = 5.0", "K = nan"),
@@ -192,3 +193,86 @@ def test_negative_seed_exits_2(tmp_path, command, source):
     text = BAD_VALUE_BASE + ("\n[run]\nseed = -1\n" if source == "config" else "")
     argv = [command, "--config", write(tmp_path / "c.ini", text), "--out", str(tmp_path / "o")]
     assert main(argv + (["--seed", "-1"] if source == "flag" else [])) == 2
+
+
+def _nan_target(path):
+    times = time_grid(0.5, 32)
+    basis = build_basis(3, 0.5, 12)
+    coeffs = np.zeros((times.size, basis.n_modes))
+    coeffs[5, 1] = np.nan
+    save_trajectory(str(path), Trajectory(times, coeffs, basis, "state"))
+
+
+def _setup_config_dir(tmp_path):
+    tmp_path.joinpath("cfgdir").mkdir()
+    return "simulate", str(tmp_path / "cfgdir"), str(tmp_path / "o")
+
+
+def _setup_not_utf8(tmp_path):
+    tmp_path.joinpath("c.ini").write_bytes((MODEL + DISC).encode() + b"# caf\xe9\n")
+    return "simulate", str(tmp_path / "c.ini"), str(tmp_path / "o")
+
+
+def _export(what, make_input):
+    def setup(tmp_path):
+        make_input(tmp_path / "input")
+        cfg = write(tmp_path / "e.ini", f"[export]\ninput = input\nwhat = {what}\n")
+        return "export-plot", cfg, str(tmp_path / "o")
+
+    return setup
+
+
+def _setup_target_dir(tmp_path):
+    tmp_path.joinpath("target.traj").mkdir()
+    return "optimize", write(tmp_path / "c.ini", BAD_VALUE_BASE), str(tmp_path / "o")
+
+
+def _setup_nan_target(tmp_path):
+    _nan_target(tmp_path / "target.traj")
+    return "optimize", write(tmp_path / "c.ini", BAD_VALUE_BASE), str(tmp_path / "o")
+
+
+def _out_under_file(below):
+    def setup(tmp_path):
+        tmp_path.joinpath("o").write_text("not a directory\n")
+        return "simulate", write(tmp_path / "c.ini", MODEL + DISC), str(tmp_path / "o" / below)
+
+    return setup
+
+
+@pytest.mark.parametrize(
+    "setup",
+    [
+        pytest.param(_setup_config_dir, id="config-is-directory"),
+        pytest.param(_setup_not_utf8, id="config-not-utf8"),
+        pytest.param(_export("norms", lambda p: None), id="export-norms-input-missing"),
+        pytest.param(_export("optimizer", lambda p: None), id="export-optimizer-input-missing"),
+        pytest.param(_export("optimizer", lambda p: p.write_text("{oops")), id="export-not-json"),
+        pytest.param(_export("optimizer", lambda p: p.write_text("[1, 2]\n")), id="export-not-object"),
+        pytest.param(_setup_target_dir, id="target-is-directory"),
+        pytest.param(_out_under_file(""), id="out-is-file"),
+        pytest.param(_out_under_file("sub"), id="out-parent-is-file"),
+        pytest.param(_setup_nan_target, id="optimize-nan-target"),
+        pytest.param(_export("norms", _nan_target), id="export-norms-nan-input"),
+    ],
+)
+def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, setup):
+    """Malformed files and paths are input errors: exit 2, one line, no traceback."""
+    command, cfg, out = setup(tmp_path)
+    assert main([command, "--config", cfg, "--out", out]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+def test_every_error_class_has_one_exit_code_base():
+    """The class tree alone decides the exit code of each package error."""
+    bases = (errors.InvalidInput, errors.SolverFailure)
+    classes = [
+        cls
+        for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.TgflowError)
+    ]
+    leaves = [cls for cls in classes if cls not in (errors.TgflowError, *bases)]
+    assert leaves
+    for cls in leaves:
+        assert sum(issubclass(cls, base) for base in bases) == 1, cls.__name__

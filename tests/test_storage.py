@@ -8,7 +8,13 @@ import pytest
 
 from conftest import random_traj
 from tgflow import build_basis
-from tgflow.errors import ChecksumFailed, GridMismatch, MagicMismatch, VersionUnsupported
+from tgflow.errors import (
+    ChecksumFailed,
+    GridMismatch,
+    InvalidInput,
+    MagicMismatch,
+    VersionUnsupported,
+)
 from tgflow.spectral import Field, norms
 from tgflow.storage import (
     FORMAT_VERSION,
@@ -19,7 +25,7 @@ from tgflow.storage import (
     norms_csv,
     save_trajectory,
 )
-from tgflow.trajectory import check_same_grid, time_grid
+from tgflow.trajectory import Trajectory, check_same_grid, time_grid
 
 
 @pytest.fixture
@@ -154,7 +160,8 @@ def test_norms_csv_roundtrips_floats(traj):
     [
         (0, 8, 0.5, 0.1),        # no modes
         (2, 8, -0.5, 0.1),       # negative alpha1
-        (4, 5, 0.5, 0.1),        # grid below ceil(3M/2) = 6
+        (4, 5, 0.5, 0.1),        # grid below 2M + 1 = 9
+        (4, 8, 0.5, 0.1),        # grid 2M: some quadratures are no longer exact
         (2, 8, float("nan"), 0.1),
         (2, 8, 0.5, float("nan")),
     ],
@@ -170,6 +177,17 @@ def test_impossible_header_is_a_validation_error(tmp_path, max_mode, grid_size, 
     path = str(tmp_path / "bad.traj")
     open(path, "wb").write(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
     with pytest.raises(GridMismatch):
+        load_trajectory(path)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_payload_is_rejected(tmp_path, traj, bad):
+    """A non-finite coefficient with a valid CRC is an input error naming the file."""
+    coeffs = traj.coeffs.copy()
+    coeffs[3, 2] = bad
+    path = str(tmp_path / "bad.traj")
+    save_trajectory(path, Trajectory(traj.times, coeffs, traj.basis, traj.kind))
+    with pytest.raises(InvalidInput, match="bad.traj"):
         load_trajectory(path)
 
 
