@@ -28,11 +28,16 @@ import numpy as np
 
 from .linearized import FrozenState, _stress_pairing, solve_linearized
 from .params import ModelParams
-from .spectral import Field, advect, project, strain_spin, tangent_stress, to_grid, trilinear_b
+from .spectral import Field, fields, project, slots, to_grid, trilinear_b
 from .state import march
 from .trajectory import Trajectory, check_same_grid, pair_l2l2_mid
 
 __all__ = ["solve_adjoint", "check_duality", "adjoint_form"]
+
+# the named fields of q the adjoint rhs reads, and the slots it writes: the
+# stream function of the terms tested against v(phi), the stress and the force
+_FIELDS = fields("a", "b", "u1", "u2")
+_SLOTS = slots("w", "a", "b", "u1", "u2")
 
 
 def adjoint_rhs_terms(
@@ -44,19 +49,21 @@ def adjoint_rhs_terms(
     ds/dt = (-nu lam s + inner + c(f)) / vmult + outer, where inner collects
     the terms tested against phi and outer the two tested against v(phi).
     """
-    y, v = frozen.y, frozen.v
-    q = to_grid(Field(q_coeffs, frozen.basis), 1)
-    a_q, b_q, _ = strain_spin(q)
-    t11, t12 = tangent_stress(frozen.a, frozen.b, frozen.a_sq, a_q, b_q, params.beta)
+    y = frozen
+    q = to_grid(Field(q_coeffs, y.basis), rows=_FIELDS)
+    u = q[2:4]
+    grids = np.empty((5, *q.shape[1:]))
+    # +b(q, ybar, v(phi)) - b(ybar, q, v(phi)) pairs (ybar.grad)q - (q.grad)ybar = curl(psi),
+    # psi = q1 ybar2 - q2 ybar1, with v(phi); psi vanishes on the walls, so by parts
+    # that is -(psi, w(v(phi))), the w slot carrying the v-weight of the projection
+    np.sum(u * y.u_turn, axis=0, out=grids[0])
+    # -(S'(ybar)[q], grad phi), by summation by parts tested against (a, b)(phi)
+    np.multiply(-params.beta, y.cubic_tangent(q[0:2]), out=grids[1:3])
     # -b(phi, q, v(ybar)) and +b(q, phi, v(ybar)) move to the right-hand side as
-    # +((grad q)^T v(ybar), phi) and +((q . grad) v(ybar), phi)
-    force = q[0, 1:] * v[0, 0] + q[1, 1:] * v[1, 0] + advect(q, v)
-    # +b(q, ybar, v(phi)) - b(ybar, q, v(phi)) contribute through v(phi)
-    through_v = advect(y, q) - advect(q, y)
-    grid = np.array([[force[0], t11, t12, through_v[0]], [force[1], t12, -t11, through_v[1]]])
-    # slots: phi, d_x phi, d_y phi (the stress, by summation by parts), phi again
-    r = project(frozen.basis, grid)
-    return r[0] - r[1] - r[2], r[3]
+    # ((grad q)^T v + (q . grad) v, phi): in Lamb form w_v (q2, -q1) plus a pressure
+    np.multiply(y.w_v_turn, u[::-1], out=grids[3:5])
+    r = project(y.basis, grids, _SLOTS)
+    return r[1:].sum(axis=0), -r[0]
 
 
 def solve_adjoint(y_traj: Trajectory, f: Trajectory, params: ModelParams) -> Trajectory:

@@ -234,6 +234,7 @@ def _cmd_optimize(cfg: _Config, args) -> int:
         "iterations": report.n_iter,
         "converged": report.converged,
         "termination": report.termination,
+        "line_search_trials": report.line_search_trials,
         "vi_residual_min": min(report.vi_residuals),
         "seed": seed,
         "code_version": __version__,

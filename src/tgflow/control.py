@@ -82,7 +82,12 @@ class OptimizeOptions:
 
 @dataclass
 class OptimizerReport:
-    """Per-iteration record of a projected gradient run."""
+    """Per-iteration record of a projected gradient run.
+
+    Row k holds iterate k, the last row the returned control; step_size is the
+    step taken from it (0.0 where none was) and line_search_trials the number
+    of state solves its line search made.
+    """
 
     cost: list = field(default_factory=list)
     step_size: list = field(default_factory=list)
@@ -90,6 +95,7 @@ class OptimizerReport:
     grad_mapping: list = field(default_factory=list)
     constraint_active: list = field(default_factory=list)
     control_norm: list = field(default_factory=list)
+    line_search_trials: list = field(default_factory=list)
     vi_residuals: list = field(default_factory=list)
     converged: bool = False
     n_iter: int = 0
@@ -197,7 +203,7 @@ def optimize(
     step = 1.0 / max(1.0, g_norm)
     prev_u = prev_g = None
 
-    for it in range(opts.max_iter):
+    for it in range(opts.max_iter + 1):
         mapping = gradient_mapping_norm(U, g, cfg.radius)
         nrm_u = norm_l2h1_trap(U)
         report.cost.append(cost)
@@ -206,10 +212,13 @@ def optimize(
         report.constraint_active.append(bool(nrm_u >= cfg.radius * (1.0 - 1e-9)))
         report.control_norm.append(nrm_u)
         report.n_iter = it
-        if mapping <= opts.tol:
-            report.converged = True
-            report.termination = "gradient mapping below tolerance"
+        if mapping <= opts.tol or it == opts.max_iter:
+            report.converged = mapping <= opts.tol
+            report.termination = (
+                "gradient mapping below tolerance" if report.converged else "max_iter reached"
+            )
             report.step_size.append(0.0)
+            report.line_search_trials.append(0)
             break
 
         if prev_u is not None:
@@ -223,6 +232,7 @@ def optimize(
         s = step
         accepted = False
         decrease = 0.0
+        trials = 0
         while s >= opts.min_step:
             trial = project_admissible(
                 Trajectory(U.times, U.coeffs - s * g.coeffs, U.basis, "control"), cfg.radius
@@ -230,10 +240,12 @@ def optimize(
             move = Trajectory(U.times, trial.coeffs - U.coeffs, U.basis, "control")
             decrease = pair_l2l2_mid(g, move)
             new_cost, new_traj = eval_cost(trial, y0, cfg, params)
+            trials += 1
             if new_cost <= cost + opts.armijo_c * decrease and new_cost < cost:
                 accepted = True
                 break
             s *= opts.backtrack_ratio
+        report.line_search_trials.append(trials)
         if not accepted:
             # The ball lives in the H1 norm while the gradient pairing is L2,
             # so on the boundary the radial retraction arc can stop descending
@@ -259,9 +271,6 @@ def optimize(
         U, cost = trial, new_cost
         g = _gradient_from_state(U, new_traj, cfg, params)
         g_norm = norm_l2l2_mid(g)
-    else:
-        report.termination = "max_iter reached"
-        report.n_iter = opts.max_iter
 
     report.vi_residuals = sample_vi_residuals(U, g, cfg.radius, rng, opts.n_vi_samples)
     return U, report

@@ -32,52 +32,71 @@ from .params import ModelParams
 from .spectral import (
     Field,
     SpectralBasis,
-    advect,
-    advect_strain,
+    fields,
     project,
-    strain_spin,
-    tangent_stress,
+    slots,
     to_grid,
     trilinear_b,
+    turn,
 )
 from .state import march, solve_state
 from .trajectory import Trajectory, check_same_grid
 
 __all__ = ["solve_linearized", "gateaux_taylor_test", "TaylorResult", "linearized_form"]
 
+# the named fields of z the linearized rhs reads, and the slots it writes; the
+# frozen state also reads the spin of v(y)
+_FIELDS = fields("a_x", "b_x", "a_y", "b_y", "w", "a", "b", "u1", "u2")
+_FROZEN = fields("w_v", "a_x", "b_x", "a_y", "b_y", "w", "a", "b", "u1", "u2")
+_SLOTS = slots("a", "b", "u1", "u2")
+_STRAIN = fields("a", "b")
+
 
 class FrozenState:
-    """Grids of a frozen state midpoint y, shared by every rhs of one step.
+    """Named fields of a frozen state midpoint y and their products, shared by the rhs of one step.
 
-    y holds the velocity and its partials up to order 2, v those of v(y) up to
-    order 1, (a, b, w) = strain_spin(y) and a_sq = |A(y)|^2.  The linearized and
-    the adjoint solvers both build one per step.
+    u, ab, ab_x and ab_y are the stacked pairs (y1, y2), (a, b), (a_x, b_x) and
+    (a_y, b_y) of y.  The turned pairs u_turn = (y2, -y1) and ab_turn = (b, -a),
+    and w_turn = turn(w) and w_v_turn = turn(w_v) of the spins of y and v(y), give
+    w (p2, -p1) = w * p_turn = w_turn * p[::-1] in one product.  tangent holds the
+    cubic tangent |A|^2 I + 4 (a, b) (a, b)^T, |A|^2 = 2 (a^2 + b^2), as a symmetric
+    (2, 2, Q, Q) array: S'(y)[z] = beta tangent (a_z, b_z).  The linearized and the
+    adjoint solvers both build one per step.
     """
 
     def __init__(self, basis: SpectralBasis, coeffs: np.ndarray):
         self.basis = basis
-        self.y = to_grid(Field(coeffs, basis), 2)
-        self.v = to_grid(Field(coeffs * basis.vmult, basis), 1)
-        self.a, self.b, self.w = strain_spin(self.y)
-        self.a_sq = 2.0 * (self.a * self.a + self.b * self.b)
+        g = to_grid(Field(coeffs, basis), rows=_FROZEN)
+        self.ab_x, self.ab_y, self.ab, self.u = g[1:3], g[3:5], g[6:8], g[8:10]
+        self.u_turn = turn(1.0) * self.u[::-1]
+        self.ab_turn = turn(1.0) * self.ab[::-1]
+        self.w_turn, self.w_v_turn = turn(g[5]), turn(g[0])
+        tangent = (4.0 * self.ab)[:, None] * self.ab[None, :]
+        a_sq = 0.5 * (tangent[0, 0] + tangent[1, 1])
+        tangent[0, 0] += a_sq
+        tangent[1, 1] += a_sq
+        self.tangent = tangent
+
+    def cubic_tangent(self, ab_z: np.ndarray) -> np.ndarray:
+        """tangent (a_z, b_z) as a stacked pair; times beta it is S'(y)[z]."""
+        return self.tangent[0] * ab_z[0] + self.tangent[1] * ab_z[1]
 
 
 def linearized_rhs_coeffs(
     frozen: FrozenState, params: ModelParams, z_coeffs: np.ndarray
 ) -> np.ndarray:
-    """Projection coefficients of F'(y)[z] at the frozen state, stress the tangent of `stress`."""
-    y, a, b, w = frozen.y, frozen.a, frozen.b, frozen.w
-    z = to_grid(Field(z_coeffs, frozen.basis), 2)
-    a_z, b_z, w_z = strain_spin(z)
-    t11, t12 = tangent_stress(a, b, frozen.a_sq, a_z, b_z, params.beta)
-    if params.alpha1 != 0.0:
-        ya, yb = advect_strain(y, z)
-        za, zb = advect_strain(z, y)
-        t11 = t11 + params.alpha1 * (ya + za - (w * b_z + w_z * b))
-        t12 = t12 + params.alpha1 * (yb + zb + (w * a_z + w_z * a))
-    conv = advect(y, z) + advect(z, y)
-    grid = np.array([[conv[0], t11, t12], [conv[1], t12, -t11]])
-    return -project(frozen.basis, grid).sum(axis=0)
+    """Projection coefficients of F'(y)[z] at the frozen state, stress the tangent of `deviator`."""
+    y = frozen
+    z = to_grid(Field(z_coeffs, y.basis), rows=_FIELDS)
+    w, ab, u = z[4], z[5:7], z[7:9]
+    convected = (
+        y.u[0] * z[0:2] + y.u[1] * z[2:4] + u[0] * y.ab_x + u[1] * y.ab_y
+        - w * y.ab_turn - y.w_turn * ab[::-1]
+    )
+    stress = params.beta * y.cubic_tangent(ab) + params.alpha1 * convected
+    # (y.grad)z + (z.grad)y in Lamb form, w_z (y2, -y1) + w_y (z2, -z1), plus a pressure
+    conv = w * y.u_turn + y.w_turn * u[::-1]
+    return -project(y.basis, np.concatenate([stress, conv]), _SLOTS).sum(axis=0)
 
 
 def solve_linearized(y_traj: Trajectory, psi: Trajectory, params: ModelParams) -> Trajectory:
@@ -160,9 +179,8 @@ def _stress_pairing(y: Field, z: Field, phi: Field, params: ModelParams) -> floa
 
     The stress term of linearized_form and adjoint_form, whose (alpha1 + alpha2) part vanishes.
     """
-    y = FrozenState(y.basis, y.coeffs)
-    a_z, b_z, _ = strain_spin(to_grid(z, 1))
-    t11, t12 = tangent_stress(y.a, y.b, y.a_sq, a_z, b_z, params.beta)
+    ab, ab_z, ab_phi = (to_grid(f, rows=_STRAIN) for f in (y, z, phi))
+    # S'(y)[z] = beta (|A|^2 A(z) + 2 (A(y) : A(z)) A(y)), |A|^2 = 2 (a^2 + b^2)
+    t = params.beta * (2.0 * np.sum(ab * ab, axis=0) * ab_z + 4.0 * np.sum(ab * ab_z, axis=0) * ab)
     # T : grad phi = T : A(phi) / 2 = t11 a_phi + t12 b_phi for traceless symmetric T
-    a_phi, b_phi, _ = strain_spin(to_grid(phi, 1))
-    return phi.basis.quad(t11 * a_phi + t12 * b_phi)
+    return y.basis.quad(np.sum(t * ab_phi, axis=0))

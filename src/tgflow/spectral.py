@@ -22,29 +22,45 @@ D_mn = 1 + alpha1 lambda, hence (h, h)_W = mu (h, h)_V with mu = 2 + alpha1 lamb
 Grids and transforms
 --------------------
 All pointwise work happens on the (G + 1) x (G + 1) tensor grid x_j = pi j / G,
-j = 0..G, over the square itself (G = grid_size, both walls included).  Each
-mode is a product of one sin/cos in x and one in y (sin x cos for u1, cos x
-sin for u2), so the basis stores per-axis tables only: for both components,
-the x- and y-factors of the six partials 1, d_x, d_y, d_xx, d_xy, d_yy,
-stacked and contiguous.  Every right-hand side makes one pass through three
-kernels:
+j = 0..G, over the square itself (G = grid_size, both walls included).  Every
+scalar field the package forms from a mode is one product sin/cos(m x) times
+sin/cos(n y) with its own (M, M) amplitude over the modes: the velocity
+components and their partials, and, with s = s_mn and lam = m^2 + n^2, the
+components of the strain A(u) = [[a, b], [b, -a]] and the spin w,
 
-- synthesis (to_grid): with C the (M, M) coefficient matrix, all partials of
-  both components up to the requested order come out of two batched matrix
-  products, X_p^T (C * amp) Y_p, as one (2, n, G + 1, G + 1) grid.  No
-  derivative is ever taken of grid data;
-- pointwise algebra on named components: in 2D A(y) = [[a, b], [b, -a]], so
-  A^2 = (a^2 + b^2) I and A B + B A = (A : B) I are pressures, which no
-  projection sees, and are never formed; each stress is a traceless triple
-  (t11, t12, -t11) of plain ufunc expressions in a, b and the spin w
-  (strain_spin, advect_strain, stress, tangent_stress);
-- projection (project), the transpose of synthesis: one stacked grid is paired
-  slot by slot with the test partials 1, d_x, d_y of every mode in one batched
-  product, c_i = (1 + alpha1 lam_i) quad(g . d^s h_i).  A force F fills the
-  value slot and a stress T, by summation by parts for P div T, the d_x and
-  d_y slots as -T[:, 0] and -T[:, 1]; to_coeffs and project_div are the one-
-  and two-slot cases.  The trapezoid weights sit in the test tables, so no
-  pass over the grid applies them.
+    a = d_x u1 - d_y u2 = 2 s m n cos cos,     b = d_y u1 + d_x u2 = s (m^2 - n^2) sin sin,
+    w = d_y u1 - d_x u2 = -s lam sin sin,
+
+the partials of a and b, and the spin w_v = (1 + alpha1 lam) w of v(u).  The
+basis stores one table of these named fields (FIELDS; `fields` names a run of
+its rows) and, for the fields anything is tested against, one projection table
+(SLOTS; `slots` names a run).  Every right-hand side makes one pass through
+three kernels:
+
+- synthesis (to_grid with rows): with C the (M, M) coefficient matrix, the K
+  fields a kernel reads come out of one multiply and two batched matrix products,
+  X_k^T (C * amp_k) Y_k, as one (K, G + 1, G + 1) grid.  No derivative is
+  ever taken of grid data;
+- pointwise algebra on stacked (2, Q, Q) pairs such as (u1, u2) and (a, b).
+  In 2D, A^2 = (a^2 + b^2) I and A B + B A = (A : B) I are pressures, which no
+  projection sees, and are never formed; each stress is the pair (t11, t12)
+  of the traceless (t11, t12, -t11).  Convection is taken in Lamb form,
+  (u . grad) u = grad(|u|^2 / 2) + w (u2, -u1), and so is its linearization
+  (y . grad) z + (z . grad) y = grad(y . z) + w_z (y2, -y1) + w_y (z2, -z1)
+  and the adjoint force (grad q)^T v + (q . grad) v = grad(q . v) + w_v (q2, -q1):
+  the gradients are pressures too, so the kernels form the w terms from fields
+  they already hold.  The adjoint's (y . grad) q - (q . grad) y is the curl of
+  psi = q1 y2 - q2 y1, which vanishes on the walls, so it pairs with h as
+  -(psi, w(h)): one scalar grid tested against w;
+- projection (project), the transpose of synthesis: grid k is paired with
+  slot row k of every mode in one batched product,
+  c_i = (1 + alpha1 lam_i) quad(g_k f_k(h_i)).  A force fills the u1 and u2
+  slots and a deviatoric stress, by summation by parts for P div T, the a and
+  b slots, since T : grad h = t11 a(h) + t12 b(h).  The trapezoid weights sit
+  in the projection tables, so no pass over the grid applies them.
+
+to_grid by order, to_coeffs and project_div are the velocity cases of the two
+transforms.
 
 Quadrature is the trapezoid rule per axis, weights h (1/2, 1, ..., 1, 1/2)
 with h = pi / G (quad, pair_velocity).  Every field and derivative here is
@@ -77,22 +93,25 @@ from .params import ModelParams
 __all__ = [
     "SpectralBasis",
     "Field",
+    "FIELDS",
+    "SLOTS",
+    "fields",
+    "slots",
     "build_basis",
     "default_grid_size",
     "min_grid_size",
-    "to_grid",
     "project",
+    "to_grid",
     "to_coeffs",
     "project_div",
     "invert_modified_stokes",
     "apply_modified_stokes",
     "advect",
     "trilinear_b",
+    "turn",
     "strain",
     "frobenius",
-    "strain_spin",
-    "advect_strain",
-    "tangent_stress",
+    "deviator",
     "stress",
     "norm_weights",
     "norms",
@@ -100,12 +119,82 @@ __all__ = [
 
 NORM_KINDS = ("L2", "V", "W", "H1", "H2", "H3", "W14")
 
-# (a, b) of the synthesis slots d_x^a d_y^b: 1, d_x, d_y, d_xx, d_xy, d_yy
-PARTIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
-_N_PARTIALS = (1, 3, 6)  # slots holding the partials up to order 0, 1, 2
-# Test partials of the projection slots: 1, d_x, d_y and 1 again, so that one
-# product also carries a second value-tested grid that keeps its own weight.
-_TESTS = PARTIALS[:3] + PARTIALS[:1]
+# Base fields as sums of velocity partials (sign, component, x order, y order).
+_BASE_FIELDS = {
+    "u1": ((1, 0, 0, 0),),
+    "u2": ((1, 1, 0, 0),),
+    "a": ((1, 0, 1, 0), (-1, 1, 0, 1)),  # d_x u1 - d_y u2
+    "b": ((1, 0, 0, 1), (1, 1, 1, 0)),  # d_y u1 + d_x u2
+    "w": ((1, 0, 0, 1), (-1, 1, 1, 0)),  # d_y u1 - d_x u2
+}
+# The rows of the field table: a base field, then "_" and one letter per partial
+# (u1_xy = d_x d_y u1, a_x = d_x a); w_v is the spin of v(u) = u - alpha1 Lap u.
+# Synthesis reads, and projection writes, one contiguous run of rows, so this
+# order is what every caller rests on; `fields` and `slots` raise at import
+# when a run a module asks for does not exist.  The runs: the state rhs reads
+# a_x .. u2, the frozen state w_v .. u2, the adjoint a .. u2; to_grid's orders
+# 0, 1 and 2 are the velocity partials u1 .. u2 (partial-major, _PARTIALS),
+# u1 .. u2_y and u1 .. u2_yy.
+_PARTIALS = tuple(f"u{c}{d}" for d in ("", "_x", "_y", "_xx", "_xy", "_yy") for c in (1, 2))
+FIELDS = ("w_v", "a_x", "b_x", "a_y", "b_y", "w", "a", "b") + _PARTIALS
+# The rows that are ever projected, a run of FIELDS: the adjoint writes w .. u2,
+# the state and linearized rhs a .. u2, to_coeffs u1, u2 and project_div the
+# velocity gradient u1_x .. u2_y.
+SLOTS = ("w", "a", "b", "u1", "u2", "u1_x", "u2_x", "u1_y", "u2_y")
+
+
+def _run(table: tuple, names: tuple) -> slice:
+    k = len(names)
+    for start in range(len(table) - k + 1):
+        if table[start : start + k] == names:
+            return slice(start, start + k)
+    raise ValueError(f"no run of rows reads {names}")
+
+
+def fields(*names: str) -> slice:
+    """The rows of the field table holding exactly these named fields, in this order."""
+    return _run(FIELDS, names)
+
+
+def slots(*names: str) -> slice:
+    """The rows of the projection tables testing against exactly these named fields, in order."""
+    return _run(SLOTS, names)
+
+
+def _derivative(kind: int, order: int) -> tuple:
+    """(kind', sign): d^order of sin(k x) (kind 0) or cos(k x) (kind 1) is sign k^order kind'."""
+    sign = 1
+    for _ in range(order):  # d sin(k x) = k cos(k x), d cos(k x) = -k sin(k x)
+        sign, kind = (-sign if kind else sign), 1 - kind
+    return kind, sign
+
+
+def _field_table() -> tuple:
+    """Per row of FIELDS: the sin (0) or cos (1) kind of its x- and y-factor, its
+    terms (coef, m power, n power), amplitude s_mn sum coef m^m_power n^n_power,
+    and whether it is a field of v(u)."""
+    kinds, terms = [], []
+    for name in FIELDS:
+        base, _, partial = name.partition("_")
+        row = [(0, 0, 0)] * 2
+        for t, (sign, c, i, j) in enumerate(_BASE_FIELDS[base]):
+            # u1 = s n sin(m x) cos(n y), u2 = -s m cos(m x) sin(n y): component
+            # c has x-factor kind c and y-factor kind 1 - c
+            i, j = i + partial.count("x"), j + partial.count("y")
+            kx, sign_x = _derivative(c, i)
+            ky, sign_y = _derivative(1 - c, j)
+            row[t] = (sign * sign_x * sign_y * (-1) ** c, i + c, j + 1 - c)
+        kinds.append((kx, ky))  # equal for every term of a base field
+        terms.append(row)
+    return np.array(kinds), np.array(terms), np.array([name.endswith("_v") for name in FIELDS])
+
+
+_KINDS, _TERMS, _OF_V = _field_table()
+_VELOCITY = tuple(fields(*_PARTIALS[:n]) for n in (2, 6, 12))  # to_grid orders 0, 1, 2
+_PROJECTED = fields(*SLOTS)
+_VELOCITY_SLOTS = slots("u1", "u2")
+_GRADIENT_SLOTS = slots("u1_x", "u2_x", "u1_y", "u2_y")
+_SIGNS = np.array([1.0, -1.0])[:, None, None]
 
 
 def min_grid_size(max_mode: int) -> int:
@@ -124,13 +213,13 @@ class SpectralBasis:
 
     modes, lam and mu are aligned arrays over the M^2 modes in lexicographic
     (m, n) order, so a coefficient vector reshaped to (M, M) is indexed by
-    (m - 1, n - 1).  For component c (u1: sin x cos, u2: cos x sin) the tables
-    hold the x- and y-factors of each PARTIALS slot p on the Q = grid_size + 1
-    grid points of [0, pi]: synth_x[c] stacks the (Q, M) x-factors of the six
-    slots row-wise, synth_y[c, p] is the (M, Q) y-factor; test_x and test_y are
-    the same factors, transposed and multiplied by the trapezoid weights, for
-    the projection slots.  amp holds the (M, M) factors s_mn n and -s_mn m of
-    the two components, and weights the (Q,) trapezoid weights of one axis.
+    (m - 1, n - 1).  Row f of the field tables is the named field FIELDS[f] on
+    the Q = grid_size + 1 grid points of [0, pi]: field_x[f] (Q, M) and
+    field_y[f] (M, Q) hold its x- and y-factors, sin or cos of k x, and
+    field_amp[f] its (M, M) amplitude over the modes.  Row k of proj_x, proj_y
+    and proj_amp is the same for the field SLOTS[k], transposed, multiplied by
+    the trapezoid weights and by 1 + alpha1 lam, for the projection.  weights
+    holds the (Q,) trapezoid weights of one axis.
     """
 
     max_mode: int
@@ -140,12 +229,13 @@ class SpectralBasis:
     lam: np.ndarray            # (n_modes,) Stokes eigenvalue m^2 + n^2
     mu: np.ndarray             # (n_modes,) W/V eigenratio 2 + alpha1 lam
     vmult: np.ndarray          # (n_modes,) 1 + alpha1 lam, the action of v
-    synth_x: np.ndarray = field(repr=False)  # (2, 6 Q, M)
-    synth_y: np.ndarray = field(repr=False)  # (2, 6, M, Q)
-    test_x: np.ndarray = field(repr=False)   # (2, 4, M, Q), weighted
-    test_y: np.ndarray = field(repr=False)   # (2, 4, Q, M), weighted
-    amp: np.ndarray = field(repr=False)      # (2, M, M) component factors of each mode
-    weights: np.ndarray = field(repr=False)  # (Q,) trapezoid weights on [0, pi]
+    field_x: np.ndarray = field(repr=False)    # (F, Q, M)
+    field_y: np.ndarray = field(repr=False)    # (F, M, Q)
+    field_amp: np.ndarray = field(repr=False)  # (F, M, M)
+    proj_x: np.ndarray = field(repr=False)     # (S, M, Q), weighted
+    proj_y: np.ndarray = field(repr=False)     # (S, Q, M), weighted
+    proj_amp: np.ndarray = field(repr=False)   # (S, M, M), times 1 + alpha1 lam
+    weights: np.ndarray = field(repr=False)    # (Q,) trapezoid weights on [0, pi]
 
     @property
     def n_modes(self) -> int:
@@ -211,24 +301,27 @@ def build_basis(max_mode: int, alpha1: float, grid_size: int | None = None) -> S
             f"grid_size {grid_size} below the exact-quadrature minimum {min_grid_size(max_mode)}"
         )
 
-    Q = grid_size + 1
+    M, Q = max_mode, grid_size + 1
     x = math.pi * np.arange(Q) / grid_size
     weights = np.full(Q, math.pi / grid_size)  # trapezoid rule: h (1/2, 1, ..., 1, 1/2)
     weights[[0, -1]] *= 0.5
-    k = np.arange(1, max_mode + 1)[:, None]
-    sin_kx, cos_kx = np.sin(k * x), np.cos(k * x)
-    # d-th derivatives, d = 0..2, of sin(k x) and cos(k x), each (M, Q)
-    sin = (sin_kx, k * cos_kx, -(k * k) * sin_kx)
-    cos = (cos_kx, -k * sin_kx, -(k * k) * cos_kx)
-    factors = ((sin, cos), (cos, sin))  # (x, y) factors of u1 and u2
+    k = np.arange(1, M + 1, dtype=float)
+    tables = np.array([np.sin(k[:, None] * x), np.cos(k[:, None] * x)])  # (2, M, Q)
 
-    modes = np.array([(m, n) for m in range(1, max_mode + 1) for n in range(1, max_mode + 1)])
+    modes = np.stack(np.meshgrid(k, k, indexing="ij"), axis=-1).reshape(-1, 2).astype(int)
     lam = (modes[:, 0] ** 2 + modes[:, 1] ** 2).astype(float)
     vmult = 1.0 + alpha1 * lam
     mu = 1.0 + vmult
     # unit V-norm: ||h_raw||_V^2 = (1 + alpha1 lam) lam pi^2 / 4
-    scale = 1.0 / np.sqrt(vmult * lam * math.pi ** 2 / 4.0)
-    amp = np.stack([scale * modes[:, 1], -scale * modes[:, 0]]).reshape(2, max_mode, max_mode)
+    scale = (1.0 / np.sqrt(vmult * lam * math.pi ** 2 / 4.0)).reshape(M, M)
+    # amplitude of row f: scale * sum over its terms of coef m^m_power n^n_power
+    powers = k ** np.arange(_TERMS[..., 1:].max() + 1)[:, None]  # powers[p] = k^p
+    coef, m_factor, n_factor = _TERMS[..., 0], powers[_TERMS[..., 1]], powers[_TERMS[..., 2]]
+    terms = coef[..., None, None] * m_factor[..., :, None] * n_factor[..., None, :]
+    amp = scale * terms.sum(axis=1)
+    amp[_OF_V] *= vmult.reshape(M, M)
+    x_tables, y_tables = tables[_KINDS[:, 0]], tables[_KINDS[:, 1]]  # (F, M, Q)
+    p = _PROJECTED
 
     return SpectralBasis(
         max_mode=int(max_mode),
@@ -238,46 +331,49 @@ def build_basis(max_mode: int, alpha1: float, grid_size: int | None = None) -> S
         lam=lam,
         mu=mu,
         vmult=vmult,
-        synth_x=np.array([[fx[a].T for a, _ in PARTIALS] for fx, _ in factors]).reshape(
-            2, len(PARTIALS) * Q, max_mode
-        ),
-        synth_y=np.array([[fy[b] for _, b in PARTIALS] for _, fy in factors]),
-        test_x=np.array([[fx[a] * weights for a, _ in _TESTS] for fx, _ in factors]),
-        test_y=np.array([[(fy[b] * weights).T for _, b in _TESTS] for _, fy in factors]),
-        amp=amp,
+        field_x=np.ascontiguousarray(x_tables.transpose(0, 2, 1)),
+        field_y=y_tables,
+        field_amp=amp,
+        proj_x=x_tables[p] * weights,
+        proj_y=np.ascontiguousarray((y_tables[p] * weights).transpose(0, 2, 1)),
+        proj_amp=amp[p] * vmult.reshape(M, M),
         weights=weights,
     )
 
 
-def to_grid(f: Field, order: int = 0) -> np.ndarray:
-    """Synthesize a Field and its partials up to order (0, 1 or 2) on the grid.
+def _synthesize(f: Field, rows: slice) -> np.ndarray:
+    b = f.basis
+    coef = f.coeffs.reshape(b.max_mode, b.max_mode) * b.field_amp[rows]
+    return b.field_x[rows] @ coef @ b.field_y[rows]
 
-    order 0 gives the (2, Q, Q) velocity.  Orders 1 and 2 give the (2, n, Q, Q)
-    grid g[i, p] = d^p f_i over the first n = 3 or 6 PARTIALS slots, so
-    g[:, 1:3] is the Jacobian J[i, j] = d_j f_i.
+
+def to_grid(f: Field, order: int = 0, rows: slice | None = None) -> np.ndarray:
+    """Synthesize a Field on the grid: the named fields in rows, or its partials up to order.
+
+    rows (see `fields`), when given, selects K named fields, returned as one
+    (K, Q, Q) grid in one multiply and two batched products; this is how every
+    rhs kernel reads its fields.  Otherwise order 0 gives the (2, Q, Q)
+    velocity, and orders 1 and 2 the (2, n, Q, Q) grid g[i, p] = d^p f_i over
+    the first n = 3 or 6 partials 1, d_x, d_y, d_xx, d_xy, d_yy, so g[:, 1:3]
+    is the Jacobian J[i, j] = d_j f_i.
     """
+    if rows is not None:
+        return _synthesize(f, rows)
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
-    b = f.basis
-    M, Q, n = b.max_mode, b.n_points, _N_PARTIALS[order]
-    coef = f.coeffs.reshape(M, M) * b.amp
-    g = (b.synth_x[:, : n * Q] @ coef).reshape(2, n, Q, M) @ b.synth_y[:, :n]
-    return g[:, 0] if order == 0 else g
+    g = _synthesize(f, _VELOCITY[order])
+    return g if order == 0 else g.reshape(-1, 2, *g.shape[1:]).swapaxes(0, 1)
 
 
-def project(basis: SpectralBasis, g: np.ndarray, first: int = 0) -> np.ndarray:
-    """Pair a (2, k, Q, Q) grid slot by slot with the test partials of every mode.
+def project(basis: SpectralBasis, grids: np.ndarray, rows: slice) -> np.ndarray:
+    """Pair (K, Q, Q) grids slot by slot with the K fields in rows (see `slots`) of every mode.
 
-    Slot s is tested against partial first + s of the sequence 1, d_x, d_y, 1;
-    row s of the (k, n_modes) result is (1 + alpha1 lam_i) quad(g[:, s] . d h_i),
-    all k slots in one batched product.
+    Row k of the (K, n_modes) result is (1 + alpha1 lam_i) quad(grids[k] f_k(h_i)),
+    all K slots in one batched product.
     """
     b = basis
-    k = g.shape[1]
-    tests = slice(first, first + k)
-    r = b.test_x[:, tests] @ (g @ b.test_y[:, tests])
-    vmult = b.vmult.reshape(b.max_mode, b.max_mode)
-    return ((r[0] * b.amp[0] + r[1] * b.amp[1]) * vmult).reshape(k, b.n_modes)
+    r = b.proj_x[rows] @ grids @ b.proj_y[rows]
+    return (r * b.proj_amp[rows]).reshape(-1, b.n_modes)
 
 
 def to_coeffs(basis: SpectralBasis, vel: np.ndarray) -> Field:
@@ -290,7 +386,7 @@ def to_coeffs(basis: SpectralBasis, vel: np.ndarray) -> Field:
     Q = basis.n_points
     if vel.shape != (2, Q, Q):
         raise ShapeMismatch(f"expected velocity grid of shape (2, {Q}, {Q}), got {vel.shape}")
-    return Field(project(basis, vel[:, None])[0], basis)
+    return Field(project(basis, vel, _VELOCITY_SLOTS).sum(axis=0), basis)
 
 
 def project_div(basis: SpectralBasis, t: np.ndarray) -> Field:
@@ -299,7 +395,8 @@ def project_div(basis: SpectralBasis, t: np.ndarray) -> Field:
     Summation by parts gives c_i = -(1 + alpha1 lam_i) quad(T : grad h_i), so
     T itself is never differentiated.
     """
-    return Field(-project(basis, t, first=1).sum(axis=0), basis)
+    grids = np.swapaxes(t, 0, 1).reshape(4, *t.shape[2:])  # T[i, j] tests d_j h_i
+    return Field(-project(basis, grids, _GRADIENT_SLOTS).sum(axis=0), basis)
 
 
 def apply_modified_stokes(f: Field, alpha1: float) -> Field:
@@ -327,59 +424,50 @@ def trilinear_b(phi: Field, z: Field, y: Field) -> float:
     return phi.basis.pair_velocity(adv, to_grid(y))
 
 
-# -- pointwise algebra: symmetric tensors as (t11, t12, t22) --------------------
+# -- pointwise algebra on stacked (2, Q, Q) pairs --------------------------------
+
+
+def turn(w) -> np.ndarray:
+    """(w, -w) stacked, so that turn(w) * p[::-1] = w (p2, -p1) for a stacked pair p.
+
+    For p = u that is the Lamb form w (u2, -u1) of (u . grad) u, and for
+    p = (a, b) minus the spin term of the upper convected derivative of A.
+    """
+    return w * _SIGNS
 
 
 def strain(g: np.ndarray) -> tuple:
-    """A = grad y + (grad y)^T from a synthesised grid of y of order >= 1."""
+    """A = grad y + (grad y)^T as (A11, A12, A22) from a synthesised grid of y of order >= 1."""
     return 2.0 * g[0, 1], g[0, 2] + g[1, 1], 2.0 * g[1, 2]
 
 
 def frobenius(a, b) -> np.ndarray:
-    """Pointwise A : B of two symmetric tensors."""
+    """Pointwise A : B of two symmetric tensors given as (t11, t12, t22)."""
     return a[0] * b[0] + 2.0 * (a[1] * b[1]) + a[2] * b[2]
 
 
-def strain_spin(g: np.ndarray) -> tuple:
-    """(a, b, w), A(y) = [[a, b], [b, -a]] and spin w = d_y y1 - d_x y2, from g of order >= 1.
+def deviator(params: ModelParams, u, w_turn, ab, ab_x, ab_y) -> np.ndarray:
+    """(t11, t12) of the deviator of N(y) + S(y) from the named fields of y.
 
-    The difference form of a keeps A exactly traceless under roundoff.
-    """
-    return g[0, 1] - g[1, 2], g[0, 2] + g[1, 1], g[0, 2] - g[1, 1]
-
-
-def advect_strain(w: np.ndarray, x: np.ndarray) -> tuple:
-    """((w . grad) a, (w . grad) b) of A(x) = [[a, b], [b, -a]], x of order 2."""
-    d = w[0, 0] * x[:, 3:5] + w[1, 0] * x[:, 4:6]  # d[i, j] = (w . grad) d_j x_i
-    return d[0, 0] - d[1, 1], d[0, 1] + d[1, 0]
-
-
-def tangent_stress(a, b, a_sq: np.ndarray, a_z, b_z, beta: float) -> tuple:
-    """(t11, t12) of beta (|A|^2 B + 2 (A : B) A), t22 = -t11, with a_sq = |A|^2.
-
-    At A = A(y) = [[a, b], [b, -a]] and B = A(z) = [[a_z, b_z], [b_z, -a_z]] this is
-    S'(y)[z]; the (alpha1 + alpha2)(A B + B A) = (alpha1 + alpha2)(A : B) I term
-    of the weak forms is a pressure, so it is their whole tangent stress.
-    """
-    cubic = beta * a_sq
-    cross = (4.0 * beta) * (a * a_z + b * b_z)  # 2 beta A : B
-    return cubic * a_z + cross * a, cubic * b_z + cross * b
-
-
-def stress(params: ModelParams, g: np.ndarray) -> tuple:
-    """Deviatoric part of N(y) + S(y) from the order-2 synthesised grid g of y.
-
+    u = (u1, u2), ab = (a, b), ab_x and ab_y their partials, w_turn = turn(w)
+    of the spin w.
     N(y) = alpha1 (y . grad A + J^T A + A J) + alpha2 A^2 and S(y) = beta |A|^2 A.
     With J = grad y, A J + J^T A = A^2 + w [[-b, a], [a, b]], and A^2 = (a^2 + b^2) I
     is a pressure: only the convected and spin terms and S = 2 beta (a^2 + b^2) A remain.
     """
-    a, b, w = strain_spin(g)
+    a, b = ab
     cubic = (2.0 * params.beta) * (a * a + b * b)
-    t11, t12 = cubic * a, cubic * b
-    if params.alpha1 != 0.0:
-        ga, gb = advect_strain(g, g)
-        t11 = t11 + params.alpha1 * (ga - w * b)
-        t12 = t12 + params.alpha1 * (gb + w * a)
+    return cubic * ab + params.alpha1 * (u[0] * ab_x + u[1] * ab_y - w_turn * ab[::-1])
+
+
+def stress(params: ModelParams, g: np.ndarray) -> tuple:
+    """Deviatoric (t11, t12, -t11) of N(y) + S(y) from the order-2 grid g = to_grid(y, 2)."""
+
+    def pair(p, q):  # (d_p u1 - d_q u2, d_q u1 + d_p u2) from the partial slots p, q of g
+        return np.array([g[0, p] - g[1, q], g[0, q] + g[1, p]])
+
+    w_turn = turn(g[0, 2] - g[1, 1])
+    t11, t12 = deviator(params, g[:, 0], w_turn, pair(1, 2), pair(3, 4), pair(4, 5))
     return t11, t12, -t11
 
 

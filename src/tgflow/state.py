@@ -39,13 +39,13 @@ from .params import ModelParams
 from .spectral import (
     Field,
     SpectralBasis,
-    advect,
-    frobenius,
+    deviator,
+    fields,
     norm_weights,
     project,
-    strain,
-    stress,
+    slots,
     to_grid,
+    turn,
 )
 from .trajectory import Trajectory, check_same_grid
 
@@ -64,6 +64,10 @@ FP_TOL = 1e-10
 FP_MAX_ITER = 50
 # weights of the nodes k - 3..k (as many as exist) in the first iterate of step k
 _GUESS = tuple(np.array(w) for w in ([1.0], [-1.0, 2.0], [1.0, -3.0, 3.0], [-1.0, 4.0, -6.0, 4.0]))
+# the named fields the state rhs reads, and the slots it writes: stress, then force
+_FIELDS = fields("a_x", "b_x", "a_y", "b_y", "w", "a", "b", "u1", "u2")
+_SLOTS = slots("a", "b", "u1", "u2")
+_STRAIN = fields("a", "b")
 
 
 @dataclass(frozen=True)
@@ -84,12 +88,12 @@ class EnergyReport:
 
 def state_rhs_coeffs(basis: SpectralBasis, params: ModelParams, y_coeffs: np.ndarray) -> np.ndarray:
     """Projection coefficients of F(y) = -(y.grad)y + div N(y) + div S(y)."""
-    g = to_grid(Field(y_coeffs, basis), 2)
-    t11, t12, t22 = stress(params, g)
-    conv = advect(g, g)
-    # -F pairs (y.grad)y with h_i and, by summation by parts, N + S with grad h_i
-    grid = np.array([[conv[0], t11, t12], [conv[1], t12, t22]])
-    return -project(basis, grid).sum(axis=0)
+    g = to_grid(Field(y_coeffs, basis), rows=_FIELDS)
+    w_turn, ab, u = turn(g[4]), g[5:7], g[7:9]
+    # -F pairs, by summation by parts, the deviator (t11, t12) of N + S with
+    # (a, b)(h_i) and (y.grad)y, in Lamb form w (y2, -y1) plus a pressure, with h_i
+    grids = np.concatenate([deviator(params, u, w_turn, ab, g[0:2], g[2:4]), w_turn * u[::-1]])
+    return -project(basis, grids, _SLOTS).sum(axis=0)
 
 
 def march(
@@ -97,7 +101,8 @@ def march(
 ) -> np.ndarray:
     """Advance a0 by n_steps Crank-Nicolson/midpoint steps; return all n_steps + 1 nodes.
 
-    Step k solves a_{k+1} = (numer a_k + dt rhs(mid)) / denom, mid = (a_k + a_{k+1}) / 2,
+    Step k solves a_{k+1} = decay a_k + gain rhs(mid), mid = (a_k + a_{k+1}) / 2, with
+    decay = (1 - imp) / (1 + imp), gain = dt / (1 + imp) and imp = dt nu lam / (2 vmult),
     for rhs = rhs_at(k) by fixed-point iteration from the polynomial through the last
     min(k, 3) + 1 nodes: 2 a_1 - a_0, 3 a_2 - 3 a_1 + a_0, then 4 a_k - 6 a_{k-1} + ...
     A step that does not converge raises FixedPointDiverged with its index k.
@@ -105,27 +110,31 @@ def march(
     if dt <= 0:
         raise ValueError("dt must be positive")
     imp = 0.5 * dt * params.nu * basis.lam / basis.vmult
-    numer, denom = 1.0 - imp, 1.0 + imp
+    decay, gain = (1.0 - imp) / (1.0 + imp), dt / (1.0 + imp)
     nodes = np.empty((n_steps + 1, basis.n_modes))
     nodes[0] = a0
+    check = np.empty((2, basis.n_modes))  # |a_next - a_new| and |a_next|
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
             rhs = rhs_at(k)
             a_prev = nodes[k]
-            cn_part = numer * a_prev
+            base = decay * a_prev
             a_new = _GUESS[min(k, 3)] @ nodes[max(k - 3, 0) : k + 1]
             residuals = []
             for _ in range(FP_MAX_ITER):
-                a_next = (cn_part + dt * rhs(0.5 * (a_prev + a_new))) / denom
+                a_next = base + gain * rhs(0.5 * (a_prev + a_new))
+                np.subtract(a_next, a_new, out=check[0])
+                check[1] = a_next
+                change, size = np.abs(check, out=check).max(axis=1)
                 # a NaN or inf in a_next makes scale non-finite
-                scale = max(float(np.abs(a_next).max()), 1e-30)
+                scale = max(float(size), 1e-30)
                 if not math.isfinite(scale):
                     raise FixedPointDiverged(
                         "midpoint iteration produced non-finite values; dt is too large",
                         step=k,
                         residuals=residuals,
                     )
-                res = float(np.abs(a_next - a_new).max()) / scale
+                res = float(change) / scale
                 residuals.append(res)
                 a_new = a_next
                 if res <= FP_TOL:
@@ -159,9 +168,9 @@ def solve_state(y0: Field, control: Trajectory, params: ModelParams) -> Trajecto
 
 
 def _strain_quartic(basis: SpectralBasis, coeffs: np.ndarray) -> float:
-    """int_D |A(y)|^4 dx of the field with the given coefficients."""
-    a = strain(to_grid(Field(coeffs, basis), 1))
-    return basis.quad(frobenius(a, a) ** 2)
+    """int_D |A(y)|^4 dx of the field with the given coefficients, |A|^2 = 2 (a^2 + b^2)."""
+    a, b = to_grid(Field(coeffs, basis), rows=_STRAIN)
+    return basis.quad((2.0 * (a * a + b * b)) ** 2)
 
 
 def energy_report(traj: Trajectory, params: ModelParams) -> EnergyReport:

@@ -4,8 +4,10 @@ import os
 import numpy as np
 import pytest
 
-from tgflow import build_basis, errors
+from tgflow import build_basis, errors, validate_params
 from tgflow.cli import main
+from tgflow.control import CostConfig, eval_cost
+from tgflow.spectral import Field
 from tgflow.storage import load_trajectory, save_trajectory
 from tgflow.trajectory import Trajectory, time_grid
 
@@ -85,6 +87,32 @@ def test_optimize_manufactured_target(tmp_path):
     assert lines[0].startswith("iteration,cost")
     costs = [float(line.split(",")[1]) for line in lines[1:]]
     assert all(b < a for a, b in zip(costs, costs[1:]))
+
+
+def test_optimize_stopped_by_max_iter_reports_the_saved_control(tmp_path):
+    """final_cost is the cost of the saved control.traj, and cost_history.csv and
+    line_search_trials hold one row per iterate, the returned control included."""
+    gen = write(tmp_path / "gen.ini", MODEL + DISC + "\n[control]\nmode = 1,2\namplitude = 0.5\n")
+    assert main(["simulate", "--config", gen, "--out", str(tmp_path / "target")]) == 0
+    opt = write(
+        tmp_path / "opt.ini",
+        MODEL + DISC + "\n[init]\nmode = 1,1\namplitude = 0.2\n"
+        "\n[cost]\nlambda = 1e-6\nK = 5.0\ntarget_path = target/state.traj\n"
+        "\n[opt]\nmax_iter = 2\ntol = 1e-12\n",
+    )
+    out = tmp_path / "opt_out"
+    assert main(["optimize", "--config", opt, "--out", str(out)]) == 0
+    report = json.loads((out / "optimize_report.json").read_text())
+    assert (report["iterations"], report["termination"]) == (2, "max_iter reached")
+    assert len((out / "cost_history.csv").read_text().splitlines()) == 1 + 3
+    assert len(report["line_search_trials"]) == 3 and report["line_search_trials"][-1] == 0
+    control = load_trajectory(str(out / "control.traj"))
+    basis = control.basis
+    y0 = Field(np.eye(basis.n_modes)[0] * 0.2, basis)
+    target = load_trajectory(str(tmp_path / "target" / "state.traj")).with_kind("target")
+    params = validate_params(nu=1.0, alpha1=0.5, alpha2=-0.2, beta=0.4)
+    cost, _ = eval_cost(control, y0, CostConfig(target, 1e-6, 5.0), params)
+    assert report["final_cost"] == cost
 
 
 def test_taylor_command(tmp_path):

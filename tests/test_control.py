@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_field, random_traj
+from tgflow import control
 from tgflow.control import (
     CostConfig,
     OptimizeOptions,
@@ -218,3 +219,25 @@ def test_gradient_consistent_at_returned_control(setup, basis, params, rng):
     jm, _ = eval_cost(Trajectory(times, u_star.coeffs - rho * psi.coeffs, basis, "control"), y0, cfg, params)
     fd = (jp - jm) / (2.0 * rho)
     assert abs(fd - pred) <= 1e-4 * max(abs(fd), 1e-12)
+
+
+def test_max_iter_exit_records_the_returned_control(setup, basis, params, rng, monkeypatch):
+    """A run stopped by max_iter ends with a row for the control it returns: its
+    cost bit for bit, step 0.0 and no line-search trial; each earlier row counts
+    the state solves its line search made."""
+    solves = []
+    monkeypatch.setattr(control, "solve_state", lambda *a: solves.append(1) or solve_state(*a))
+    times, y0, u_true, target = setup
+    cfg = CostConfig(target.with_kind("target"), 1e-6, 2.0 * norm_l2h1_trap(u_true))
+    opts = OptimizeOptions(max_iter=3, tol=1e-12)
+    u_star, report = optimize(zero_traj(basis, times), y0, cfg, params, opts, rng)
+    assert (report.converged, report.termination, report.n_iter) == (False, "max_iter reached", 3)
+    rows = (
+        report.cost, report.step_size, report.grad_norm, report.grad_mapping,
+        report.constraint_active, report.control_norm, report.line_search_trials,
+    )
+    assert all(len(column) == report.n_iter + 1 for column in rows)
+    assert (report.step_size[-1], report.line_search_trials[-1]) == (0.0, 0)
+    assert all(trials >= 1 for trials in report.line_search_trials[:-1])
+    assert len(solves) == 1 + sum(report.line_search_trials)  # the first gradient, then trials
+    assert report.cost[-1] == eval_cost(u_star, y0, cfg, params)[0]

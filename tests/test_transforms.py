@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import random_field
-from oracles import l2_norm_oracle, mode_hessian, mode_jacobian, mode_velocity
+from oracles import l2_norm_oracle, mode_hessian, mode_jacobian, mode_scale, mode_velocity
+from tgflow import build_basis
 from tgflow.errors import ShapeMismatch
 from tgflow.spectral import (
+    FIELDS,
     Field,
+    fields,
     norms,
     project_div,
     to_coeffs,
@@ -29,8 +32,48 @@ def test_l2_norm_matches_dense_quadrature(basis, rng):
     assert abs(norms(f, "L2") - ref) / ref <= 1e-10
 
 
+def _named_fields(m, n, alpha1, x):
+    """Every named field of the unit mode (m, n) on the grid nodes x, with a bound of its size.
+
+    Velocity partials come from the analytic mode formulas; a, b, w, the spin
+    w_v of v(h) and the partials of a and b are the hand-derived tensor products.
+    A field with k derivatives is bounded by s lam^((k + 1) / 2), also where it vanishes.
+    """
+    s = mode_scale(m, n, alpha1)
+    lam = float(m * m + n * n)
+    bound = [s * lam ** ((k + 1) / 2) for k in range(3)]
+    X, Y = x[:, None], x[None, :]
+    sx, cx, sy, cy = np.sin(m * X), np.cos(m * X), np.sin(n * Y), np.cos(n * Y)
+    vel = mode_velocity(m, n, alpha1, x)
+    jac = mode_jacobian(m, n, alpha1, x)  # [i, j] = d_j h_i
+    hess = mode_hessian(m, n, alpha1, x)  # [k, i, j] = d_k d_j h_i
+    out = {}
+    for i, c in enumerate("12"):
+        out[f"u{c}"] = (vel[i], bound[0])
+        out[f"u{c}_x"], out[f"u{c}_y"] = (jac[i, 0], bound[1]), (jac[i, 1], bound[1])
+        out[f"u{c}_xx"], out[f"u{c}_xy"] = (hess[0, i, 0], bound[2]), (hess[0, i, 1], bound[2])
+        out[f"u{c}_yy"] = (hess[1, i, 1], bound[2])
+    d = m * m - n * n
+    out.update(
+        a=(2 * s * m * n * cx * cy, bound[1]),
+        b=(s * d * sx * sy, bound[1]),
+        w=(-s * lam * sx * sy, bound[1]),
+        w_v=(-(1.0 + alpha1 * lam) * s * lam * sx * sy, (1.0 + alpha1 * lam) * bound[1]),
+        a_x=(-2 * s * m * m * n * sx * cy, bound[2]),
+        a_y=(-2 * s * m * n * n * cx * sy, bound[2]),
+        b_x=(s * m * d * cx * sy, bound[2]),
+        b_y=(s * n * d * sx * cy, bound[2]),
+    )
+    return out
+
+
 def test_single_mode_derivatives_match_closed_forms(basis):
-    """Synthesised values, first and second derivatives of single modes at the grid points."""
+    """Synthesised values, first and second derivatives of single modes at the grid points.
+
+    Through to_grid's slots, and through every named field of the table the
+    rhs kernels synthesize, at M = 3 and 16; the modes with m = n, where b and
+    its partials vanish, are held to the same bound.
+    """
     x = math.pi * np.arange(basis.n_points) / basis.grid_size
     for i in (0, 5, 9, basis.n_modes - 1):
         m, n = basis.modes[i]
@@ -44,6 +87,16 @@ def test_single_mode_derivatives_match_closed_forms(basis):
         ]
         for got, want in pairs:
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    for max_mode in (3, 16):
+        b = build_basis(max_mode, basis.alpha1)
+        x = math.pi * np.arange(b.n_points) / b.grid_size
+        for i in (0, 1, max_mode, max_mode + 2, b.n_modes - 1):
+            m, n = b.modes[i]
+            want = _named_fields(m, n, b.alpha1, x)
+            assert set(want) == set(FIELDS)
+            for name, (closed, bound) in want.items():
+                got = to_grid(Field(np.eye(b.n_modes)[i], b), rows=fields(name))[0]
+                assert np.max(np.abs(got - closed)) <= 1e-13 * bound, (max_mode, (m, n), name)
 
 
 def test_project_div_of_strain_is_laplacian(basis, rng):
