@@ -218,9 +218,10 @@ def _cmd_optimize(cfg: _Config, args) -> int:
         cost_cfg = CostConfig(y_d=y_d, lam=lam, radius=radius)
     except ValueError as exc:
         raise ConfigInvalid(f"cost: {exc}") from exc
-    opts = OptimizeOptions(max_iter=cfg.get("opt", "max_iter", int), tol=cfg.get("opt", "tol"))
-    if opts.max_iter < 1:
-        raise ConfigInvalid(f"opt.max_iter = {opts.max_iter} must be at least 1")
+    try:
+        opts = OptimizeOptions(max_iter=cfg.get("opt", "max_iter", int), tol=cfg.get("opt", "tol"))
+    except ValueError as exc:
+        raise ConfigInvalid(f"opt: {exc}") from exc
     u0 = Trajectory(times, np.zeros((times.size, basis.n_modes)), basis, "control")
     u_star, report = optimize(u0, y0, cost_cfg, params, opts, np.random.default_rng(seed))
     save_trajectory(
@@ -235,6 +236,7 @@ def _cmd_optimize(cfg: _Config, args) -> int:
         "converged": report.converged,
         "termination": report.termination,
         "line_search_trials": report.line_search_trials,
+        "direction": report.direction,
         "vi_residual_min": min(report.vi_residuals),
         "seed": seed,
         "code_version": __version__,

@@ -12,13 +12,24 @@ is the exact derivative of the discrete cost (to fixed-point tolerance).
 Controls live in the div-free basis span; the admissible set is the ball of
 radius K in the trapezoidal L2(0,T; H1) norm and the projection is the radial
 retraction, which is the exact metric projection for a norm ball in its own
-norm.  Descent steps use Armijo backtracking with a Barzilai-Borwein initial
-step after the first iteration, and stationarity is measured by the gradient
+norm.
+
+`optimize` is projected limited-memory BFGS.  The adjoint gradient is exact,
+so every accepted step gives an exact curvature sample (s, y) of the reduced
+Hessian: s the change of control, y the change of gradient.  The last
+LBFGS_MEMORY pairs with s.y > 0 give the direction d = -H g by the two-loop
+recursion (Nocedal, Math. Comp. 35, 1980; Liu and Nocedal, Math. Programming
+45, 1989), in the node-wise inner product sum(a b / vmult).  Each iteration
+backtracks along proj(U + t d) from t = 1 with the Armijo test.  When the
+projected direction does not descend or its line search fails, the memory is
+cleared and the iteration is redone as a projected gradient step, which is
+also the first iteration's step.  Stationarity is measured by the gradient
 mapping ||U - proj(U - s0 g)|| / s0 at the fixed reference step s0 = 1.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +60,7 @@ __all__ = [
 ]
 
 GRADIENT_MAPPING_STEP = 1.0
+LBFGS_MEMORY = 8  # curvature pairs the two-loop recursion keeps
 
 
 @dataclass(frozen=True)
@@ -72,6 +84,8 @@ class CostConfig:
 
 @dataclass(frozen=True)
 class OptimizeOptions:
+    """Iteration budget, stationarity tolerance, line search and VI sampling."""
+
     max_iter: int = 100
     tol: float = 1e-6
     armijo_c: float = 1e-4
@@ -79,14 +93,31 @@ class OptimizeOptions:
     min_step: float = 1e-12
     n_vi_samples: int = 20
 
+    def __post_init__(self):
+        if not self.max_iter >= 1:
+            raise ValueError(f"max_iter = {self.max_iter} must be at least 1")
+        if not self.tol >= 0:
+            raise ValueError(f"tol = {self.tol} must be >= 0")
+        if not 0 < self.armijo_c < 1:
+            raise ValueError(f"armijo_c = {self.armijo_c} must lie in (0, 1)")
+        if not 0 < self.backtrack_ratio < 1:
+            raise ValueError(f"backtrack_ratio = {self.backtrack_ratio} must lie in (0, 1)")
+        if not self.min_step > 0:
+            raise ValueError(f"min_step = {self.min_step} must be > 0")
+        if not self.n_vi_samples >= 1:
+            raise ValueError(f"n_vi_samples = {self.n_vi_samples} must be at least 1")
+
 
 @dataclass
 class OptimizerReport:
-    """Per-iteration record of a projected gradient run.
+    """Per-iteration record of a projected L-BFGS run.
 
-    Row k holds iterate k, the last row the returned control; step_size is the
-    step taken from it (0.0 where none was) and line_search_trials the number
-    of state solves its line search made.
+    Row k holds iterate k, the last row the returned control.  direction is
+    the kind of step taken from it: "quasi_newton", "gradient" (the first
+    iteration, or a fallback after the quasi-Newton trial failed), or "" where
+    none was.  step_size is the accepted multiple t of that direction (0.0
+    where none was), and line_search_trials the number of state solves its
+    line searches made, a failed quasi-Newton search included.
     """
 
     cost: list = field(default_factory=list)
@@ -96,6 +127,7 @@ class OptimizerReport:
     constraint_active: list = field(default_factory=list)
     control_norm: list = field(default_factory=list)
     line_search_trials: list = field(default_factory=list)
+    direction: list = field(default_factory=list)
     vi_residuals: list = field(default_factory=list)
     converged: bool = False
     n_iter: int = 0
@@ -184,6 +216,70 @@ def sample_vi_residuals(
     return out
 
 
+class _Memory:
+    """The last LBFGS_MEMORY curvature pairs (s, y) and the two-loop recursion.
+
+    Inner products are sum(a * b * weight) over whole coefficient arrays,
+    summed by numpy rather than BLAS so that results do not depend on the
+    BLAS thread count.
+    """
+
+    def __init__(self, weight: np.ndarray):
+        self.weight = weight
+        self.pairs: deque = deque(maxlen=LBFGS_MEMORY)
+
+    def _dot(self, a: np.ndarray, b: np.ndarray) -> float:
+        return float(np.sum(a * b * self.weight))
+
+    def push(self, s: np.ndarray, y: np.ndarray) -> bool:
+        """Store (s, y) if s.y > 1e-12 |s| |y|, the condition that keeps H positive definite."""
+        sy = self._dot(s, y)
+        if not sy > 1e-12 * np.sqrt(self._dot(s, s) * self._dot(y, y)):
+            return False
+        self.pairs.append((s, y, 1.0 / sy))
+        return True
+
+    def direction(self, g: np.ndarray) -> np.ndarray:
+        """d = -H g, with H_0 scaled by s.y / y.y of the newest pair."""
+        q = g.copy()
+        alphas = []
+        for s, y, rho in reversed(self.pairs):
+            alpha = rho * self._dot(s, q)
+            q -= alpha * y
+            alphas.append(alpha)
+        _, y, rho = self.pairs[-1]
+        r = q * (1.0 / (rho * self._dot(y, y)))
+        for (s, y, rho), alpha in zip(self.pairs, reversed(alphas)):
+            r += (alpha - rho * self._dot(y, r)) * s
+        return -r
+
+
+def _line_search(U, d, t, g, cost, y0, cfg, params, opts, descent_only):
+    """Backtrack t along the projected arc proj(U + t d) until the Armijo test holds.
+
+    Returns (t, trial, cost, state trajectory) of the accepted point or None,
+    the number of state solves made, and the directional derivative of the
+    last trial move.  With descent_only, a trial whose move does not descend
+    ends the search before its state solve.
+    """
+    trials = 0
+    decrease = 0.0
+    while t >= opts.min_step:
+        trial = project_admissible(
+            Trajectory(U.times, U.coeffs + t * d, U.basis, "control"), cfg.radius
+        )
+        move = Trajectory(U.times, trial.coeffs - U.coeffs, U.basis, "control")
+        decrease = pair_l2l2_mid(g, move)
+        if descent_only and decrease >= 0.0:
+            break
+        new_cost, new_traj = eval_cost(trial, y0, cfg, params)
+        trials += 1
+        if new_cost <= cost + opts.armijo_c * decrease and new_cost < cost:
+            return (t, trial, new_cost, new_traj), trials, decrease
+        t *= opts.backtrack_ratio
+    return None, trials, decrease
+
+
 def optimize(
     U_init: Trajectory,
     y0: Field,
@@ -192,7 +288,12 @@ def optimize(
     opts: OptimizeOptions | None = None,
     rng: np.random.Generator | None = None,
 ) -> tuple[Trajectory, OptimizerReport]:
-    """Projected gradient descent with Armijo backtracking on the cost."""
+    """Projected L-BFGS with Armijo backtracking and a projected gradient fallback.
+
+    Stops when the gradient mapping falls to opts.tol, after opts.max_iter
+    iterations, or when even the projected gradient step finds no Armijo
+    point; samples the VI residuals at the returned control.
+    """
     opts = opts or OptimizeOptions()
     rng = rng or np.random.default_rng(0)
     report = OptimizerReport()
@@ -200,8 +301,7 @@ def optimize(
     U = project_admissible(U_init, cfg.radius)
     g, cost, _ = gradient_direction(U, y0, cfg, params)
     g_norm = norm_l2l2_mid(g)
-    step = 1.0 / max(1.0, g_norm)
-    prev_u = prev_g = None
+    memory = _Memory(1.0 / U.basis.vmult)
 
     for it in range(opts.max_iter + 1):
         mapping = gradient_mapping_norm(U, g, cfg.radius)
@@ -219,57 +319,51 @@ def optimize(
             )
             report.step_size.append(0.0)
             report.line_search_trials.append(0)
+            report.direction.append("")
             break
 
-        if prev_u is not None:
-            du = U.coeffs - prev_u
-            dg = g.coeffs - prev_g
-            denom = float(np.sum(du * dg / U.basis.vmult))
-            if denom > 0:
-                step = float(np.sum(du * du / U.basis.vmult)) / denom
-            step = float(np.clip(step, 1e-8, 1e4))
-
-        s = step
-        accepted = False
-        decrease = 0.0
-        trials = 0
-        while s >= opts.min_step:
-            trial = project_admissible(
-                Trajectory(U.times, U.coeffs - s * g.coeffs, U.basis, "control"), cfg.radius
+        step, trials = None, 0
+        if memory.pairs:
+            step, trials, _ = _line_search(
+                U, memory.direction(g.coeffs), 1.0, g, cost, y0, cfg, params, opts,
+                descent_only=True,
             )
-            move = Trajectory(U.times, trial.coeffs - U.coeffs, U.basis, "control")
-            decrease = pair_l2l2_mid(g, move)
-            new_cost, new_traj = eval_cost(trial, y0, cfg, params)
-            trials += 1
-            if new_cost <= cost + opts.armijo_c * decrease and new_cost < cost:
-                accepted = True
-                break
-            s *= opts.backtrack_ratio
+            kind = "quasi_newton"
+        if step is None:
+            memory.pairs.clear()
+            step, more, decrease = _line_search(
+                U, -g.coeffs, 1.0 / max(1.0, g_norm), g, cost, y0, cfg, params, opts,
+                descent_only=False,
+            )
+            trials += more
+            kind = "gradient"
         report.line_search_trials.append(trials)
-        if not accepted:
+        if step is None:
+            report.step_size.append(0.0)
+            report.direction.append("")
             # The ball lives in the H1 norm while the gradient pairing is L2,
             # so on the boundary the radial retraction arc can stop descending
             # before the gradient mapping vanishes; that is a clean method
             # fixed point, certified afterwards by the sampled VI residuals.
             if decrease >= 0.0:
                 report.termination = "retraction arc offers no descent (boundary stationary)"
-                report.step_size.append(0.0)
                 break
             # flat to roundoff near an interior stationary point
             if mapping <= 1e3 * opts.tol:
                 report.converged = True
                 report.termination = "line search stalled at near-stationary point"
-                report.step_size.append(0.0)
                 break
             raise LineSearchFailed(
                 f"no Armijo step above {opts.min_step} at iteration {it} "
                 f"(gradient mapping {mapping:.3e}, directional derivative {decrease:.3e})"
             )
 
-        report.step_size.append(s)
-        prev_u, prev_g = U.coeffs.copy(), g.coeffs.copy()
-        U, cost = trial, new_cost
-        g = _gradient_from_state(U, new_traj, cfg, params)
+        t, trial, new_cost, new_traj = step
+        report.step_size.append(t)
+        report.direction.append(kind)
+        new_g = _gradient_from_state(trial, new_traj, cfg, params)
+        memory.push(trial.coeffs - U.coeffs, new_g.coeffs - g.coeffs)
+        U, cost, g = trial, new_cost, new_g
         g_norm = norm_l2l2_mid(g)
 
     report.vi_residuals = sample_vi_residuals(U, g, cfg.radius, rng, opts.n_vi_samples)

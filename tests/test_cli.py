@@ -195,6 +195,7 @@ BAD_VALUE_BASE = (
         ("optimize", "K = 5.0", "K = 0"),
         ("optimize", "K = 5.0", "K = nan"),
         ("optimize", "max_iter = 5", "max_iter = 0"),
+        ("optimize", "tol = 1e-7", "tol = -1"),
         ("taylor", "rhos = 1e-1,1e-2", "rhos = 1e-1,abc"),
         ("taylor", "rhos = 1e-1,1e-2", "rhos = 1e-1,-1e-2"),
     ],

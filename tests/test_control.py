@@ -201,6 +201,8 @@ def test_all_iterates_admissible_with_active_constraint(basis, params, rng):
     assert all(b < a for a, b in zip(report.cost, report.cost[1:]))
     assert norm_l2h1_trap(u_star) <= radius * (1.0 + 1e-12)
     assert report.termination
+    # on the boundary the projected quasi-Newton trial fails and a gradient step is taken
+    assert "gradient" in report.direction[1:]
 
 
 def test_gradient_consistent_at_returned_control(setup, basis, params, rng):
@@ -235,9 +237,67 @@ def test_max_iter_exit_records_the_returned_control(setup, basis, params, rng, m
     rows = (
         report.cost, report.step_size, report.grad_norm, report.grad_mapping,
         report.constraint_active, report.control_norm, report.line_search_trials,
+        report.direction,
     )
     assert all(len(column) == report.n_iter + 1 for column in rows)
-    assert (report.step_size[-1], report.line_search_trials[-1]) == (0.0, 0)
+    assert (report.step_size[-1], report.line_search_trials[-1], report.direction[-1]) == (0.0, 0, "")
+    assert report.direction[:-1] == ["gradient", "quasi_newton", "quasi_newton"]
     assert all(trials >= 1 for trials in report.line_search_trials[:-1])
     assert len(solves) == 1 + sum(report.line_search_trials)  # the first gradient, then trials
     assert report.cost[-1] == eval_cost(u_star, y0, cfg, params)[0]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("max_iter", 0),
+        ("tol", -1e-9),
+        ("tol", float("nan")),
+        ("armijo_c", 0.0),
+        ("armijo_c", 1.0),
+        ("backtrack_ratio", 0.0),
+        ("backtrack_ratio", 1.0),
+        ("min_step", 0.0),
+        ("n_vi_samples", 0),
+    ],
+)
+def test_optimize_options_rejected(field, value):
+    """Out-of-range options would loop forever (backtrack_ratio >= 1) or break reports."""
+    with pytest.raises(ValueError, match=field):
+        OptimizeOptions(**{field: value})
+
+
+def _weighted_quadratic(rng, shape):
+    """Diagonal SPD A, node weights w, and n = prod(shape) steps conjugate in <a, A b>_w."""
+    n = int(np.prod(shape))
+    a = rng.uniform(0.5, 20.0, size=shape)
+    w = rng.uniform(0.5, 2.0, size=shape[-1])
+    steps = []
+    for v in rng.normal(size=(n,) + shape):
+        for s in steps:
+            v = v - np.sum(v * a * s * w) / np.sum(s * a * s * w) * s
+        steps.append(v)
+    return a, w, steps
+
+
+def test_lbfgs_direction_is_newton_on_quadratic(rng):
+    """With exact pairs y = A s over a full set of conjugate steps, -H g = -A^{-1} g."""
+    shape = (2, control.LBFGS_MEMORY // 2)
+    a, w, steps = _weighted_quadratic(rng, shape)
+    memory = control._Memory(w)
+    for s in steps:
+        assert memory.push(s, a * s)
+    g = rng.normal(size=shape)
+    d = memory.direction(g)
+    assert np.max(np.abs(d + g / a)) <= 1e-10 * np.max(np.abs(g / a))
+
+
+def test_lbfgs_memory_skips_non_positive_curvature(rng):
+    memory = control._Memory(np.ones(3))
+    s = rng.normal(size=(4, 3))
+    assert not memory.push(s, -s)
+    assert not memory.push(s, np.zeros_like(s))
+    assert len(memory.pairs) == 0
+    assert memory.push(s, 2.0 * s)
+    assert len(memory.pairs) == 1
+    assert np.allclose(memory.direction(s), -0.5 * s, rtol=1e-15, atol=0.0)

@@ -44,6 +44,14 @@ def test_fast_suite_passes(fast_report):
     assert fast_report["all_passed"], f"failing checks: {failing}"
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 7919])
+def test_fast_suite_converges_across_seeds(seed):
+    report = run_suite("fast", seed=seed)
+    opt = next(c for c in report["checks"] if c["name"] == "optimizer_contract")
+    assert report["all_passed"]
+    assert opt["details"]["converged"]
+
+
 def test_report_schema_stable(fast_report):
     """Golden schema: stable top-level keys, check names and check fields."""
     assert set(fast_report.keys()) == REPORT_KEYS
