@@ -237,6 +237,8 @@ def _cmd_optimize(cfg: _Config, args) -> int:
         "termination": report.termination,
         "line_search_trials": report.line_search_trials,
         "direction": report.direction,
+        "state_solves": report.state_solves,
+        "adjoint_solves": report.adjoint_solves,
         "vi_residual_min": min(report.vi_residuals),
         "seed": seed,
         "code_version": __version__,

@@ -10,21 +10,28 @@ evaluated with the scheme's midpoint quadrature so that the adjoint gradient
 
 is the exact derivative of the discrete cost (to fixed-point tolerance).
 Controls live in the div-free basis span; the admissible set is the ball of
-radius K in the trapezoidal L2(0,T; H1) norm and the projection is the radial
-retraction, which is the exact metric projection for a norm ball in its own
-norm.
+radius K in the trapezoidal L2(0,T; H1) norm, written ||.||_W, and the
+projection is the radial retraction, which is the exact metric projection for
+a norm ball in its own norm.
 
-`optimize` is projected limited-memory BFGS.  The adjoint gradient is exact,
-so every accepted step gives an exact curvature sample (s, y) of the reduced
-Hessian: s the change of control, y the change of gradient.  The last
-LBFGS_MEMORY pairs with s.y > 0 give the direction d = -H g by the two-loop
-recursion (Nocedal, Math. Comp. 35, 1980; Liu and Nocedal, Math. Programming
-45, 1989), in the node-wise inner product sum(a b / vmult).  Each iteration
-backtracks along proj(U + t d) from t = 1 with the Armijo test.  When the
-projected direction does not descend or its line search fails, the memory is
-cleared and the iteration is redone as a projected gradient step, which is
-also the first iteration's step.  Stationarity is measured by the gradient
-mapping ||U - proj(U - s0 g)|| / s0 at the fixed reference step s0 = 1.
+`optimize` is projected limited-memory BFGS run in the ball's own inner
+product <.,.>_W, so that every projection it makes is the exact one.  The
+gradient it steps along is G = riesz_l2h1_trap(g), the W representative of
+the midpoint pairing: pair_l2l2_mid(g, V) = <G, V>_W.  The adjoint gradient is
+exact, so every accepted step gives an exact curvature sample (s, y) of the
+reduced Hessian: s the change of control, y the change of G.  The last
+LBFGS_MEMORY pairs with <s, y>_W > 0 give the direction d = -H G by the
+two-loop recursion (Nocedal, Math. Comp. 35, 1980; Liu and Nocedal, Math.
+Programming 45, 1989), from the initial inverse Hessian
+H0 = gamma diag(1 + lam_i), which makes the first quasi-Newton step an L2
+step.  Each iteration backtracks along proj(U + t d) from t = 1 with the
+Armijo test in the midpoint pairing.  When the projected direction does not
+descend or its line search fails, the memory is cleared and the iteration is
+redone as a projected gradient step along -G, which is also the first
+iteration's step.  Stationarity is measured by the gradient mapping
+||U - proj(U - s0 G)||_W / s0 at the fixed reference step s0 = 1.  References:
+Hinze, Pinnau, Ulbrich and Ulbrich, Optimization with PDE Constraints (2009),
+ch. 2; Kelley, Iterative Methods for Optimization (1999), ch. 5.
 """
 
 from __future__ import annotations
@@ -45,6 +52,8 @@ from .trajectory import (
     norm_l2h1_trap,
     norm_l2l2_mid,
     pair_l2l2_mid,
+    l2h1_trap_weights,
+    riesz_l2h1_trap,
 )
 
 __all__ = [
@@ -117,7 +126,11 @@ class OptimizerReport:
     iteration, or a fallback after the quasi-Newton trial failed), or "" where
     none was.  step_size is the accepted multiple t of that direction (0.0
     where none was), and line_search_trials the number of state solves its
-    line searches made, a failed quasi-Newton search included.
+    line searches made, a failed quasi-Newton search included.  grad_norm is
+    the midpoint L2 norm of the adjoint gradient g, grad_mapping the W norm
+    of the gradient mapping.  state_solves and adjoint_solves count the
+    solves of the whole run: one of each at the start, then a state solve
+    per line-search trial and an adjoint solve per accepted step.
     """
 
     cost: list = field(default_factory=list)
@@ -129,6 +142,8 @@ class OptimizerReport:
     line_search_trials: list = field(default_factory=list)
     direction: list = field(default_factory=list)
     vi_residuals: list = field(default_factory=list)
+    state_solves: int = 0
+    adjoint_solves: int = 0
     converged: bool = False
     n_iter: int = 0
     termination: str = ""
@@ -173,11 +188,17 @@ def project_admissible(U: Trajectory, radius: float) -> Trajectory:
 
 
 def gradient_mapping_norm(U: Trajectory, g: Trajectory, radius: float) -> float:
+    """||U - proj(U - s0 G)||_W / s0 with G the W representative of the adjoint gradient g.
+
+    It vanishes exactly where U solves the variational inequality, boundary
+    points with G = -c U, c > 0, included.
+    """
     s0 = GRADIENT_MAPPING_STEP
-    trial = Trajectory(U.times, U.coeffs - s0 * g.coeffs, U.basis, "control")
+    G = riesz_l2h1_trap(g)
+    trial = Trajectory(U.times, U.coeffs - s0 * G.coeffs, U.basis, "control")
     proj = project_admissible(trial, radius)
     diff = Trajectory(U.times, U.coeffs - proj.coeffs, U.basis, "control")
-    return norm_l2l2_mid(diff) / s0
+    return norm_l2h1_trap(diff) / s0
 
 
 def random_admissible(
@@ -221,11 +242,13 @@ class _Memory:
 
     Inner products are sum(a * b * weight) over whole coefficient arrays,
     summed by numpy rather than BLAS so that results do not depend on the
-    BLAS thread count.
+    BLAS thread count.  The initial inverse Hessian is gamma diag(h0), h0
+    broadcast against the arrays like weight.
     """
 
-    def __init__(self, weight: np.ndarray):
+    def __init__(self, weight: np.ndarray, h0: np.ndarray):
         self.weight = weight
+        self.h0 = h0
         self.pairs: deque = deque(maxlen=LBFGS_MEMORY)
 
     def _dot(self, a: np.ndarray, b: np.ndarray) -> float:
@@ -240,7 +263,7 @@ class _Memory:
         return True
 
     def direction(self, g: np.ndarray) -> np.ndarray:
-        """d = -H g, with H_0 scaled by s.y / y.y of the newest pair."""
+        """d = -H g, with gamma = s.y / y.(h0 y) of the newest pair."""
         q = g.copy()
         alphas = []
         for s, y, rho in reversed(self.pairs):
@@ -248,7 +271,7 @@ class _Memory:
             q -= alpha * y
             alphas.append(alpha)
         _, y, rho = self.pairs[-1]
-        r = q * (1.0 / (rho * self._dot(y, y)))
+        r = q * self.h0 * (1.0 / (rho * self._dot(y, self.h0 * y)))
         for (s, y, rho), alpha in zip(self.pairs, reversed(alphas)):
             r += (alpha - rho * self._dot(y, r)) * s
         return -r
@@ -288,26 +311,26 @@ def optimize(
     opts: OptimizeOptions | None = None,
     rng: np.random.Generator | None = None,
 ) -> tuple[Trajectory, OptimizerReport]:
-    """Projected L-BFGS with Armijo backtracking and a projected gradient fallback.
+    """Projected L-BFGS in the W product with Armijo backtracking and a projected gradient fallback.
 
-    Stops when the gradient mapping falls to opts.tol, after opts.max_iter
+    Stops when the W gradient mapping falls to opts.tol, after opts.max_iter
     iterations, or when even the projected gradient step finds no Armijo
     point; samples the VI residuals at the returned control.
     """
     opts = opts or OptimizeOptions()
     rng = rng or np.random.default_rng(0)
-    report = OptimizerReport()
+    report = OptimizerReport(state_solves=1, adjoint_solves=1)
 
     U = project_admissible(U_init, cfg.radius)
     g, cost, _ = gradient_direction(U, y0, cfg, params)
-    g_norm = norm_l2l2_mid(g)
-    memory = _Memory(1.0 / U.basis.vmult)
+    G = riesz_l2h1_trap(g)
+    memory = _Memory(l2h1_trap_weights(U), 1.0 + U.basis.lam)
 
     for it in range(opts.max_iter + 1):
         mapping = gradient_mapping_norm(U, g, cfg.radius)
         nrm_u = norm_l2h1_trap(U)
         report.cost.append(cost)
-        report.grad_norm.append(g_norm)
+        report.grad_norm.append(norm_l2l2_mid(g))
         report.grad_mapping.append(mapping)
         report.constraint_active.append(bool(nrm_u >= cfg.radius * (1.0 - 1e-9)))
         report.control_norm.append(nrm_u)
@@ -325,30 +348,24 @@ def optimize(
         step, trials = None, 0
         if memory.pairs:
             step, trials, _ = _line_search(
-                U, memory.direction(g.coeffs), 1.0, g, cost, y0, cfg, params, opts,
+                U, memory.direction(G.coeffs), 1.0, g, cost, y0, cfg, params, opts,
                 descent_only=True,
             )
             kind = "quasi_newton"
         if step is None:
             memory.pairs.clear()
             step, more, decrease = _line_search(
-                U, -g.coeffs, 1.0 / max(1.0, g_norm), g, cost, y0, cfg, params, opts,
-                descent_only=False,
+                U, -G.coeffs, 1.0 / max(1.0, norm_l2h1_trap(G)), g, cost, y0, cfg, params,
+                opts, descent_only=False,
             )
             trials += more
             kind = "gradient"
         report.line_search_trials.append(trials)
+        report.state_solves += trials
         if step is None:
             report.step_size.append(0.0)
             report.direction.append("")
-            # The ball lives in the H1 norm while the gradient pairing is L2,
-            # so on the boundary the radial retraction arc can stop descending
-            # before the gradient mapping vanishes; that is a clean method
-            # fixed point, certified afterwards by the sampled VI residuals.
-            if decrease >= 0.0:
-                report.termination = "retraction arc offers no descent (boundary stationary)"
-                break
-            # flat to roundoff near an interior stationary point
+            # flat to roundoff near a stationary point
             if mapping <= 1e3 * opts.tol:
                 report.converged = True
                 report.termination = "line search stalled at near-stationary point"
@@ -362,9 +379,10 @@ def optimize(
         report.step_size.append(t)
         report.direction.append(kind)
         new_g = _gradient_from_state(trial, new_traj, cfg, params)
-        memory.push(trial.coeffs - U.coeffs, new_g.coeffs - g.coeffs)
-        U, cost, g = trial, new_cost, new_g
-        g_norm = norm_l2l2_mid(g)
+        new_G = riesz_l2h1_trap(new_g)
+        report.adjoint_solves += 1
+        memory.push(trial.coeffs - U.coeffs, new_G.coeffs - G.coeffs)
+        U, cost, g, G = trial, new_cost, new_g, new_G
 
     report.vi_residuals = sample_vi_residuals(U, g, cfg.radius, rng, opts.n_vi_samples)
     return U, report

@@ -112,7 +112,6 @@ __all__ = [
     "strain",
     "frobenius",
     "deviator",
-    "stress",
     "norm_weights",
     "norms",
 ]
@@ -458,17 +457,6 @@ def deviator(params: ModelParams, u, w_turn, ab, ab_x, ab_y) -> np.ndarray:
     a, b = ab
     cubic = (2.0 * params.beta) * (a * a + b * b)
     return cubic * ab + params.alpha1 * (u[0] * ab_x + u[1] * ab_y - w_turn * ab[::-1])
-
-
-def stress(params: ModelParams, g: np.ndarray) -> tuple:
-    """Deviatoric (t11, t12, -t11) of N(y) + S(y) from the order-2 grid g = to_grid(y, 2)."""
-
-    def pair(p, q):  # (d_p u1 - d_q u2, d_q u1 + d_p u2) from the partial slots p, q of g
-        return np.array([g[0, p] - g[1, q], g[0, q] + g[1, p]])
-
-    w_turn = turn(g[0, 2] - g[1, 1])
-    t11, t12 = deviator(params, g[:, 0], w_turn, pair(1, 2), pair(3, 4), pair(4, 5))
-    return t11, t12, -t11
 
 
 def _h_multiplier(lam: np.ndarray, order: int) -> np.ndarray:

@@ -123,15 +123,37 @@ def norm_l2l2_mid(a: Trajectory) -> float:
     return float(np.sqrt(max(pair_l2l2_mid(a, a), 0.0)))
 
 
-def _trap_weights(n_nodes: int, dt: float) -> np.ndarray:
-    w = np.full(n_nodes, dt)
-    w[0] = w[-1] = 0.5 * dt
-    return w
+def l2h1_trap_weights(a: Trajectory) -> np.ndarray:
+    """(N_t + 1, n_modes) weights W of the trapezoidal L2(0,T; H1) product sum(x * y * W).
+
+    Trapezoid weights in time times the H1 weights (1 + lam) / vmult in space.
+    """
+    w = np.full(a.times.size, a.dt)
+    w[0] = w[-1] = 0.5 * a.dt
+    return w[:, None] * norm_weights(a.basis, "H1")
+
+
+def pair_l2h1_trap(a: Trajectory, b: Trajectory) -> float:
+    """Trapezoidal L2(0,T; H1) inner product of node values, the admissible ball's own."""
+    check_same_grid(a, b)
+    return float(np.sum(a.coeffs * b.coeffs * l2h1_trap_weights(a)))
 
 
 def norm_l2h1_trap(a: Trajectory) -> float:
     """Trapezoidal L2(0,T; H1) norm of node values, used for the admissible ball."""
-    per_node = np.sum(a.coeffs ** 2 * norm_weights(a.basis, "H1"), axis=1)
-    w = _trap_weights(a.times.size, a.dt)
-    return float(np.sqrt(np.sum(w * per_node)))
+    return float(np.sqrt(pair_l2h1_trap(a, a)))
 
+
+def riesz_l2h1_trap(g: Trajectory) -> Trajectory:
+    """Riesz representative G of the midpoint pairing in the trapezoidal L2(0,T; H1) product.
+
+    pair_l2l2_mid(g, V) = pair_l2h1_trap(G, V) for every V on the grid of g.
+    With gm the interval midpoints of g, G is (gm_{j-1} + gm_j) / 2 at the
+    interior nodes, gm_0 and gm_{N-1} at the end nodes, each divided by
+    1 + lam mode by mode.
+    """
+    gm = g.midpoints()
+    nodes = np.empty_like(g.coeffs)
+    nodes[0], nodes[-1] = gm[0], gm[-1]
+    nodes[1:-1] = 0.5 * (gm[:-1] + gm[1:])
+    return Trajectory(g.times, nodes / (1.0 + g.basis.lam), g.basis, g.kind)

@@ -15,6 +15,12 @@ local ascent) next to an empirical multi-start agreement test.  The stability
 and adjoint constants that the theory leaves abstract are never asserted
 numerically, only reported.
 
+Both optimizer runs stop on the gradient mapping measured in the admissible
+ball's own norm, the trapezoidal L2(0,T; H1) norm ||.||_W, in which the radial
+retraction is the exact projection.  Their tolerances are derived for that
+mapping: the optimizer contract's certifies the sampled VI floor, and the
+multi-start test's keeps each minimizer within a tenth of the agreement bound.
+
 Reordering floating-point operations moves report values by about 1e-12
 relative or less (defects near 1e-16 by O(1) of their own size).  Values that
 amplify it are compared by `passed` flags and the optimizer's iteration count:
@@ -286,8 +292,15 @@ def _check_optimizer(basis, params, times, rng, max_iter, vi_tol=1e-6):
     radius = 2.0 * norm_l2h1_trap(u_true)
     cfg = CostConfig(y_d=target.with_kind("target"), lam=1e-6, radius=radius)
     u0 = Trajectory(times, np.zeros_like(u_true.coeffs), basis, "control")
-    # an inner tolerance small enough that convergence certifies the VI floor:
-    # residual >= -||psi - U|| (mapping + ||g||-terms) >= -vi_tol (1 + |J|)
+    # An inner tolerance small enough that convergence certifies the VI floor.
+    # With G the W gradient, s0 = 1 the mapping step, V = proj(U - s0 G) and
+    # m = (U - V) / s0, the exact projection gives <U - s0 G - V, psi - V>_W <= 0
+    # for every admissible psi, so
+    #   (psi - U, g) = <G, psi - V>_W - <G, U - V>_W
+    #                >= <m, psi - V>_W - s0 <G, m>_W >= -||m||_W (2K + s0 ||G||_W),
+    # as psi and V both lie in the ball of radius K.  With ||m||_W <= tol =
+    # vi_tol / (4 (1 + K)) the residual is >= -vi_tol >= -vi_tol (1 + |J|)
+    # whenever ||G||_W <= 4 + 2K; at convergence ||G||_W is near 1e-7 here.
     opts = OptimizeOptions(max_iter=max_iter, tol=vi_tol / (4.0 * (1.0 + radius)))
     u_star, report = optimize(u0, y0, cfg, params, opts, rng)
     reduction = report.cost[-1] / max(report.cost[0], 1e-30)
@@ -485,10 +498,10 @@ def uniqueness_diagnostics(
 
     Estimates kappa, Gamma (randomized maximization, lower bounds), gamma
     (sup_t H3 norm of the reference solve under U = 0) and lambda_tilde
-    (sup_t W norm of the adjoint driven by y - y_d).  Then projected descent
+    (sup_t W norm of the adjoint driven by y - y_d).  Then projected L-BFGS
     runs from n_starts random admissible controls at
     lam = 10 * (Gamma + 4 kappa (alpha1 + alpha2) + 12 kappa beta gamma) * lambda_tilde
-    and the max pairwise distance of the minimizers is reported.  The
+    and the max pairwise midpoint L2 distance of the minimizers is reported.  The
     stability constant of the theory is not computable, so the threshold and
     the empirical outcome are presented side by side without asserting the
     theoretical inequality.
@@ -517,7 +530,19 @@ def uniqueness_diagnostics(
     lam_big = 10.0 * max(proxy, 1e-12)
 
     cfg_big = CostConfig(y_d=cfg.y_d, lam=lam_big, radius=cfg.radius)
-    opts = OptimizeOptions(max_iter=opt_max_iter, tol=5e-6 * lam_big * cfg.radius)
+    # The cost is lam_big-strongly convex in the midpoint pairing, so a start
+    # that stops with adjoint gradient g lies within ||g||_mid / lam_big of the
+    # minimizer, and 5e-6 K per start keeps the pairwise distance 10x below
+    # 1e-4 K.  The optimizer stops on the W mapping, ||G||_W at interior
+    # points, and ||g||_mid = sqrt((1 + lam_i) / mu) ||G||_W for a component in
+    # Stokes mode i whose midpoint averages shrink it by sqrt(mu) in time.
+    # Dividing by 1 + max lam_i once for the spatial factor and once for 1 / mu
+    # covers every time component with sqrt(mu) >= 1 / sqrt(1 + max lam_i)
+    # (a period above 2.25 steps at M = 4); the near-zigzag rest is nearly
+    # invisible to the midpoint cost.
+    opts = OptimizeOptions(
+        max_iter=opt_max_iter, tol=5e-6 * lam_big * cfg.radius / (1.0 + float(np.max(basis.lam)))
+    )
     minimizers = []
     for _ in range(n_starts):
         u_init = random_admissible(u_zero, cfg.radius, rng, fill=float(rng.uniform(0.3, 0.9)))

@@ -10,11 +10,15 @@ own: the full periodic grid of 2 * grid_size points per axis on [0, 2pi)^2,
 where the plain grid sum is the exact quadrature.  The solver uses only the
 grid_size + 1 of those points per axis that lie in [0, pi], with trapezoid
 weights, so these references check its quadrature independently.
+The one exception is `stress`, at the end: the package's own deviator kernel
+wrapped to read a synthesised grid, for the constitutive identity tests.
 """
 
 import math
 
 import numpy as np
+
+from tgflow.spectral import deviator, turn
 
 
 def trapezoid_grid(res):
@@ -238,3 +242,17 @@ def adjoint_rhs_oracle(basis, params, y, q):
     inner = _project(basis, force, _tangent(a, a_q, params.alpha_sum, params.beta))
     outer = _project(basis, _advect(vel, jac_q) - _advect(vel_q, jac))
     return inner, outer
+
+
+# -- the package's deviator on a synthesised grid --------------------------------
+
+
+def stress(params, g):
+    """Deviatoric (t11, t12, -t11) of N(y) + S(y) from the order-2 grid g = to_grid(y, 2)."""
+
+    def pair(p, q):  # (d_p u1 - d_q u2, d_q u1 + d_p u2) from the partial slots p, q of g
+        return np.array([g[0, p] - g[1, q], g[0, q] + g[1, p]])
+
+    w_turn = turn(g[0, 2] - g[1, 1])
+    t11, t12 = deviator(params, g[:, 0], w_turn, pair(1, 2), pair(3, 4), pair(4, 5))
+    return t11, t12, -t11

@@ -82,6 +82,8 @@ def test_optimize_manufactured_target(tmp_path):
     assert main(["optimize", "--config", opt, "--out", out]) == 0
     report = json.load(open(os.path.join(out, "optimize_report.json")))
     assert report["final_cost"] <= 0.05 * report["initial_cost"]
+    assert report["state_solves"] == 1 + sum(report["line_search_trials"])
+    assert report["adjoint_solves"] == 1 + sum(1 for kind in report["direction"] if kind)
     assert os.path.exists(os.path.join(out, "control.traj"))
     lines = open(os.path.join(out, "cost_history.csv")).read().strip().split("\n")
     assert lines[0].startswith("iteration,cost")

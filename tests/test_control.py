@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_field, random_traj
-from tgflow import control
+from tgflow import build_basis, control
 from tgflow.control import (
     CostConfig,
     OptimizeOptions,
@@ -18,7 +18,10 @@ from tgflow.state import solve_state
 from tgflow.trajectory import (
     Trajectory,
     norm_l2h1_trap,
+    norm_l2l2_mid,
+    pair_l2h1_trap,
     pair_l2l2_mid,
+    riesz_l2h1_trap,
     time_grid,
 )
 
@@ -176,6 +179,37 @@ def test_gradient_mapping_zero_at_stationary_point(basis, params, rng):
     assert gradient_mapping_norm(u, g, radius=100.0) == 0.0
 
 
+@pytest.mark.parametrize("max_mode", [3, 4])
+@pytest.mark.parametrize("n_steps", [1, 2, 16])
+def test_riesz_map_represents_midpoint_pairing(params, rng, max_mode, n_steps):
+    """pair_l2l2_mid(g, V) = <R g, V>_W for every V; n_steps = 1 leaves only the end nodes."""
+    basis = build_basis(max_mode, params.alpha1)
+    times = time_grid(0.5, n_steps)
+    shape = (times.size, basis.n_modes)
+    g = Trajectory(times, rng.normal(size=shape), basis, "control")
+    G = riesz_l2h1_trap(g)
+    for _ in range(3):
+        v = Trajectory(times, rng.normal(size=shape), basis, "control")
+        expected = pair_l2l2_mid(g, v)
+        assert abs(pair_l2h1_trap(G, v) - expected) <= 1e-13 * abs(expected)
+
+
+def test_gradient_mapping_zero_at_boundary_stationary_point(basis, rng):
+    """On the boundary with R g = -c U, c > 0, the W mapping vanishes to roundoff;
+    the L2 mapping of the same point does not."""
+    times = time_grid(0.5, 16)
+    g = random_traj(basis, times, rng, amp=0.5)
+    G = riesz_l2h1_trap(g)
+    radius = 0.7
+    u = Trajectory(times, -radius / norm_l2h1_trap(G) * G.coeffs, basis, "control")
+    assert gradient_mapping_norm(u, g, radius) <= 1e-14 * radius
+    l2_step = project_admissible(
+        Trajectory(times, u.coeffs - g.coeffs, basis, "control"), radius
+    )
+    l2_mapping = norm_l2l2_mid(Trajectory(times, u.coeffs - l2_step.coeffs, basis, "control"))
+    assert l2_mapping >= 1e-3 * norm_l2l2_mid(g)
+
+
 def test_random_admissible_inside_ball(basis, rng):
     times = time_grid(0.5, 8)
     template = zero_traj(basis, times)
@@ -185,9 +219,10 @@ def test_random_admissible_inside_ball(basis, rng):
 
 
 def test_all_iterates_admissible_with_active_constraint(basis, params, rng):
-    """A tight ball keeps the constraint active; every iterate stays inside,
-    costs decrease monotonically and the run terminates cleanly even though
-    the retraction arc stops descending on the boundary."""
+    """A tight ball keeps the constraint active; every iterate stays inside
+    and costs decrease monotonically.  On the boundary the projected gradient
+    arc descends, so the run spends at most two state solves per iteration
+    instead of stalling on roundoff decreases."""
     times = time_grid(0.5, 16)
     y0 = random_field(basis, rng, amp=0.3)
     u_true = random_traj(basis, times, rng, amp=0.8)
@@ -200,7 +235,8 @@ def test_all_iterates_admissible_with_active_constraint(basis, params, rng):
     assert any(report.constraint_active)
     assert all(b < a for a, b in zip(report.cost, report.cost[1:]))
     assert norm_l2h1_trap(u_star) <= radius * (1.0 + 1e-12)
-    assert report.termination
+    assert report.termination in ("gradient mapping below tolerance", "max_iter reached")
+    assert report.state_solves <= 2 * report.n_iter
     # on the boundary the projected quasi-Newton trial fails and a gradient step is taken
     assert "gradient" in report.direction[1:]
 
@@ -247,6 +283,29 @@ def test_max_iter_exit_records_the_returned_control(setup, basis, params, rng, m
     assert report.cost[-1] == eval_cost(u_star, y0, cfg, params)[0]
 
 
+def test_report_counts_state_and_adjoint_solves(setup, basis, params, rng, monkeypatch):
+    """state_solves is one plus the line-search trials, adjoint_solves one plus the
+    accepted steps, and both match the solver calls the run made."""
+    calls = {"state": 0, "adjoint": 0}
+
+    def counted(kind, solver):
+        def call(*args):
+            calls[kind] += 1
+            return solver(*args)
+        return call
+
+    monkeypatch.setattr(control, "solve_state", counted("state", control.solve_state))
+    monkeypatch.setattr(control, "solve_adjoint", counted("adjoint", control.solve_adjoint))
+    times, y0, u_true, target = setup
+    cfg = CostConfig(target.with_kind("target"), 1e-6, 0.5 * norm_l2h1_trap(u_true))
+    _, report = optimize(
+        zero_traj(basis, times), y0, cfg, params, OptimizeOptions(max_iter=6, tol=1e-12), rng
+    )
+    accepted = sum(1 for kind in report.direction if kind)
+    assert report.state_solves == 1 + sum(report.line_search_trials) == calls["state"]
+    assert report.adjoint_solves == 1 + accepted == calls["adjoint"]
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -268,10 +327,10 @@ def test_optimize_options_rejected(field, value):
 
 
 def _weighted_quadratic(rng, shape):
-    """Diagonal SPD A, node weights w, and n = prod(shape) steps conjugate in <a, A b>_w."""
+    """Diagonal SPD A, node-by-mode weights w, and n = prod(shape) steps conjugate in <a, A b>_w."""
     n = int(np.prod(shape))
     a = rng.uniform(0.5, 20.0, size=shape)
-    w = rng.uniform(0.5, 2.0, size=shape[-1])
+    w = rng.uniform(0.5, 2.0, size=shape)
     steps = []
     for v in rng.normal(size=(n,) + shape):
         for s in steps:
@@ -284,7 +343,7 @@ def test_lbfgs_direction_is_newton_on_quadratic(rng):
     """With exact pairs y = A s over a full set of conjugate steps, -H g = -A^{-1} g."""
     shape = (2, control.LBFGS_MEMORY // 2)
     a, w, steps = _weighted_quadratic(rng, shape)
-    memory = control._Memory(w)
+    memory = control._Memory(w, 1.0 + rng.uniform(2.0, 32.0, size=shape[-1]))
     for s in steps:
         assert memory.push(s, a * s)
     g = rng.normal(size=shape)
@@ -293,7 +352,7 @@ def test_lbfgs_direction_is_newton_on_quadratic(rng):
 
 
 def test_lbfgs_memory_skips_non_positive_curvature(rng):
-    memory = control._Memory(np.ones(3))
+    memory = control._Memory(np.ones(3), np.array([3.0, 6.0, 11.0]))
     s = rng.normal(size=(4, 3))
     assert not memory.push(s, -s)
     assert not memory.push(s, np.zeros_like(s))
