@@ -24,45 +24,101 @@ holds to fixed-point tolerance; `check_duality` reports both sides.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from .linearized import FrozenState, _stress_pairing, solve_linearized
+from .linearized import (
+    _SIGNS,
+    FrozenState,
+    _stress_pairing,
+    cubic_tangent,
+    solve_linearized,
+)
 from .params import ModelParams
-from .spectral import Field, fields, project, slots, to_grid, trilinear_b
-from .state import march
+from .spectral import Field, SpectralBasis, Workspace, fields, project, slots, to_grid, trilinear_b
+from .state import march, midpoint_gain
 from .trajectory import Trajectory, check_same_grid, pair_l2l2_mid
 
-__all__ = ["solve_adjoint", "check_duality", "adjoint_form"]
+__all__ = ["solve_adjoint", "check_duality", "adjoint_form", "AdjointWork"]
 
 # the named fields of q the adjoint rhs reads, and the slots it writes: the
-# stream function of the terms tested against v(phi), the stress and the force
+# stream function of the terms tested against v(phi), the stress and the force;
+# the frozen state's fields w_v, a, b, u1 and u2 come in one run
 _FIELDS = fields("a", "b", "u1", "u2")
 _SLOTS = slots("w", "a", "b", "u1", "u2")
+_FROZEN = fields("w_v", "a_x", "b_x", "a_y", "b_y", "w", "a", "b", "u1", "u2")
+
+
+class AdjointWork(Workspace):
+    """Buffers, the eight weight grids and the ops of `adjoint_rhs_terms`.
+
+    The slot grids are sums of the fields of q times weight grids of ybar:
+    (ybar2, -ybar1) times (q1, q2) in the w slot, -beta times the cubic tangent
+    times (a, b) in the a and b slots, and (w_v, -w_v) times (q2, q1) in the
+    u1 and u2 slots.  freeze builds the weights at a FrozenState.  scale is per
+    mode, for the slots tested against phi; the w slot, tested against v(phi),
+    enters the time derivative undivided by vmult, so it carries scale times -vmult.
+    """
+
+    def __init__(self, basis: SpectralBasis, params: ModelParams, scale=None):
+        if scale is not None:
+            scale = np.tile(scale, (5, 1))
+            scale[0] *= -basis.vmult
+        # the frozen state's ten fields fill grid, q's four its first rows
+        super().__init__(basis, _FIELDS, _SLOTS, scale, spare=6)
+        Q = basis.n_points
+        self.params = params
+        self.frozen = None
+        self.weights = wt = np.empty((4, 2, Q, Q))  # psi, stress (2, 2) and force weights
+        self.products = p = np.empty((3, 2, Q, Q))
+        q, out = self.synth, self.slots
+        self.ops = (
+            # +b(q, ybar, v(phi)) - b(ybar, q, v(phi)) pairs (ybar.grad)q - (q.grad)ybar =
+            # curl(psi), psi = q1 ybar2 - q2 ybar1, with v(phi); psi vanishes on the walls,
+            # so by parts that is -(psi, w(v(phi))), the w slot carrying the v-weight
+            partial(np.multiply, wt[0], q[2:4], p[0]),
+            # -(S'(ybar)[q], grad phi), by summation by parts tested against (a, b)(phi)
+            partial(np.multiply, wt[1:3], q[None, 0:2], p[1:3]),
+            partial(np.add.reduce, p, 1, None, out[0:3]),
+            # -b(phi, q, v(ybar)) and +b(q, phi, v(ybar)) move to the right-hand side as
+            # ((grad q)^T v + (q . grad) v, phi): in Lamb form w_v (q2, -q1) plus a pressure
+            partial(np.multiply, wt[3], q[3:1:-1], out[3:5]),
+        )
+
+    def freeze(self, frozen: FrozenState) -> None:
+        y = to_grid(Field(frozen.coeffs, self.basis), rows=_FROZEN, out=self.grid)
+        wt = self.weights
+        np.multiply(_SIGNS, y[9:7:-1], out=wt[0])
+        cubic_tangent(y[6:8], -self.params.beta, wt[1:3], self.products[0, 0])
+        np.multiply(_SIGNS, y[0], out=wt[3])
+        self.frozen = frozen
 
 
 def adjoint_rhs_terms(
-    frozen: FrozenState, params: ModelParams, q_coeffs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    frozen: FrozenState,
+    params: ModelParams,
+    q_coeffs: np.ndarray,
+    work: AdjointWork | None = None,
+):
     """Explicit terms of the reversed adjoint ODE at a frozen state.
 
     Returns (inner, outer): the coefficient ODE reads
     ds/dt = (-nu lam s + inner + c(f)) / vmult + outer, where inner collects
     the terms tested against phi and outer the two tested against v(phi).
+    With work (an AdjointWork for this basis and params, reused through a
+    solve) it returns instead inner + vmult outer times work's scale per mode,
+    as work.out, valid until the next call; the weights are rebuilt only for a
+    new frozen state.
     """
-    y = frozen
-    q = to_grid(Field(q_coeffs, y.basis), rows=_FIELDS)
-    u = q[2:4]
-    grids = np.empty((5, *q.shape[1:]))
-    # +b(q, ybar, v(phi)) - b(ybar, q, v(phi)) pairs (ybar.grad)q - (q.grad)ybar = curl(psi),
-    # psi = q1 ybar2 - q2 ybar1, with v(phi); psi vanishes on the walls, so by parts
-    # that is -(psi, w(v(phi))), the w slot carrying the v-weight of the projection
-    np.sum(u * y.u_turn, axis=0, out=grids[0])
-    # -(S'(ybar)[q], grad phi), by summation by parts tested against (a, b)(phi)
-    np.multiply(-params.beta, y.cubic_tangent(q[0:2]), out=grids[1:3])
-    # -b(phi, q, v(ybar)) and +b(q, phi, v(ybar)) move to the right-hand side as
-    # ((grad q)^T v + (q . grad) v, phi): in Lamb form w_v (q2, -q1) plus a pressure
-    np.multiply(y.w_v_turn, u[::-1], out=grids[3:5])
-    r = project(y.basis, grids, _SLOTS)
+    w = work if work is not None else AdjointWork(frozen.basis, params)
+    if w.frozen is not frozen:
+        w.freeze(frozen)
+    to_grid(Field(q_coeffs, frozen.basis), rows=_FIELDS, out=w.synth)
+    slots_ = w.form()
+    if work is not None:
+        return w.project()
+    r = project(frozen.basis, slots_, _SLOTS)
     return r[1:].sum(axis=0), -r[0]
 
 
@@ -73,21 +129,13 @@ def solve_adjoint(y_traj: Trajectory, f: Trajectory, params: ModelParams) -> Tra
     raised here counts intervals back from T: step k is [t_{N-k-1}, t_{N-k}].
     """
     check_same_grid(y_traj, f)
-    basis = y_traj.basis
-    y_mid = y_traj.reversed().midpoints()
-    f_mid = f.reversed().midpoints()
-
-    def rhs_at(k):
-        frozen = FrozenState(basis, y_mid[k])
-        src = f_mid[k] / basis.vmult
-
-        def rhs(mid):
-            inner, outer = adjoint_rhs_terms(frozen, params, mid)
-            return inner / basis.vmult + src + outer
-
-        return rhs
-
-    q = march(basis, params, y_traj.dt, np.zeros(basis.n_modes), y_traj.n_steps, rhs_at)
+    basis, dt = y_traj.basis, y_traj.dt
+    frozen = [FrozenState(basis, y) for y in y_traj.reversed().midpoints()]
+    work = AdjointWork(basis, params, midpoint_gain(basis, params, dt) / basis.vmult)
+    q = march(
+        basis, params, dt, np.zeros(basis.n_modes), f.reversed().midpoints() / basis.vmult,
+        lambda k, mid: adjoint_rhs_terms(frozen[k], params, mid, work),
+    )
     return Trajectory(y_traj.times.copy(), q, basis, "adjoint").reversed()
 
 

@@ -25,6 +25,7 @@ is what the Taylor (Gateaux) test measures.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -32,86 +33,142 @@ from .params import ModelParams
 from .spectral import (
     Field,
     SpectralBasis,
+    Workspace,
     fields,
-    project,
     slots,
     to_grid,
     trilinear_b,
-    turn,
 )
-from .state import march, solve_state
+from .state import march, midpoint_gain, solve_state
 from .trajectory import Trajectory, check_same_grid
 
-__all__ = ["solve_linearized", "gateaux_taylor_test", "TaylorResult", "linearized_form"]
+__all__ = [
+    "solve_linearized",
+    "gateaux_taylor_test",
+    "TaylorResult",
+    "linearized_form",
+    "FrozenState",
+    "LinearizedWork",
+]
 
-# the named fields of z the linearized rhs reads, and the slots it writes; the
-# frozen state also reads the spin of v(y)
+# the named fields the linearized rhs reads, of z and of the frozen state y alike,
+# and the slots it writes
 _FIELDS = fields("a_x", "b_x", "a_y", "b_y", "w", "a", "b", "u1", "u2")
-_FROZEN = fields("w_v", "a_x", "b_x", "a_y", "b_y", "w", "a", "b", "u1", "u2")
 _SLOTS = slots("a", "b", "u1", "u2")
 _STRAIN = fields("a", "b")
+# (1, -1) against a stacked pair: _SIGNS * w = (w, -w)
+_SIGNS = np.array([1.0, -1.0])[:, None, None]
 
 
 class FrozenState:
-    """Named fields of a frozen state midpoint y and their products, shared by the rhs of one step.
+    """A frozen state midpoint y, at which the linearized and adjoint kernels are taken.
 
-    u, ab, ab_x and ab_y are the stacked pairs (y1, y2), (a, b), (a_x, b_x) and
-    (a_y, b_y) of y.  The turned pairs u_turn = (y2, -y1) and ab_turn = (b, -a),
-    and w_turn = turn(w) and w_v_turn = turn(w_v) of the spins of y and v(y), give
-    w (p2, -p1) = w * p_turn = w_turn * p[::-1] in one product.  tangent holds the
-    cubic tangent |A|^2 I + 4 (a, b) (a, b)^T, |A|^2 = 2 (a^2 + b^2), as a symmetric
-    (2, 2, Q, Q) array: S'(y)[z] = beta tangent (a_z, b_z).  The linearized and the
-    adjoint solvers both build one per step.
+    A kernel's workspace synthesizes y and builds the weight grids it
+    multiplies the fields of its argument by once per FrozenState, which it
+    tells apart by identity; the solvers make one per step.
     """
+
+    __slots__ = ("basis", "coeffs")
 
     def __init__(self, basis: SpectralBasis, coeffs: np.ndarray):
         self.basis = basis
-        g = to_grid(Field(coeffs, basis), rows=_FROZEN)
-        self.ab_x, self.ab_y, self.ab, self.u = g[1:3], g[3:5], g[6:8], g[8:10]
-        self.u_turn = turn(1.0) * self.u[::-1]
-        self.ab_turn = turn(1.0) * self.ab[::-1]
-        self.w_turn, self.w_v_turn = turn(g[5]), turn(g[0])
-        tangent = (4.0 * self.ab)[:, None] * self.ab[None, :]
-        a_sq = 0.5 * (tangent[0, 0] + tangent[1, 1])
-        tangent[0, 0] += a_sq
-        tangent[1, 1] += a_sq
-        self.tangent = tangent
+        self.coeffs = coeffs
 
-    def cubic_tangent(self, ab_z: np.ndarray) -> np.ndarray:
-        """tangent (a_z, b_z) as a stacked pair; times beta it is S'(y)[z]."""
-        return self.tangent[0] * ab_z[0] + self.tangent[1] * ab_z[1]
+
+def cubic_tangent(ab: np.ndarray, coef: float, out: np.ndarray, diag: np.ndarray) -> None:
+    """coef times the cubic tangent |A|^2 I + 4 (a, b) (a, b)^T of the pair ab = (a, b), into out.
+
+    out is a (2, 2, Q, Q) symmetric array and diag a (Q, Q) scratch grid;
+    beta times the tangent along (a_z, b_z) is S'(y)[z], |A|^2 = 2 (a^2 + b^2).
+    """
+    np.multiply(ab[:, None], ab[None, :], out=out)
+    np.add(out[0, 0], out[1, 1], out=diag)
+    out *= 4.0 * coef
+    diag *= 2.0 * coef
+    on_diag = out.reshape(4, *diag.shape)[::3]
+    np.add(on_diag, diag, out=on_diag)
+
+
+class LinearizedWork(Workspace):
+    """Buffers, weight grids and ops of `linearized_rhs_coeffs`.
+
+    The slot grids that project to F'(y)[z] are sums of the fields of z times
+    weight grids of y: grad_w times (a_x, b_x) and (a_y, b_y) and pair_w times w, a, b, u1
+    and u2 in the a and b slots, conv_w times w and (u2, u1) in the u1 and u2
+    slots.  freeze builds the weights at a FrozenState.
+    """
+
+    def __init__(self, basis: SpectralBasis, params: ModelParams, scale=None):
+        super().__init__(basis, _FIELDS, _SLOTS, scale)
+        Q = basis.n_points
+        self.params = params
+        self.frozen = None
+        self.grad_w = np.empty((2, 1, Q, Q))
+        self.pair_w = np.empty((5, 2, Q, Q))
+        self.conv_w = np.empty((2, 2, Q, Q))
+        self.conv = np.empty((2, Q, Q))
+        z, p, out = self.synth, np.empty((7, 2, Q, Q)), self.slots
+        self.ops = (
+            partial(np.multiply, self.grad_w, z[0:4].reshape(2, 2, Q, Q), p[0:2]),
+            partial(np.multiply, self.pair_w, z[4:9, None], p[2:7]),
+            partial(np.add.reduce, p, 0, None, out[0:2]),
+            partial(np.multiply, self.conv_w[0], z[4], out[2:4]),
+            partial(np.multiply, self.conv_w[1], z[8:6:-1], self.conv),
+            partial(np.add, out[2:4], self.conv, out[2:4]),
+        )
+
+    def freeze(self, frozen: FrozenState) -> None:
+        al, Q = self.params.alpha1, self.basis.n_points
+        # y's fields are z's: synth holds them until the kernel synthesizes z
+        y = to_grid(Field(frozen.coeffs, self.basis), rows=_FIELDS, out=self.synth)
+        w, ab, u = y[4], y[5:7], y[7:9]
+        # F' pairs minus the stress with (a, b)(h_i), so every weight carries a minus
+        # sign: alpha1 (y.grad A(z) + z.grad A(y)) + beta tangent (a_z, b_z) and the
+        # spin terms of the convected derivative, -w_z (b, -a) - w (b_z, -a_z)
+        np.multiply(-al, u, out=self.grad_w[:, 0])
+        np.multiply(_SIGNS * al, ab[::-1], out=self.pair_w[0])
+        cubic_tangent(ab, -self.params.beta, self.pair_w[1:3], self.conv[0])
+        np.multiply(_SIGNS * -al, w, out=self.conv)
+        off_diag = self.pair_w[1:3].reshape(4, Q, Q)[1:3]
+        np.add(off_diag, self.conv, out=off_diag)
+        np.multiply(-al, y[0:4].reshape(2, 2, Q, Q), out=self.pair_w[3:5])
+        # (y.grad)z + (z.grad)y in Lamb form, w_z (y2, -y1) + w (z2, -z1), plus a pressure
+        np.multiply(_SIGNS[::-1], u[::-1], out=self.conv_w[0])
+        np.multiply(_SIGNS[::-1], w, out=self.conv_w[1])
+        self.frozen = frozen
 
 
 def linearized_rhs_coeffs(
-    frozen: FrozenState, params: ModelParams, z_coeffs: np.ndarray
+    frozen: FrozenState,
+    params: ModelParams,
+    z_coeffs: np.ndarray,
+    work: LinearizedWork | None = None,
 ) -> np.ndarray:
-    """Projection coefficients of F'(y)[z] at the frozen state, stress the tangent of `deviator`."""
-    y = frozen
-    z = to_grid(Field(z_coeffs, y.basis), rows=_FIELDS)
-    w, ab, u = z[4], z[5:7], z[7:9]
-    convected = (
-        y.u[0] * z[0:2] + y.u[1] * z[2:4] + u[0] * y.ab_x + u[1] * y.ab_y
-        - w * y.ab_turn - y.w_turn * ab[::-1]
-    )
-    stress = params.beta * y.cubic_tangent(ab) + params.alpha1 * convected
-    # (y.grad)z + (z.grad)y in Lamb form, w_z (y2, -y1) + w_y (z2, -z1), plus a pressure
-    conv = w * y.u_turn + y.w_turn * u[::-1]
-    return -project(y.basis, np.concatenate([stress, conv]), _SLOTS).sum(axis=0)
+    """Projection coefficients of F'(y)[z] at the frozen state y, F the state rhs.
+
+    With work (a LinearizedWork for this basis and params, reused through a
+    solve) the buffers are work's, its weights are rebuilt only for a new
+    frozen state, and the result, F'(y)[z] times work's scale per mode, is
+    work.out, valid until the next call.
+    """
+    w = work if work is not None else LinearizedWork(frozen.basis, params)
+    if w.frozen is not frozen:
+        w.freeze(frozen)
+    to_grid(Field(z_coeffs, frozen.basis), rows=_FIELDS, out=w.synth)
+    w.form()
+    return w.project()
 
 
 def solve_linearized(y_traj: Trajectory, psi: Trajectory, params: ModelParams) -> Trajectory:
     """Solve the linearized equation driven by psi around the stored state."""
     check_same_grid(y_traj, psi)
-    basis = y_traj.basis
-    y_mid = y_traj.midpoints()
-    psi_mid = psi.midpoints()
-
-    def rhs_at(k):
-        frozen = FrozenState(basis, y_mid[k])
-        src = psi_mid[k] / basis.vmult
-        return lambda mid: linearized_rhs_coeffs(frozen, params, mid) / basis.vmult + src
-
-    coeffs = march(basis, params, y_traj.dt, np.zeros(basis.n_modes), y_traj.n_steps, rhs_at)
+    basis, dt = y_traj.basis, y_traj.dt
+    frozen = [FrozenState(basis, y) for y in y_traj.midpoints()]
+    work = LinearizedWork(basis, params, midpoint_gain(basis, params, dt) / basis.vmult)
+    coeffs = march(
+        basis, params, dt, np.zeros(basis.n_modes), psi.midpoints() / basis.vmult,
+        lambda k, mid: linearized_rhs_coeffs(frozen[k], params, mid, work),
+    )
     return Trajectory(y_traj.times.copy(), coeffs, basis, "linearized")
 
 

@@ -37,16 +37,16 @@ its rows) and, for the fields anything is tested against, one projection table
 (SLOTS; `slots` names a run).  Every right-hand side makes one pass through
 three kernels:
 
-- synthesis (to_grid with rows): with C the (M, M) coefficient matrix, the K
-  fields a kernel reads come out of one multiply and two batched matrix products,
-  X_k^T (C * amp_k) Y_k, as one (K, G + 1, G + 1) grid.  No derivative is
-  ever taken of grid data;
-- pointwise algebra on stacked (2, Q, Q) pairs such as (u1, u2) and (a, b).
-  In 2D, A^2 = (a^2 + b^2) I and A B + B A = (A : B) I are pressures, which no
-  projection sees, and are never formed; each stress is the pair (t11, t12)
-  of the traceless (t11, t12, -t11).  Convection is taken in Lamb form,
-  (u . grad) u = grad(|u|^2 / 2) + w (u2, -u1), and so is its linearization
-  (y . grad) z + (z . grad) y = grad(y . z) + w_z (y2, -y1) + w_y (z2, -z1)
+- synthesis (to_grid with rows, or synthesize on a stack of coefficient
+  vectors): with C the (M, M) coefficient matrix, the K fields a kernel reads
+  come out of one multiply and two batched matrix products, X_k^T (C * amp_k) Y_k,
+  as one (K, G + 1, G + 1) grid.  No derivative is ever taken of grid data;
+- a few broadcast products of those grids with each other or with weight grids
+  of a frozen state.  In 2D, A^2 = (a^2 + b^2) I and A B + B A = (A : B) I are
+  pressures, which no projection sees, and are never formed; each stress is the
+  pair (t11, t12) of the traceless (t11, t12, -t11).  Convection is taken in
+  Lamb form, (u . grad) u = grad(|u|^2 / 2) + w (u2, -u1), and so is its
+  linearization (y . grad) z + (z . grad) y = grad(y . z) + w_z (y2, -y1) + w_y (z2, -z1)
   and the adjoint force (grad q)^T v + (q . grad) v = grad(q . v) + w_v (q2, -q1):
   the gradients are pressures too, so the kernels form the w terms from fields
   they already hold.  The adjoint's (y . grad) q - (q . grad) y is the curl of
@@ -58,6 +58,11 @@ three kernels:
   slots and a deviatoric stress, by summation by parts for P div T, the a and
   b slots, since T : grad h = t11 a(h) + t12 b(h).  The trapezoid weights sit
   in the projection tables, so no pass over the grid applies them.
+
+A solver runs its kernel hundreds of times on one basis, so it hands the
+kernel a Workspace: the grids above live in buffers allocated once per solve,
+and the per-mode factor the time stepper applies to the kernel's result is
+folded into the workspace's projection amplitudes, so it costs nothing per call.
 
 to_grid by order, to_coeffs and project_div are the velocity cases of the two
 transforms.
@@ -84,15 +89,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import ShapeMismatch, UnknownKind
-from .params import ModelParams
 
 __all__ = [
     "SpectralBasis",
     "Field",
+    "Workspace",
     "FIELDS",
     "SLOTS",
     "fields",
@@ -101,6 +107,7 @@ __all__ = [
     "default_grid_size",
     "min_grid_size",
     "project",
+    "synthesize",
     "to_grid",
     "to_coeffs",
     "project_div",
@@ -108,10 +115,8 @@ __all__ = [
     "apply_modified_stokes",
     "advect",
     "trilinear_b",
-    "turn",
     "strain",
     "frobenius",
-    "deviator",
     "norm_weights",
     "norms",
 ]
@@ -130,8 +135,9 @@ _BASE_FIELDS = {
 # (u1_xy = d_x d_y u1, a_x = d_x a); w_v is the spin of v(u) = u - alpha1 Lap u.
 # Synthesis reads, and projection writes, one contiguous run of rows, so this
 # order is what every caller rests on; `fields` and `slots` raise at import
-# when a run a module asks for does not exist.  The runs: the state rhs reads
-# a_x .. u2, the frozen state w_v .. u2, the adjoint a .. u2; to_grid's orders
+# when a run a module asks for does not exist.  The runs: the state and
+# linearized rhs (and the linearized rhs's frozen state) read a_x .. u2, the
+# adjoint's frozen state w_v .. u2, the adjoint a .. u2; to_grid's orders
 # 0, 1 and 2 are the velocity partials u1 .. u2 (partial-major, _PARTIALS),
 # u1 .. u2_y and u1 .. u2_yy.
 _PARTIALS = tuple(f"u{c}{d}" for d in ("", "_x", "_y", "_xx", "_xy", "_yy") for c in (1, 2))
@@ -193,7 +199,6 @@ _VELOCITY = tuple(fields(*_PARTIALS[:n]) for n in (2, 6, 12))  # to_grid orders 
 _PROJECTED = fields(*SLOTS)
 _VELOCITY_SLOTS = slots("u1", "u2")
 _GRADIENT_SLOTS = slots("u1_x", "u2_x", "u1_y", "u2_y")
-_SIGNS = np.array([1.0, -1.0])[:, None, None]
 
 
 def min_grid_size(max_mode: int) -> int:
@@ -340,27 +345,36 @@ def build_basis(max_mode: int, alpha1: float, grid_size: int | None = None) -> S
     )
 
 
-def _synthesize(f: Field, rows: slice) -> np.ndarray:
-    b = f.basis
-    coef = f.coeffs.reshape(b.max_mode, b.max_mode) * b.field_amp[rows]
-    return b.field_x[rows] @ coef @ b.field_y[rows]
+def synthesize(
+    basis: SpectralBasis, coeffs: np.ndarray, rows: slice, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The named fields in rows (see `fields`) of (..., n_modes) coefficients, as (..., K, Q, Q).
+
+    One multiply and two batched products; a stack of coefficient vectors is
+    synthesized in the same three calls.  out, when given, receives the result.
+    """
+    b = basis
+    coef = coeffs.reshape(*coeffs.shape[:-1], 1, b.max_mode, b.max_mode) * b.field_amp[rows]
+    return np.matmul(b.field_x[rows] @ coef, b.field_y[rows], out=out)
 
 
-def to_grid(f: Field, order: int = 0, rows: slice | None = None) -> np.ndarray:
+def to_grid(
+    f: Field, order: int = 0, rows: slice | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
     """Synthesize a Field on the grid: the named fields in rows, or its partials up to order.
 
     rows (see `fields`), when given, selects K named fields, returned as one
-    (K, Q, Q) grid in one multiply and two batched products; this is how every
-    rhs kernel reads its fields.  Otherwise order 0 gives the (2, Q, Q)
+    (K, Q, Q) grid, written into out when given; this is how every rhs kernel
+    reads its fields.  Otherwise order 0 gives the (2, Q, Q)
     velocity, and orders 1 and 2 the (2, n, Q, Q) grid g[i, p] = d^p f_i over
     the first n = 3 or 6 partials 1, d_x, d_y, d_xx, d_xy, d_yy, so g[:, 1:3]
     is the Jacobian J[i, j] = d_j f_i.
     """
     if rows is not None:
-        return _synthesize(f, rows)
+        return synthesize(f.basis, f.coeffs, rows, out)
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
-    g = _synthesize(f, _VELOCITY[order])
+    g = synthesize(f.basis, f.coeffs, _VELOCITY[order])
     return g if order == 0 else g.reshape(-1, 2, *g.shape[1:]).swapaxes(0, 1)
 
 
@@ -373,6 +387,55 @@ def project(basis: SpectralBasis, grids: np.ndarray, rows: slice) -> np.ndarray:
     b = basis
     r = b.proj_x[rows] @ grids @ b.proj_y[rows]
     return (r * b.proj_amp[rows]).reshape(-1, b.n_modes)
+
+
+class Workspace:
+    """The buffers one rhs kernel reuses through a solve, and its projection scaled per mode.
+
+    A kernel synthesizes the K fields in rows into synth
+    (`to_grid(..., out=work.synth)`), the first K of the K + spare grids in
+    grid (the rest room for products it forms in place).  form() then runs
+    ops, the kernel's broadcast products as calls bound to views of these
+    buffers, which leave the S grids it tests against the fields in slot_rows
+    in slots; project() pairs them as `project` does, times scale (one
+    (n_modes,) row for every slot or one row per slot; None for none), and
+    sums over the slots into out, which the next call overwrites.  Binding
+    every view once per workspace keeps slicing out of the per-call cost.
+    """
+
+    def __init__(
+        self, basis: SpectralBasis, rows: slice, slot_rows: slice, scale=None, spare: int = 0
+    ):
+        M, Q = basis.max_mode, basis.n_points
+        n_fields, n_slots = rows.stop - rows.start, slot_rows.stop - slot_rows.start
+        self.basis = basis
+        self.grid = np.empty((n_fields + spare, Q, Q))
+        self.synth = self.grid[:n_fields]
+        self.slots = np.empty((n_slots, Q, Q))
+        self.out = np.empty(basis.n_modes)
+        self.ops = ()
+        amp = basis.proj_amp[slot_rows]
+        if scale is not None:
+            amp = amp * np.reshape(scale, (-1, M, M))
+        half, paired = np.empty((n_slots, M, Q)), np.empty((n_slots, M, M))
+        self._projection = (
+            partial(np.matmul, basis.proj_x[slot_rows], self.slots, half),
+            partial(np.matmul, half, basis.proj_y[slot_rows], paired),
+            partial(np.multiply, paired, amp, paired),
+            partial(np.add.reduce, paired.reshape(n_slots, -1), 0, None, self.out),
+        )
+
+    def form(self) -> np.ndarray:
+        """Run the kernel's ops on the synthesized fields; returns slots."""
+        for op in self.ops:
+            op()
+        return self.slots
+
+    def project(self) -> np.ndarray:
+        """The coefficients of the slots, scaled and summed over the slots, in out."""
+        for op in self._projection:
+            op()
+        return self.out
 
 
 def to_coeffs(basis: SpectralBasis, vel: np.ndarray) -> Field:
@@ -423,16 +486,7 @@ def trilinear_b(phi: Field, z: Field, y: Field) -> float:
     return phi.basis.pair_velocity(adv, to_grid(y))
 
 
-# -- pointwise algebra on stacked (2, Q, Q) pairs --------------------------------
-
-
-def turn(w) -> np.ndarray:
-    """(w, -w) stacked, so that turn(w) * p[::-1] = w (p2, -p1) for a stacked pair p.
-
-    For p = u that is the Lamb form w (u2, -u1) of (u . grad) u, and for
-    p = (a, b) minus the spin term of the upper convected derivative of A.
-    """
-    return w * _SIGNS
+# -- pointwise tensor algebra ---------------------------------------------------
 
 
 def strain(g: np.ndarray) -> tuple:
@@ -443,20 +497,6 @@ def strain(g: np.ndarray) -> tuple:
 def frobenius(a, b) -> np.ndarray:
     """Pointwise A : B of two symmetric tensors given as (t11, t12, t22)."""
     return a[0] * b[0] + 2.0 * (a[1] * b[1]) + a[2] * b[2]
-
-
-def deviator(params: ModelParams, u, w_turn, ab, ab_x, ab_y) -> np.ndarray:
-    """(t11, t12) of the deviator of N(y) + S(y) from the named fields of y.
-
-    u = (u1, u2), ab = (a, b), ab_x and ab_y their partials, w_turn = turn(w)
-    of the spin w.
-    N(y) = alpha1 (y . grad A + J^T A + A J) + alpha2 A^2 and S(y) = beta |A|^2 A.
-    With J = grad y, A J + J^T A = A^2 + w [[-b, a], [a, b]], and A^2 = (a^2 + b^2) I
-    is a pressure: only the convected and spin terms and S = 2 beta (a^2 + b^2) A remain.
-    """
-    a, b = ab
-    cubic = (2.0 * params.beta) * (a * a + b * b)
-    return cubic * ab + params.alpha1 * (u[0] * ab_x + u[1] * ab_y - w_turn * ab[::-1])
 
 
 def _h_multiplier(lam: np.ndarray, order: int) -> np.ndarray:

@@ -12,9 +12,12 @@ turns this into coefficient ODEs
 where c_i is the basis projection of the nonlinear force F and the control.
 One step is Crank-Nicolson on the diagonal viscous part with the nonlinear
 terms evaluated at the interval midpoint (y_k + y_{k+1}) / 2, resolved by
-fixed-point iteration.  Controls are sampled at midpoints by averaging
-adjacent nodes.  `march` carries out this scheme for the state, linearized
-and adjoint solvers alike; each solver only supplies its explicit term.
+fixed-point iteration on the midpoint itself.  Controls are sampled at
+midpoints by averaging adjacent nodes.  `march` carries out this scheme for the
+state, linearized and adjoint solvers alike; each solver supplies its explicit
+source per step and its rhs kernel, whose projection amplitudes already carry
+the step's factor `midpoint_gain` / vmult (see `spectral.Workspace`), so one
+iteration is one kernel call and five small array operations.
 
 Because every projection is an exact quadrature pairing, the scheme satisfies
 a discrete V-norm energy identity per step,
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -39,19 +43,20 @@ from .params import ModelParams
 from .spectral import (
     Field,
     SpectralBasis,
-    deviator,
+    Workspace,
     fields,
     norm_weights,
-    project,
     slots,
+    synthesize,
     to_grid,
-    turn,
 )
 from .trajectory import Trajectory, check_same_grid
 
 __all__ = [
     "EnergyReport",
+    "StateWork",
     "march",
+    "midpoint_gain",
     "solve_state",
     "energy_report",
     "energy_balance_residuals",
@@ -62,8 +67,13 @@ __all__ = [
 
 FP_TOL = 1e-10
 FP_MAX_ITER = 50
-# weights of the nodes k - 3..k (as many as exist) in the first iterate of step k
-_GUESS = tuple(np.array(w) for w in ([1.0], [-1.0, 2.0], [1.0, -3.0, 3.0], [-1.0, 4.0, -6.0, 4.0]))
+# weights of the nodes k - 3..k (as many as exist) in the first midpoint iterate of
+# step k: the midpoint of a_k and the polynomial through those nodes, evaluated at t_{k+1}
+_GUESS = tuple(
+    np.array(w) for w in ([1.0], [-0.5, 1.5], [0.5, -1.5, 2.0], [-0.5, 2.0, -3.0, 2.5])
+)
+# (m_new, 2 m_new) - (m, a_k) = (m_new - m, a_next) in one product and one difference
+_STACK = np.array([[1.0], [2.0]])
 # the named fields the state rhs reads, and the slots it writes: stress, then force
 _FIELDS = fields("a_x", "b_x", "a_y", "b_y", "w", "a", "b", "u1", "u2")
 _SLOTS = slots("a", "b", "u1", "u2")
@@ -86,57 +96,145 @@ class EnergyReport:
     gamma: float
 
 
-def state_rhs_coeffs(basis: SpectralBasis, params: ModelParams, y_coeffs: np.ndarray) -> np.ndarray:
-    """Projection coefficients of F(y) = -(y.grad)y + div N(y) + div S(y)."""
-    g = to_grid(Field(y_coeffs, basis), rows=_FIELDS)
-    w_turn, ab, u = turn(g[4]), g[5:7], g[7:9]
-    # -F pairs, by summation by parts, the deviator (t11, t12) of N + S with
-    # (a, b)(h_i) and (y.grad)y, in Lamb form w (y2, -y1) plus a pressure, with h_i
-    grids = np.concatenate([deviator(params, u, w_turn, ab, g[0:2], g[2:4]), w_turn * u[::-1]])
-    return -project(basis, grids, _SLOTS).sum(axis=0)
+@lru_cache(maxsize=16)
+def _mixing(alpha1: float, beta: float) -> np.ndarray:
+    """The (4, 11) coefficients of the slot grids of F in the products `state_rhs_coeffs` forms.
+
+    -F pairs, by summation by parts, the deviator (t11, t12) of N + S with
+    (a, b)(h_i), t11 = alpha1 (u . grad a - w b) + 2 beta (a^2 + b^2) a and
+    t12 = alpha1 (u . grad b + w a) + 2 beta (a^2 + b^2) b, and (y.grad)y, in
+    Lamb form w (y2, -y1) plus a pressure, with h_i.  The columns are the
+    grid rows after the products: u1 (a_x, b_x), u2 (a_y, b_y), w itself,
+    which enters no slot, w (a, b, u1, u2) and (a^2 + b^2)(a, b).  The table
+    is shared and read-only.
+    """
+    al, be = alpha1, 2.0 * beta
+    mix = -np.array(
+        [
+            [al, 0.0, al, 0.0, 0.0, 0.0, -al, 0.0, 0.0, be, 0.0],
+            [0.0, al, 0.0, al, 0.0, al, 0.0, 0.0, 0.0, 0.0, be],
+            [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0],
+        ]
+    )
+    mix.flags.writeable = False
+    return mix
+
+
+class StateWork(Workspace):
+    """Buffers and ops of `state_rhs_coeffs`: the fields are multiplied in place
+    into the eleven products `_mixing` combines into the four slot grids."""
+
+    def __init__(self, basis: SpectralBasis, params: ModelParams, scale=None):
+        super().__init__(basis, _FIELDS, _SLOTS, scale, spare=2)
+        g = p = self.grid
+        strain_sq = np.empty(g.shape[1:])
+        ab, w, u1, u2 = g[5:7], g[4], g[7], g[8]
+        mix = _mixing(params.alpha1, params.beta)
+        self.ops = (
+            partial(np.multiply, ab, ab, p[9:11]),
+            partial(np.add, p[9], p[10], strain_sq),
+            partial(np.multiply, strain_sq, ab, p[9:11]),
+            partial(np.multiply, u1, g[0:2], p[0:2]),
+            partial(np.multiply, u2, g[2:4], p[2:4]),
+            partial(np.multiply, w, g[5:9], p[5:9]),
+            partial(np.matmul, mix, p.reshape(len(p), -1), self.slots.reshape(len(self.slots), -1)),
+        )
+
+
+def state_rhs_coeffs(
+    basis: SpectralBasis, params: ModelParams, y_coeffs: np.ndarray, work: StateWork | None = None
+) -> np.ndarray:
+    """Projection coefficients of F(y) = -(y.grad)y + div N(y) + div S(y).
+
+    With work (a StateWork for this basis and params, reused through a solve)
+    the buffers are work's and the result, F(y) times work's scale per mode,
+    is work.out, valid until the next call.
+    """
+    w = work if work is not None else StateWork(basis, params)
+    to_grid(Field(y_coeffs, basis), rows=_FIELDS, out=w.synth)
+    w.form()
+    return w.project()
+
+
+def _implicit(basis: SpectralBasis, params: ModelParams, dt: float) -> np.ndarray:
+    """imp = dt nu lam / (2 vmult), the implicit half of the viscous term over one step."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    return 0.5 * dt * params.nu * basis.lam / basis.vmult
+
+
+def midpoint_gain(basis: SpectralBasis, params: ModelParams, dt: float) -> np.ndarray:
+    """h = dt / (2 (1 + imp)) per mode: what `march` multiplies a step's explicit term by.
+
+    A solver scales its kernel's result by h / vmult (`spectral.Workspace`), so
+    that its rhs returns h times the time derivative the kernel contributes.
+    """
+    return 0.5 * dt / (1.0 + _implicit(basis, params, dt))
 
 
 def march(
-    basis: SpectralBasis, params: ModelParams, dt: float, a0: np.ndarray, n_steps: int, rhs_at
+    basis: SpectralBasis, params: ModelParams, dt: float, a0: np.ndarray, src: np.ndarray, rhs
 ) -> np.ndarray:
-    """Advance a0 by n_steps Crank-Nicolson/midpoint steps; return all n_steps + 1 nodes.
+    """Advance a0 by len(src) Crank-Nicolson/midpoint steps; return all len(src) + 1 nodes.
 
-    Step k solves a_{k+1} = decay a_k + gain rhs(mid), mid = (a_k + a_{k+1}) / 2, with
-    decay = (1 - imp) / (1 + imp), gain = dt / (1 + imp) and imp = dt nu lam / (2 vmult),
-    for rhs = rhs_at(k) by fixed-point iteration from the polynomial through the last
-    min(k, 3) + 1 nodes: 2 a_1 - a_0, 3 a_2 - 3 a_1 + a_0, then 4 a_k - 6 a_{k-1} + ...
-    A step that does not converge raises FixedPointDiverged with its index k.
+    Step k advances da/dt = -nu lam a / vmult + src[k] + f(a), f evaluated at
+    the midpoint m = (a_k + a_{k+1}) / 2.  With imp = dt nu lam / (2 vmult) and
+    h = midpoint_gain = dt / (2 (1 + imp)), m solves
+
+        m = c_k + rhs(k, m),    c_k = a_k / (1 + imp) + h src[k],
+
+    where rhs(k, m) returns h f(m) (the solvers fold h into their kernels), by
+    fixed-point iteration from the midpoint of a_k and the polynomial through the
+    last min(k, 3) + 1 nodes: 2 a_1 - a_0, 3 a_2 - 3 a_1 + a_0, then
+    4 a_k - 6 a_{k-1} + ...  Then a_{k+1} = 2 m - a_k, formed as
+    decay a_k + 2 h src[k] + 2 (m - c_k) with decay = (1 - imp) / (1 + imp),
+    so that a step with f = 0 is the exact Crank-Nicolson product.
+    The iteration stops when the endpoints a = 2 m - a_k of two consecutive
+    iterates satisfy |a_next - a_new|_inf <= FP_TOL |a_next|_inf.  A step that
+    produces a non-finite value or does not converge in FP_MAX_ITER iterations
+    raises FixedPointDiverged with its index k and its residuals.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    imp = 0.5 * dt * params.nu * basis.lam / basis.vmult
-    decay, gain = (1.0 - imp) / (1.0 + imp), dt / (1.0 + imp)
-    nodes = np.empty((n_steps + 1, basis.n_modes))
+    imp = _implicit(basis, params, dt)
+    # per step, (c_k, b_k) = (carry, decay) a_k + (h, 2 h) src[k]; then a_{k+1} = b_k + 2 (m - c_k)
+    carry_decay = np.stack([1.0 / (1.0 + imp), (1.0 - imp) / (1.0 + imp)])
+    gain_src = (dt / (1.0 + imp)) * src
+    sources = np.stack([0.5 * gain_src, gain_src], axis=1)
+    n_steps, n_modes = src.shape
+    nodes = np.empty((n_steps + 1, n_modes))
     nodes[0] = a0
-    check = np.empty((2, basis.n_modes))  # |a_next - a_new| and |a_next|
+    # the stacks (m, a_k) of the current and the next midpoint iterate, swapped each iteration
+    stacks = np.empty((2, 2, n_modes))
+    pairs, mids = (stacks[0], stacks[1]), (stacks[0, 0], stacks[1, 0])
+    check = np.empty((2, n_modes))  # |m_new - m| and |a_next|, a_next = 2 m_new - a_k
+    ends = np.empty((2, n_modes))
+    c, b = ends
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
-            rhs = rhs_at(k)
-            a_prev = nodes[k]
-            base = decay * a_prev
-            a_new = _GUESS[min(k, 3)] @ nodes[max(k - 3, 0) : k + 1]
+            a_k = nodes[k]
+            stacks[:, 1] = a_k
+            np.multiply(carry_decay, a_k, out=ends)
+            ends += sources[k]
+            now = 0
+            np.matmul(_GUESS[min(k, 3)], nodes[max(k - 3, 0) : k + 1], out=mids[now])
             residuals = []
             for _ in range(FP_MAX_ITER):
-                a_next = base + gain * rhs(0.5 * (a_prev + a_new))
-                np.subtract(a_next, a_new, out=check[0])
-                check[1] = a_next
-                change, size = np.abs(check, out=check).max(axis=1)
+                new = 1 - now
+                np.add(rhs(k, mids[now]), c, out=mids[new])
+                np.multiply(_STACK, mids[new], out=check)
+                np.subtract(check, pairs[now], out=check)
+                change, size = np.maximum.reduce(np.abs(check, out=check), axis=1).tolist()
                 # a NaN or inf in a_next makes scale non-finite
-                scale = max(float(size), 1e-30)
+                scale = max(size, 1e-30)
                 if not math.isfinite(scale):
                     raise FixedPointDiverged(
                         "midpoint iteration produced non-finite values; dt is too large",
                         step=k,
                         residuals=residuals,
                     )
-                res = float(change) / scale
+                res = 2.0 * change / scale
                 residuals.append(res)
-                a_new = a_next
+                now = new
                 if res <= FP_TOL:
                     break
             else:
@@ -146,7 +244,9 @@ def march(
                     step=k,
                     residuals=residuals,
                 )
-            nodes[k + 1] = a_new
+            np.subtract(mids[now], c, out=c)
+            c += c
+            np.add(b, c, out=nodes[k + 1])
     return nodes
 
 
@@ -158,19 +258,13 @@ def solve_state(y0: Field, control: Trajectory, params: ModelParams) -> Trajecto
     basis = y0.basis
     if not basis.compatible(control.basis):
         raise GridMismatch("initial state and control live on incompatible bases")
-    u_term = control.midpoints() / basis.vmult
-
-    def rhs_at(k):
-        return lambda mid: state_rhs_coeffs(basis, params, mid) / basis.vmult + u_term[k]
-
-    coeffs = march(basis, params, control.dt, y0.coeffs, control.n_steps, rhs_at)
+    dt = control.dt
+    work = StateWork(basis, params, midpoint_gain(basis, params, dt) / basis.vmult)
+    coeffs = march(
+        basis, params, dt, y0.coeffs, control.midpoints() / basis.vmult,
+        lambda k, mid: state_rhs_coeffs(basis, params, mid, work),
+    )
     return Trajectory(control.times.copy(), coeffs, basis, "state")
-
-
-def _strain_quartic(basis: SpectralBasis, coeffs: np.ndarray) -> float:
-    """int_D |A(y)|^4 dx of the field with the given coefficients, |A|^2 = 2 (a^2 + b^2)."""
-    a, b = to_grid(Field(coeffs, basis), rows=_STRAIN)
-    return basis.quad((2.0 * (a * a + b * b)) ** 2)
 
 
 def energy_report(traj: Trajectory, params: ModelParams) -> EnergyReport:
@@ -207,7 +301,9 @@ def energy_balance_residuals(
     v_incr = np.diff(np.sum(traj.coeffs ** 2, axis=1))
     # 4 nu ||D y_m||_2^2 = 2 nu sum lam a^2 / (1 + alpha1 lam)
     dvisc = 2.0 * params.nu * np.sum(y_mid ** 2 * basis.lam / basis.vmult, axis=1)
-    quartic = np.array([_strain_quartic(basis, c) for c in y_mid])
+    # int |A(y_m)|^4 of every midpoint at once, |A|^2 = 2 (a^2 + b^2)
+    strain_sq = 2.0 * np.sum(synthesize(basis, y_mid, _STRAIN) ** 2, axis=1)
+    quartic = basis.weights @ strain_sq ** 2 @ basis.weights
     work = np.sum(u_mid * y_mid / basis.vmult, axis=1)
     return v_incr + traj.dt * (dvisc + params.beta * quartic - 2.0 * work)
 

@@ -21,13 +21,18 @@ retraction is the exact projection.  Their tolerances are derived for that
 mapping: the optimizer contract's certifies the sampled VI floor, and the
 multi-start test's keeps each minimizer within a tenth of the agreement bound.
 
-Reordering floating-point operations moves report values by about 1e-12
-relative or less (defects near 1e-16 by O(1) of their own size).  Values that
-amplify it are compared by `passed` flags and the optimizer's iteration count:
-the `gateaux_taylor` slope and remainders, the `optimizer_contract` costs and
-`vi_min`, and the `stability_scaling` spread.  A new first midpoint iterate
-moves each step within FP_TOL: it also moves the `manufactured_convergence`
-errors and order by up to 1e-7, and the optimizer may stop at another iteration.
+Reordering floating-point operations, as the midpoint form of `state.march`
+and the scales folded into its kernels do, moves report values by about 1e-12
+relative or less.  Defects, small differences of O(1) quantities (the
+`state_energy` identity error, the `duality_gap`, the `adjoint_gradient` error,
+the `manufactured_convergence` errors), move by the roundoff of what they
+difference: by O(1) of their own size where they are near roundoff themselves.
+Values that amplify it are compared by `passed` flags and the optimizer's
+iteration count: the `gateaux_taylor` slope and remainders, the
+`optimizer_contract` costs and `vi_min`, and the `stability_scaling` spread.
+A new first midpoint iterate moves each step within FP_TOL: it also moves the
+`manufactured_convergence` errors and order by up to 1e-7, and the optimizer
+may stop at another iteration.
 """
 
 from __future__ import annotations

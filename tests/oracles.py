@@ -10,15 +10,22 @@ own: the full periodic grid of 2 * grid_size points per axis on [0, 2pi)^2,
 where the plain grid sum is the exact quadrature.  The solver uses only the
 grid_size + 1 of those points per axis that lie in [0, pi], with trapezoid
 weights, so these references check its quadrature independently.
-The one exception is `stress`, at the end: the package's own deviator kernel
-wrapped to read a synthesised grid, for the constitutive identity tests.
+Two exceptions sit at the end.  `stress` is the deviator of the state kernel
+in plain pair algebra, read from a synthesised grid, for the constitutive
+identity tests.  `march_endpoint` is the time stepper in its endpoint form,
+which iterates a_{k+1} instead of the midpoint, and the `*_endpoint` solvers
+drive it with the package's rhs kernels called without a workspace, as the
+reference for the solvers' midpoint iteration and folded scales.
 """
 
 import math
 
 import numpy as np
 
-from tgflow.spectral import deviator, turn
+from tgflow.adjoint import adjoint_rhs_terms
+from tgflow.errors import FixedPointDiverged
+from tgflow.linearized import FrozenState, linearized_rhs_coeffs
+from tgflow.state import FP_MAX_ITER, FP_TOL, state_rhs_coeffs
 
 
 def trapezoid_grid(res):
@@ -244,7 +251,28 @@ def adjoint_rhs_oracle(basis, params, y, q):
     return inner, outer
 
 
-# -- the package's deviator on a synthesised grid --------------------------------
+# -- the state deviator on a synthesised grid -------------------------------------
+
+_SIGNS = np.array([1.0, -1.0])[:, None, None]
+
+
+def turn(w):
+    """(w, -w) stacked, so that turn(w) * p[::-1] = w (p2, -p1) for a stacked pair p."""
+    return w * _SIGNS
+
+
+def deviator(params, u, w_turn, ab, ab_x, ab_y):
+    """(t11, t12) of the deviator of N(y) + S(y) from the named fields of y.
+
+    u = (u1, u2), ab = (a, b), ab_x and ab_y their partials, w_turn = turn(w)
+    of the spin w.
+    N(y) = alpha1 (y . grad A + J^T A + A J) + alpha2 A^2 and S(y) = beta |A|^2 A.
+    With J = grad y, A J + J^T A = A^2 + w [[-b, a], [a, b]], and A^2 = (a^2 + b^2) I
+    is a pressure: only the convected and spin terms and S = 2 beta (a^2 + b^2) A remain.
+    """
+    a, b = ab
+    cubic = (2.0 * params.beta) * (a * a + b * b)
+    return cubic * ab + params.alpha1 * (u[0] * ab_x + u[1] * ab_y - w_turn * ab[::-1])
 
 
 def stress(params, g):
@@ -256,3 +284,91 @@ def stress(params, g):
     w_turn = turn(g[0, 2] - g[1, 1])
     t11, t12 = deviator(params, g[:, 0], w_turn, pair(1, 2), pair(3, 4), pair(4, 5))
     return t11, t12, -t11
+
+
+# -- the endpoint-form time stepper and the solvers on it ---------------------------
+
+# weights of the nodes k - 3..k (as many as exist) in the first iterate of step k
+_GUESS = tuple(np.array(w) for w in ([1.0], [-1.0, 2.0], [1.0, -3.0, 3.0], [-1.0, 4.0, -6.0, 4.0]))
+
+
+def march_endpoint(basis, params, dt, a0, n_steps, rhs_at, calls=None):
+    """Advance a0 by n_steps Crank-Nicolson/midpoint steps; return all n_steps + 1 nodes.
+
+    Step k solves a_{k+1} = decay a_k + gain rhs(mid), mid = (a_k + a_{k+1}) / 2, with
+    decay = (1 - imp) / (1 + imp), gain = dt / (1 + imp) and imp = dt nu lam / (2 vmult),
+    for rhs = rhs_at(k), the full time derivative, by fixed-point iteration from the
+    polynomial through the last min(k, 3) + 1 nodes, with the stopping test and
+    failures of `state.march`.  calls, when given, collects the rhs evaluations of
+    each step.
+    """
+    imp = 0.5 * dt * params.nu * basis.lam / basis.vmult
+    decay, gain = (1.0 - imp) / (1.0 + imp), dt / (1.0 + imp)
+    nodes = np.empty((n_steps + 1, basis.n_modes))
+    nodes[0] = a0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            rhs = rhs_at(k)
+            a_prev = nodes[k]
+            base = decay * a_prev
+            a_new = _GUESS[min(k, 3)] @ nodes[max(k - 3, 0) : k + 1]
+            residuals = []
+            for _ in range(FP_MAX_ITER):
+                a_next = base + gain * rhs(0.5 * (a_prev + a_new))
+                scale = max(float(np.max(np.abs(a_next))), 1e-30)
+                if not math.isfinite(scale):
+                    raise FixedPointDiverged("non-finite values", step=k, residuals=residuals)
+                residuals.append(float(np.max(np.abs(a_next - a_new))) / scale)
+                a_new = a_next
+                if residuals[-1] <= FP_TOL:
+                    break
+            else:
+                raise FixedPointDiverged("did not converge", step=k, residuals=residuals)
+            if calls is not None:
+                calls.append(len(residuals))
+            nodes[k + 1] = a_new
+    return nodes
+
+
+def solve_state_endpoint(y0, control, params, calls=None):
+    """Coefficients of `solve_state` by the endpoint-form stepper."""
+    basis = y0.basis
+    u_term = control.midpoints() / basis.vmult
+
+    def rhs_at(k):
+        return lambda mid: state_rhs_coeffs(basis, params, mid) / basis.vmult + u_term[k]
+
+    return march_endpoint(basis, params, control.dt, y0.coeffs, control.n_steps, rhs_at, calls)
+
+
+def solve_linearized_endpoint(y_traj, psi, params, calls=None):
+    """Coefficients of `solve_linearized` by the endpoint-form stepper."""
+    basis = y_traj.basis
+    y_mid, psi_mid = y_traj.midpoints(), psi.midpoints()
+
+    def rhs_at(k):
+        frozen = FrozenState(basis, y_mid[k])
+        src = psi_mid[k] / basis.vmult
+        return lambda mid: linearized_rhs_coeffs(frozen, params, mid) / basis.vmult + src
+
+    zero = np.zeros(basis.n_modes)
+    return march_endpoint(basis, params, y_traj.dt, zero, y_traj.n_steps, rhs_at, calls)
+
+
+def solve_adjoint_endpoint(y_traj, f, params, calls=None):
+    """Coefficients of `solve_adjoint`, in reversed time, by the endpoint-form stepper."""
+    basis = y_traj.basis
+    y_mid, f_mid = y_traj.reversed().midpoints(), f.reversed().midpoints()
+
+    def rhs_at(k):
+        frozen = FrozenState(basis, y_mid[k])
+        src = f_mid[k] / basis.vmult
+
+        def rhs(mid):
+            inner, outer = adjoint_rhs_terms(frozen, params, mid)
+            return inner / basis.vmult + src + outer
+
+        return rhs
+
+    zero = np.zeros(basis.n_modes)
+    return march_endpoint(basis, params, y_traj.dt, zero, y_traj.n_steps, rhs_at, calls)

@@ -1,26 +1,29 @@
 """The Crank-Nicolson/midpoint marcher shared by the state, linearized and adjoint solvers."""
 
 import itertools
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from tgflow import validate_params
-from tgflow.adjoint import solve_adjoint
+from oracles import solve_adjoint_endpoint, solve_linearized_endpoint, solve_state_endpoint
+from tgflow import adjoint, build_basis, linearized, state, validate_params
+from tgflow.adjoint import AdjointWork, adjoint_rhs_terms, solve_adjoint
 from tgflow.errors import FixedPointDiverged
-from tgflow.linearized import solve_linearized
-from tgflow.state import FP_MAX_ITER, FP_TOL, march
+from tgflow.linearized import FrozenState, LinearizedWork, linearized_rhs_coeffs, solve_linearized
+from tgflow.spectral import Field
+from tgflow.state import FP_MAX_ITER, FP_TOL, StateWork, march, solve_state, state_rhs_coeffs
 from tgflow.trajectory import Trajectory, random_traj, time_grid
 
 
-def constant_rhs_at(value):
-    return lambda k: (lambda mid: value)
+def zero_rhs(k, mid):
+    return np.zeros_like(mid)
 
 
 def test_zero_explicit_term_gives_rational_decay(basis, params, rng):
     dt, n_steps = 0.05, 5
     a0 = rng.normal(size=basis.n_modes)
-    nodes = march(basis, params, dt, a0, n_steps, constant_rhs_at(np.zeros(basis.n_modes)))
+    nodes = march(basis, params, dt, a0, np.zeros((n_steps, basis.n_modes)), zero_rhs)
     imp = 0.5 * dt * params.nu * basis.lam / basis.vmult
     expected = ((1.0 - imp) / (1.0 + imp)) ** np.arange(n_steps + 1)[:, None] * a0
     assert nodes.shape == (n_steps + 1, basis.n_modes)
@@ -28,19 +31,23 @@ def test_zero_explicit_term_gives_rational_decay(basis, params, rng):
 
 
 def test_steps_see_their_own_explicit_term_in_order(basis, rng):
-    """Without viscosity a_{k+1} = a_k + dt g_k, where g_k is the constant of step k."""
+    """Without viscosity a_{k+1} = a_k + dt g_k, where g_k is the term of step k,
+    whether it comes as the source or from the rhs, which march scales by dt / 2."""
     inviscid = validate_params(nu=0.0, alpha1=0.5, alpha2=-0.5, beta=0.0)
     dt, n_steps = 0.1, 6
     g = rng.normal(size=(n_steps, basis.n_modes))
+    expected = np.concatenate([np.zeros((1, basis.n_modes)), np.cumsum(dt * g, axis=0)])
     seen = []
 
-    def rhs_at(k):
+    def rhs(k, mid):
         seen.append(k)
-        return lambda mid: g[k]
+        return 0.5 * dt * g[k]
 
-    nodes = march(basis, inviscid, dt, np.zeros(basis.n_modes), n_steps, rhs_at)
-    assert seen == list(range(n_steps))
-    expected = np.concatenate([np.zeros((1, basis.n_modes)), np.cumsum(dt * g, axis=0)])
+    zero = np.zeros(basis.n_modes)
+    nodes = march(basis, inviscid, dt, zero, np.zeros_like(g), rhs)
+    assert sorted(set(seen)) == list(range(n_steps)) and seen == sorted(seen)
+    assert np.max(np.abs(nodes - expected)) <= 1e-14
+    nodes = march(basis, inviscid, dt, zero, g, zero_rhs)
     assert np.max(np.abs(nodes - expected)) <= 1e-14
 
 
@@ -51,12 +58,13 @@ def test_linear_in_time_solution_is_hit_by_the_extrapolated_guess(basis, rng):
     g = rng.normal(size=basis.n_modes)
     calls = []
 
-    def rhs(mid):
+    def rhs(k, mid):
         calls.append(1)
-        return g
+        return 0.05 * g
 
     n_steps = 8
-    march(basis, inviscid, 0.1, rng.normal(size=basis.n_modes), n_steps, lambda k: rhs)
+    src = np.zeros((n_steps, basis.n_modes))
+    march(basis, inviscid, 0.1, rng.normal(size=basis.n_modes), src, rhs)
     # step 0 starts from a_0 and needs a second evaluation to confirm convergence
     assert len(calls) == 2 + (n_steps - 1)
 
@@ -74,14 +82,11 @@ def calls_per_step(basis, degree, rng, n_steps=8):
     g = np.diff(p, axis=0) / dt
     calls = [0] * n_steps
 
-    def rhs_at(k):
-        def rhs(mid):
-            calls[k] += 1
-            return g[k]
+    def rhs(k, mid):
+        calls[k] += 1
+        return np.zeros_like(mid)
 
-        return rhs
-
-    nodes = march(basis, inviscid, dt, p[0], n_steps, rhs_at)
+    nodes = march(basis, inviscid, dt, p[0], g, rhs)
     assert np.max(np.abs(nodes - p)) <= 1e-13 * np.max(np.abs(p))
     return calls
 
@@ -101,24 +106,24 @@ def test_non_finite_values_raise_with_step_and_residuals(basis, params):
     # two finite iterates of step 2 that disagree, then an inf
     bad_values = iter([ones, -ones, np.full(basis.n_modes, np.inf)])
 
-    def rhs_at(k):
-        return (lambda mid: next(bad_values)) if k == 2 else (lambda mid: zero)
+    def rhs(k, mid):
+        return next(bad_values) if k == 2 else zero
 
     with pytest.raises(FixedPointDiverged, match="non-finite") as info:
-        march(basis, params, 0.01, np.ones(basis.n_modes), 4, rhs_at)
+        march(basis, params, 0.01, ones, np.zeros((4, basis.n_modes)), rhs)
     assert info.value.step == 2
     assert len(info.value.residuals) == 2
     assert all(np.isfinite(info.value.residuals))
 
 
 def test_nan_in_a_single_mode_raises(basis, params):
-    def rhs(mid):
+    def rhs(k, mid):
         out = np.zeros(basis.n_modes)
         out[-1] = np.nan
         return out
 
     with pytest.raises(FixedPointDiverged, match="non-finite") as info:
-        march(basis, params, 0.01, np.ones(basis.n_modes), 3, lambda k: rhs)
+        march(basis, params, 0.01, np.ones(basis.n_modes), np.zeros((3, basis.n_modes)), rhs)
     assert info.value.step == 0
     assert info.value.residuals == []
 
@@ -127,12 +132,12 @@ def test_no_convergence_raises_after_max_iterations(basis, params):
     zero = np.zeros(basis.n_modes)
     flip = itertools.cycle([np.ones(basis.n_modes), -np.ones(basis.n_modes)])
 
-    def rhs_at(k):
+    def rhs(k, mid):
         # step 1 alternates between two iterates and never settles
-        return (lambda mid: next(flip)) if k == 1 else (lambda mid: zero)
+        return next(flip) if k == 1 else zero
 
     with pytest.raises(FixedPointDiverged, match="did not reach") as info:
-        march(basis, params, 0.01, np.ones(basis.n_modes), 3, rhs_at)
+        march(basis, params, 0.01, np.ones(basis.n_modes), np.zeros((3, basis.n_modes)), rhs)
     assert info.value.step == 1
     assert len(info.value.residuals) == FP_MAX_ITER
     assert min(info.value.residuals) > FP_TOL
@@ -140,7 +145,7 @@ def test_no_convergence_raises_after_max_iterations(basis, params):
 
 def test_non_positive_dt_rejected(basis, params):
     with pytest.raises(ValueError):
-        march(basis, params, 0.0, np.zeros(basis.n_modes), 1, constant_rhs_at(0.0))
+        march(basis, params, 0.0, np.zeros(basis.n_modes), np.zeros((1, basis.n_modes)), zero_rhs)
 
 
 def late_burst_state(basis, amp):
@@ -172,3 +177,114 @@ def test_adjoint_divergence_reports_reversed_step(basis, params, rng):
     with pytest.raises(FixedPointDiverged) as info:
         solve_adjoint(y, random_traj(basis, y.times, rng, amp=0.5), params)
     assert info.value.step == 0
+
+
+# -- the solvers against the endpoint form, and their workspaces ------------------
+
+
+def solver_inputs(max_mode, params, seed, n_steps=32):
+    """A basis, a state solved under a strong random control, and a second random source."""
+    basis = build_basis(max_mode, params.alpha1)
+    rng = np.random.default_rng(seed)
+    times = time_grid(0.5, n_steps)
+    control = random_traj(basis, times, rng, amp=2.0)
+    y0 = Field(0.4 * rng.normal(size=basis.n_modes) / np.sqrt(1.0 + basis.lam), basis)
+    return basis, y0, control, solve_state(y0, control, params), random_traj(basis, times, rng)
+
+
+def counted(module, monkeypatch):
+    """Record the step of every rhs evaluation of the march the module's solver runs."""
+    steps = []
+
+    def march_counted(basis, params, dt, a0, src, rhs):
+        def rhs_counted(k, mid):
+            steps.append(k)
+            return rhs(k, mid)
+
+        return march(basis, params, dt, a0, src, rhs_counted)
+
+    monkeypatch.setattr(module, "march", march_counted)
+    return steps
+
+
+@pytest.mark.parametrize("max_mode", [3, 4, 8])
+def test_solvers_match_the_endpoint_form(max_mode, params, monkeypatch):
+    """The midpoint iteration with its scales folded into the kernels takes the
+    steps of the endpoint-form iteration: the same nodes to 1e-13 relative, from
+    the same number of rhs evaluations in every step."""
+    basis, y0, control, y, psi = solver_inputs(max_mode, params, seed=max_mode)
+    cases = [
+        (state, lambda: state.solve_state(y0, control, params).coeffs,
+         lambda calls: solve_state_endpoint(y0, control, params, calls)),
+        (linearized, lambda: linearized.solve_linearized(y, psi, params).coeffs,
+         lambda calls: solve_linearized_endpoint(y, psi, params, calls)),
+        (adjoint, lambda: adjoint.solve_adjoint(y, psi, params).reversed().coeffs,
+         lambda calls: solve_adjoint_endpoint(y, psi, params, calls)),
+    ]
+    for module, solve, reference in cases:
+        steps = counted(module, monkeypatch)
+        got = solve()
+        monkeypatch.undo()
+        calls = []
+        want = reference(calls)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), module.__name__
+        assert np.bincount(steps, minlength=y.n_steps).tolist() == calls, module.__name__
+        assert max(calls) >= 2
+
+
+def test_repeated_and_interleaved_solves_are_bitwise_identical(params):
+    """Each solve owns its workspaces: a solve repeated after solves on another basis
+    and other params, or run while those run in another thread, gives bitwise the
+    same nodes."""
+    other = validate_params(nu=0.5, alpha1=0.2, alpha2=-0.1, beta=0.8)
+
+    def solves(max_mode, p):
+        _, _, _, y, psi = solver_inputs(max_mode, p, seed=0)
+        return [y.coeffs, solve_linearized(y, psi, p).coeffs, solve_adjoint(y, psi, p).coeffs]
+
+    first = solves(4, params)
+    solves(3, other)
+    again = solves(4, params)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        running = [pool.submit(solves, 4, params), pool.submit(solves, 3, other)]
+        threaded = [future.result(timeout=120) for future in running][0]
+    for nodes in (again, threaded):
+        for want, got in zip(first, nodes):
+            assert np.array_equal(want, got)
+
+
+def test_workspace_kernels_are_the_plain_kernels_scaled(params, rng):
+    """A kernel given a workspace returns its plain value times the workspace's
+    per-mode scale (the adjoint's outer term times vmult more), whichever frozen
+    state and basis the calls before it used."""
+    bases = [build_basis(4, params.alpha1), build_basis(3, params.alpha1)]
+    scales = [rng.uniform(0.5, 2.0, size=b.n_modes) for b in bases]
+    works = [
+        (StateWork(b, params, s), LinearizedWork(b, params, s), AdjointWork(b, params, s))
+        for b, s in zip(bases, scales)
+    ]
+    for _ in range(2):
+        for b, s, (sw, lw, aw) in zip(bases, scales, works):
+            y, z = 0.5 * rng.normal(size=(2, b.n_modes)) / np.sqrt(1.0 + b.lam)
+            frozen = FrozenState(b, y)
+            inner, outer = adjoint_rhs_terms(frozen, params, z)
+            pairs = [
+                (state_rhs_coeffs(b, params, y, sw), state_rhs_coeffs(b, params, y)),
+                (
+                    linearized_rhs_coeffs(frozen, params, z, lw),
+                    linearized_rhs_coeffs(frozen, params, z),
+                ),
+                (adjoint_rhs_terms(frozen, params, z, aw), inner + b.vmult * outer),
+            ]
+            for got, plain in pairs:
+                assert np.max(np.abs(got - s * plain)) <= 1e-14 * np.max(np.abs(s * plain))
+
+
+def test_state_rhs_is_unchanged_by_a_solve(params):
+    """Solves write only into workspaces of their own."""
+    basis, _, _, y, psi = solver_inputs(4, params, seed=1)
+    before = state_rhs_coeffs(basis, params, y.coeffs[5])
+    solve_adjoint(y, psi, params)
+    solve_linearized(y, psi, params)
+    after = state_rhs_coeffs(basis, params, y.coeffs[5])
+    assert np.array_equal(before, after)
