@@ -12,12 +12,14 @@ turns this into coefficient ODEs
 where c_i is the basis projection of the nonlinear force F and the control.
 One step is Crank-Nicolson on the diagonal viscous part with the nonlinear
 terms evaluated at the interval midpoint (y_k + y_{k+1}) / 2, resolved by
-fixed-point iteration on the midpoint itself.  Controls are sampled at
-midpoints by averaging adjacent nodes.  `march` carries out this scheme for the
-state, linearized and adjoint solvers alike; each solver supplies its explicit
-source per step and its rhs kernel, whose projection amplitudes already carry
-the step's factor `midpoint_gain` / vmult (see `spectral.Workspace`), so one
-iteration is one kernel call and five small array operations.
+fixed-point iteration on the midpoint itself, started from the explicit term
+extrapolated from the steps before (the predictor of a PECE scheme).  Controls
+are sampled at midpoints by averaging adjacent nodes.  `march` carries out this
+scheme for the state, linearized and adjoint solvers alike; each solver supplies
+its explicit source per step and its rhs kernel, whose projection amplitudes
+already carry the step's factor `midpoint_gain` / vmult (see
+`spectral.Workspace`), so one iteration is one kernel call and five small array
+operations.
 
 Because every projection is an exact quadrature pairing, the scheme satisfies
 a discrete V-norm energy identity per step,
@@ -63,14 +65,17 @@ __all__ = [
     "manufactured_control",
     "FP_TOL",
     "FP_MAX_ITER",
+    "PREDICTOR_ORDER",
 ]
 
 FP_TOL = 1e-10
 FP_MAX_ITER = 50
-# weights of the nodes k - 3..k (as many as exist) in the first midpoint iterate of
-# step k: the midpoint of a_k and the polynomial through those nodes, evaluated at t_{k+1}
-_GUESS = tuple(
-    np.array(w) for w in ([1.0], [-0.5, 1.5], [0.5, -1.5, 2.0], [-0.5, 2.0, -3.0, 2.5])
+PREDICTOR_ORDER = 8
+# weights (-1)^(j + 1) C(q, j), j = q..1, of the explicit terms of steps k - q..k - 1 that
+# extrapolate them to step k, for each q = min(k, PREDICTOR_ORDER)
+_PREDICT = tuple(
+    np.array([(-1.0) ** (j + 1) * math.comb(q, j) for j in range(q, 0, -1)])
+    for q in range(PREDICTOR_ORDER + 1)
 )
 # (m_new, 2 m_new) - (m, a_k) = (m_new - m, a_next) in one product and one difference
 _STACK = np.array([[1.0], [2.0]])
@@ -185,10 +190,13 @@ def march(
         m = c_k + rhs(k, m),    c_k = a_k / (1 + imp) + h src[k],
 
     where rhs(k, m) returns h f(m) (the solvers fold h into their kernels), by
-    fixed-point iteration from the midpoint of a_k and the polynomial through the
-    last min(k, 3) + 1 nodes: 2 a_1 - a_0, 3 a_2 - 3 a_1 + a_0, then
-    4 a_k - 6 a_{k-1} + ...  Then a_{k+1} = 2 m - a_k, formed as
-    decay a_k + 2 h src[k] + 2 (m - c_k) with decay = (1 - imp) / (1 + imp),
+    fixed-point iteration.  Step 0 starts from m = a_0; step k > 0 from
+    c_k + sum_j w_j r_{k-j}, which extrapolates the converged explicit terms
+    r_j = m_j - c_j of the last q = min(k, PREDICTOR_ORDER) steps by the
+    polynomial through them, w_j = (-1)^(j+1) C(q, j): 2 r_{k-1} - r_{k-2} for
+    q = 2.  Unlike the nodes, r carries no source, so it stays smooth in time
+    under rough controls.  Then a_{k+1} = 2 m - a_k, formed as
+    decay a_k + 2 h src[k] + 2 r_k with decay = (1 - imp) / (1 + imp),
     so that a step with f = 0 is the exact Crank-Nicolson product.
     The iteration stops when the endpoints a = 2 m - a_k of two consecutive
     iterates satisfy |a_next - a_new|_inf <= FP_TOL |a_next|_inf.  A step that
@@ -209,14 +217,16 @@ def march(
     check = np.empty((2, n_modes))  # |m_new - m| and |a_next|, a_next = 2 m_new - a_k
     ends = np.empty((2, n_modes))
     c, b = ends
+    terms = np.empty((n_steps, n_modes))  # the converged explicit terms m - c_k
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
             a_k = nodes[k]
             stacks[:, 1] = a_k
             np.multiply(carry_decay, a_k, out=ends)
             ends += sources[k]
-            now = 0
-            np.matmul(_GUESS[min(k, 3)], nodes[max(k - 3, 0) : k + 1], out=mids[now])
+            now, q = 0, min(k, PREDICTOR_ORDER)
+            np.matmul(_PREDICT[q], terms[k - q : k], out=mids[now])
+            np.add(mids[now], c if k else a_k, out=mids[now])  # step 0 starts from a_0
             residuals = []
             for _ in range(FP_MAX_ITER):
                 new = 1 - now
@@ -244,8 +254,8 @@ def march(
                     step=k,
                     residuals=residuals,
                 )
-            np.subtract(mids[now], c, out=c)
-            c += c
+            np.subtract(mids[now], c, out=terms[k])
+            np.add(terms[k], terms[k], out=c)
             np.add(b, c, out=nodes[k + 1])
     return nodes
 
@@ -329,10 +339,11 @@ def manufactured_control(
     n_nodes = times.size
     u = np.empty((n_nodes, basis.n_modes))
     ystar = np.zeros((n_nodes, basis.n_modes))
+    work = StateWork(basis, params)
     for k, t in enumerate(times):
         gk = float(g(t))
         ystar[k, mode_index] = gk
-        u[k] = -state_rhs_coeffs(basis, params, ystar[k])
+        u[k] = -state_rhs_coeffs(basis, params, ystar[k], work)
         u[k, mode_index] += (
             float(gprime(t)) * basis.vmult[mode_index] + params.nu * basis.lam[mode_index] * gk
         )

@@ -30,9 +30,11 @@ difference: by O(1) of their own size where they are near roundoff themselves.
 Values that amplify it are compared by `passed` flags and the optimizer's
 iteration count: the `gateaux_taylor` slope and remainders, the
 `optimizer_contract` costs and `vi_min`, and the `stability_scaling` spread.
-A new first midpoint iterate moves each step within FP_TOL: it also moves the
-`manufactured_convergence` errors and order by up to 1e-7, and the optimizer
-may stop at another iteration.
+A new first midpoint iterate moves each step within FP_TOL.  Predicting it from
+the explicit terms moved the fast seed-0 `manufactured_convergence` errors by up
+to 1.1e-7 relative, `duality_gap` from 1.4e-14 to 3.6e-14, `adjoint_gradient`
+from 8.7e-12 to 1.1e-11 and the Taylor slope and stability spread by 7e-6
+relative; the optimizer may stop at another iteration (no fast or full seed did).
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ import numpy as np
 from tgflow.adjoint import adjoint_rhs_terms
 from tgflow.errors import FixedPointDiverged
 from tgflow.linearized import FrozenState, linearized_rhs_coeffs
-from tgflow.state import FP_MAX_ITER, FP_TOL, state_rhs_coeffs
+from tgflow.state import FP_MAX_ITER, FP_TOL, PREDICTOR_ORDER, state_rhs_coeffs
 
 
 def trapezoid_grid(res):
@@ -288,33 +288,36 @@ def stress(params, g):
 
 # -- the endpoint-form time stepper and the solvers on it ---------------------------
 
-# weights of the nodes k - 3..k (as many as exist) in the first iterate of step k
-_GUESS = tuple(np.array(w) for w in ([1.0], [-1.0, 2.0], [1.0, -3.0, 3.0], [-1.0, 4.0, -6.0, 4.0]))
+def march_endpoint(basis, params, dt, a0, src, rhs_at, calls=None):
+    """Advance a0 by len(src) Crank-Nicolson/midpoint steps; return all len(src) + 1 nodes.
 
-
-def march_endpoint(basis, params, dt, a0, n_steps, rhs_at, calls=None):
-    """Advance a0 by n_steps Crank-Nicolson/midpoint steps; return all n_steps + 1 nodes.
-
-    Step k solves a_{k+1} = decay a_k + gain rhs(mid), mid = (a_k + a_{k+1}) / 2, with
-    decay = (1 - imp) / (1 + imp), gain = dt / (1 + imp) and imp = dt nu lam / (2 vmult),
-    for rhs = rhs_at(k), the full time derivative, by fixed-point iteration from the
-    polynomial through the last min(k, 3) + 1 nodes, with the stopping test and
-    failures of `state.march`.  calls, when given, collects the rhs evaluations of
-    each step.
+    Step k solves a_{k+1} = decay a_k + gain (src[k] + rhs(mid)), mid = (a_k + a_{k+1}) / 2,
+    with decay = (1 - imp) / (1 + imp), gain = dt / (1 + imp) and imp = dt nu lam / (2 vmult),
+    for rhs = rhs_at(k), the time derivative the kernel contributes, by fixed-point
+    iteration with the stopping test and failures of `state.march`.  Step 0 starts from
+    a_0; step k from decay a_k + gain src[k] plus the explicit terms gain rhs(mid) of the
+    last q = min(k, PREDICTOR_ORDER) steps extrapolated to step k by Newton's backward
+    differences, e_{k-1} + del e_{k-1} + ... + del^(q-1) e_{k-1}.  calls, when given,
+    collects the rhs evaluations of each step.
     """
     imp = 0.5 * dt * params.nu * basis.lam / basis.vmult
     decay, gain = (1.0 - imp) / (1.0 + imp), dt / (1.0 + imp)
+    n_steps = len(src)
     nodes = np.empty((n_steps + 1, basis.n_modes))
     nodes[0] = a0
+    terms = np.empty((n_steps, basis.n_modes))
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
             rhs = rhs_at(k)
             a_prev = nodes[k]
-            base = decay * a_prev
-            a_new = _GUESS[min(k, 3)] @ nodes[max(k - 3, 0) : k + 1]
+            base = decay * a_prev + gain * src[k]
+            last = terms[k - min(k, PREDICTOR_ORDER) : k]
+            predicted = sum(np.diff(last, n, axis=0)[-1] for n in range(len(last)))
+            a_new = base + predicted if k else a_prev
             residuals = []
             for _ in range(FP_MAX_ITER):
-                a_next = base + gain * rhs(0.5 * (a_prev + a_new))
+                term = gain * rhs(0.5 * (a_prev + a_new))
+                a_next = base + term
                 scale = max(float(np.max(np.abs(a_next))), 1e-30)
                 if not math.isfinite(scale):
                     raise FixedPointDiverged("non-finite values", step=k, residuals=residuals)
@@ -326,7 +329,7 @@ def march_endpoint(basis, params, dt, a0, n_steps, rhs_at, calls=None):
                 raise FixedPointDiverged("did not converge", step=k, residuals=residuals)
             if calls is not None:
                 calls.append(len(residuals))
-            nodes[k + 1] = a_new
+            nodes[k + 1], terms[k] = a_new, term
     return nodes
 
 
@@ -336,9 +339,9 @@ def solve_state_endpoint(y0, control, params, calls=None):
     u_term = control.midpoints() / basis.vmult
 
     def rhs_at(k):
-        return lambda mid: state_rhs_coeffs(basis, params, mid) / basis.vmult + u_term[k]
+        return lambda mid: state_rhs_coeffs(basis, params, mid) / basis.vmult
 
-    return march_endpoint(basis, params, control.dt, y0.coeffs, control.n_steps, rhs_at, calls)
+    return march_endpoint(basis, params, control.dt, y0.coeffs, u_term, rhs_at, calls)
 
 
 def solve_linearized_endpoint(y_traj, psi, params, calls=None):
@@ -348,11 +351,10 @@ def solve_linearized_endpoint(y_traj, psi, params, calls=None):
 
     def rhs_at(k):
         frozen = FrozenState(basis, y_mid[k])
-        src = psi_mid[k] / basis.vmult
-        return lambda mid: linearized_rhs_coeffs(frozen, params, mid) / basis.vmult + src
+        return lambda mid: linearized_rhs_coeffs(frozen, params, mid) / basis.vmult
 
     zero = np.zeros(basis.n_modes)
-    return march_endpoint(basis, params, y_traj.dt, zero, y_traj.n_steps, rhs_at, calls)
+    return march_endpoint(basis, params, y_traj.dt, zero, psi_mid / basis.vmult, rhs_at, calls)
 
 
 def solve_adjoint_endpoint(y_traj, f, params, calls=None):
@@ -362,13 +364,12 @@ def solve_adjoint_endpoint(y_traj, f, params, calls=None):
 
     def rhs_at(k):
         frozen = FrozenState(basis, y_mid[k])
-        src = f_mid[k] / basis.vmult
 
         def rhs(mid):
             inner, outer = adjoint_rhs_terms(frozen, params, mid)
-            return inner / basis.vmult + src + outer
+            return inner / basis.vmult + outer
 
         return rhs
 
     zero = np.zeros(basis.n_modes)
-    return march_endpoint(basis, params, y_traj.dt, zero, y_traj.n_steps, rhs_at, calls)
+    return march_endpoint(basis, params, y_traj.dt, zero, f_mid / basis.vmult, rhs_at, calls)

@@ -13,6 +13,7 @@ from tgflow.state import (
     energy_report,
     manufactured_control,
     solve_state,
+    state_rhs_coeffs,
 )
 from tgflow.trajectory import Trajectory, time_grid
 
@@ -83,6 +84,20 @@ def test_manufactured_solution_convergence(basis, params):
         errs.append(np.max(np.sqrt(np.sum((traj.coeffs - ystar.coeffs) ** 2, axis=1))))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.min(orders) >= 1.8
+
+
+def test_manufactured_control_is_the_plain_kernel_per_node(basis, params):
+    """One workspace serves every node: the control is bitwise the residual built
+    from a plain kernel call per node."""
+    g = lambda t: 0.4 * (1.0 + 0.5 * math.sin(3.0 * t))
+    gp = lambda t: 0.6 * math.cos(3.0 * t)
+    times, mode = time_grid(0.5, 16), 2
+    control, ystar = manufactured_control(basis, params, times, mode, g, gp)
+    want = -np.array([state_rhs_coeffs(basis, params, y) for y in ystar.coeffs])
+    want[:, mode] += [
+        gp(t) * basis.vmult[mode] + params.nu * basis.lam[mode] * g(t) for t in times
+    ]
+    assert np.array_equal(control.coeffs, want)
 
 
 def test_energy_identity_and_inequality(basis, params, rng):
