@@ -28,15 +28,9 @@ from functools import partial
 
 import numpy as np
 
-from .linearized import (
-    _SIGNS,
-    FrozenState,
-    _stress_pairing,
-    cubic_tangent,
-    solve_linearized,
-)
+from .linearized import _SIGNS, _stress_pairing, cubic_tangent, solve_linearized
 from .params import ModelParams
-from .spectral import Field, SpectralBasis, Workspace, fields, project, slots, to_grid, trilinear_b
+from .spectral import Field, SpectralBasis, Workspace, fields, slots, to_grid, trilinear_b
 from .state import march, midpoint_gain
 from .trajectory import Trajectory, check_same_grid, pair_l2l2_mid
 
@@ -56,20 +50,19 @@ class AdjointWork(Workspace):
     The slot grids are sums of the fields of q times weight grids of ybar:
     (ybar2, -ybar1) times (q1, q2) in the w slot, -beta times the cubic tangent
     times (a, b) in the a and b slots, and (w_v, -w_v) times (q2, q1) in the
-    u1 and u2 slots.  freeze builds the weights at a FrozenState.  scale is per
-    mode, for the slots tested against phi; the w slot, tested against v(phi),
-    enters the time derivative undivided by vmult, so it carries scale times -vmult.
+    u1 and u2 slots.  freeze builds the weights at the frozen state's
+    coefficients.  scale (None for none) is per mode, for the slots tested
+    against phi; the w slot, tested against v(phi), enters the time derivative
+    undivided by vmult, so it carries scale times -vmult.
     """
 
     def __init__(self, basis: SpectralBasis, params: ModelParams, scale=None):
-        if scale is not None:
-            scale = np.tile(scale, (5, 1))
-            scale[0] *= -basis.vmult
+        scale = np.tile(np.ones(basis.n_modes) if scale is None else scale, (5, 1))
+        scale[0] *= -basis.vmult
         # the frozen state's ten fields fill grid, q's four its first rows
         super().__init__(basis, _FIELDS, _SLOTS, scale, spare=6)
         Q = basis.n_points
         self.params = params
-        self.frozen = None
         self.weights = wt = np.empty((4, 2, Q, Q))  # psi, stress (2, 2) and force weights
         self.products = p = np.empty((3, 2, Q, Q))
         q, out = self.synth, self.slots
@@ -86,40 +79,31 @@ class AdjointWork(Workspace):
             partial(np.multiply, wt[3], q[3:1:-1], out[3:5]),
         )
 
-    def freeze(self, frozen: FrozenState) -> None:
-        y = to_grid(Field(frozen.coeffs, self.basis), rows=_FROZEN, out=self.grid)
+    def freeze(self, frozen: np.ndarray) -> None:
+        y = to_grid(Field(frozen, self.basis), rows=_FROZEN, out=self.grid)
         wt = self.weights
         np.multiply(_SIGNS, y[9:7:-1], out=wt[0])
         cubic_tangent(y[6:8], -self.params.beta, wt[1:3], self.products[0, 0])
         np.multiply(_SIGNS, y[0], out=wt[3])
-        self.frozen = frozen
 
 
 def adjoint_rhs_terms(
-    frozen: FrozenState,
+    basis: SpectralBasis,
     params: ModelParams,
+    y_coeffs: np.ndarray,
     q_coeffs: np.ndarray,
     work: AdjointWork | None = None,
-):
-    """Explicit terms of the reversed adjoint ODE at a frozen state.
+) -> np.ndarray:
+    """Explicit terms of the reversed adjoint ODE at the frozen state ybar.
 
-    Returns (inner, outer): the coefficient ODE reads
-    ds/dt = (-nu lam s + inner + c(f)) / vmult + outer, where inner collects
-    the terms tested against phi and outer the two tested against v(phi).
-    With work (an AdjointWork for this basis and params, reused through a
-    solve) it returns instead inner + vmult outer times work's scale per mode,
-    as work.out, valid until the next call; the weights are rebuilt only for a
-    new frozen state.
+    The coefficient ODE reads ds/dt = (-nu lam s + inner + c(f)) / vmult + outer,
+    where inner collects the terms tested against phi and outer the two tested
+    against v(phi); this returns inner + vmult outer.  With work (an
+    AdjointWork for this basis and params, reused through a solve) the weights
+    are rebuilt only when ybar is not the array of the call before, and the
+    result, times work's scale per mode, is work.out, valid until the next call.
     """
-    w = work if work is not None else AdjointWork(frozen.basis, params)
-    if w.frozen is not frozen:
-        w.freeze(frozen)
-    to_grid(Field(q_coeffs, frozen.basis), rows=_FIELDS, out=w.synth)
-    slots_ = w.form()
-    if work is not None:
-        return w.project()
-    r = project(frozen.basis, slots_, _SLOTS)
-    return r[1:].sum(axis=0), -r[0]
+    return (work if work is not None else AdjointWork(basis, params))(q_coeffs, y_coeffs)
 
 
 def solve_adjoint(y_traj: Trajectory, f: Trajectory, params: ModelParams) -> Trajectory:
@@ -130,11 +114,11 @@ def solve_adjoint(y_traj: Trajectory, f: Trajectory, params: ModelParams) -> Tra
     """
     check_same_grid(y_traj, f)
     basis, dt = y_traj.basis, y_traj.dt
-    frozen = [FrozenState(basis, y) for y in y_traj.reversed().midpoints()]
+    frozen = list(y_traj.reversed().midpoints())  # one array per step
     work = AdjointWork(basis, params, midpoint_gain(basis, params, dt) / basis.vmult)
     q = march(
         basis, params, dt, np.zeros(basis.n_modes), f.reversed().midpoints() / basis.vmult,
-        lambda k, mid: adjoint_rhs_terms(frozen[k], params, mid, work),
+        lambda k, mid: adjoint_rhs_terms(basis, params, frozen[k], mid, work),
     )
     return Trajectory(y_traj.times.copy(), q, basis, "adjoint").reversed()
 

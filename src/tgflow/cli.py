@@ -13,10 +13,11 @@ Configuration is flat key = value text with sections, read by configparser:
     [taylor]  amplitude, rhos                 (optional)
     [export]  input, what = norms | optimizer (export-plot)
 
-Exit codes follow the error classes: 0 success, 2 for any InvalidInput (a bad
-configuration, file or argument), 3 for any SolverFailure.  Paths in the
-config are relative to its directory.  All outputs are written atomically
-into the --out directory.
+A section or key that no command reads is rejected, so a misspelled one
+cannot silently fall back to a default.  Exit codes follow the error classes:
+0 success, 2 for any InvalidInput (a bad configuration, file or argument), 3
+for any SolverFailure.  Paths in the config are relative to its directory.
+All outputs are written atomically into the --out directory.
 """
 
 from __future__ import annotations
@@ -50,6 +51,21 @@ from .trajectory import Trajectory, random_field, random_traj, time_grid
 from .verify import LEVELS, run_suite
 
 
+# the keys some command reads, by section, as in the table above; configparser
+# lowercases keys, so M and T are read as m and t
+_KEYS = {
+    "model": ("nu", "alpha1", "alpha2", "beta"),
+    "disc": ("m", "grid", "dt", "t"),
+    "cost": ("lambda", "k", "target_path"),
+    "opt": ("max_iter", "tol"),
+    "run": ("seed",),
+    "init": ("mode", "amplitude"),
+    "control": ("mode", "amplitude", "omega"),
+    "taylor": ("amplitude", "rhos"),
+    "export": ("input", "what"),
+}
+
+
 def _existing_file(path: str, name: str) -> str:
     if not os.path.isfile(path):
         raise ConfigInvalid(f"{name} {path} is not an existing regular file")
@@ -57,7 +73,7 @@ def _existing_file(path: str, name: str) -> str:
 
 
 class _Config:
-    """configparser wrapper reporting missing keys by dotted path.
+    """configparser wrapper reporting missing and unknown keys by dotted path.
 
     The file is read once: the parsed text and the recorded sha256 come from
     the same bytes.
@@ -71,6 +87,12 @@ class _Config:
             parser.read_string(data.decode("utf-8"), source=path)
         except (UnicodeDecodeError, configparser.Error) as exc:
             raise ConfigInvalid(f"config file {path} does not parse: {exc}") from exc
+        known = [s for s in parser.sections() if s in _KEYS]
+        unknown = [f"[{s}]" for s in parser.sections() if s not in _KEYS] + [
+            f"{s}.{key}" for s in known for key in parser.options(s) if key not in _KEYS[s]
+        ]
+        if unknown:
+            raise ConfigInvalid(f"config file {path}: no command reads {', '.join(unknown)}")
         self.parser = parser
         self.sha256 = hashlib.sha256(data).hexdigest()
         self.directory = os.path.dirname(os.path.abspath(path))

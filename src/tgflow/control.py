@@ -70,6 +70,10 @@ __all__ = [
 
 GRADIENT_MAPPING_STEP = 1.0
 LBFGS_MEMORY = 8  # curvature pairs the two-loop recursion keeps
+ARMIJO_C = 1e-4  # sufficient decrease the line search asks of a trial
+BACKTRACK_RATIO = 0.5  # the factor the line search shrinks t by
+MIN_STEP = 1e-12  # the line search gives up below this t
+N_VI_SAMPLES = 20  # random admissible controls the VI residuals are sampled at
 
 
 @dataclass(frozen=True)
@@ -93,28 +97,16 @@ class CostConfig:
 
 @dataclass(frozen=True)
 class OptimizeOptions:
-    """Iteration budget, stationarity tolerance, line search and VI sampling."""
+    """Iteration budget and stationarity tolerance."""
 
     max_iter: int = 100
     tol: float = 1e-6
-    armijo_c: float = 1e-4
-    backtrack_ratio: float = 0.5
-    min_step: float = 1e-12
-    n_vi_samples: int = 20
 
     def __post_init__(self):
         if not self.max_iter >= 1:
             raise ValueError(f"max_iter = {self.max_iter} must be at least 1")
         if not self.tol >= 0:
             raise ValueError(f"tol = {self.tol} must be >= 0")
-        if not 0 < self.armijo_c < 1:
-            raise ValueError(f"armijo_c = {self.armijo_c} must lie in (0, 1)")
-        if not 0 < self.backtrack_ratio < 1:
-            raise ValueError(f"backtrack_ratio = {self.backtrack_ratio} must lie in (0, 1)")
-        if not self.min_step > 0:
-            raise ValueError(f"min_step = {self.min_step} must be > 0")
-        if not self.n_vi_samples >= 1:
-            raise ValueError(f"n_vi_samples = {self.n_vi_samples} must be at least 1")
 
 
 @dataclass
@@ -277,7 +269,7 @@ class _Memory:
         return -r
 
 
-def _line_search(U, d, t, g, cost, y0, cfg, params, opts, descent_only):
+def _line_search(U, d, t, g, cost, y0, cfg, params, descent_only):
     """Backtrack t along the projected arc proj(U + t d) until the Armijo test holds.
 
     Returns (t, trial, cost, state trajectory) of the accepted point or None,
@@ -287,7 +279,7 @@ def _line_search(U, d, t, g, cost, y0, cfg, params, opts, descent_only):
     """
     trials = 0
     decrease = 0.0
-    while t >= opts.min_step:
+    while t >= MIN_STEP:
         trial = project_admissible(
             Trajectory(U.times, U.coeffs + t * d, U.basis, "control"), cfg.radius
         )
@@ -297,9 +289,9 @@ def _line_search(U, d, t, g, cost, y0, cfg, params, opts, descent_only):
             break
         new_cost, new_traj = eval_cost(trial, y0, cfg, params)
         trials += 1
-        if new_cost <= cost + opts.armijo_c * decrease and new_cost < cost:
+        if new_cost <= cost + ARMIJO_C * decrease and new_cost < cost:
             return (t, trial, new_cost, new_traj), trials, decrease
-        t *= opts.backtrack_ratio
+        t *= BACKTRACK_RATIO
     return None, trials, decrease
 
 
@@ -348,15 +340,14 @@ def optimize(
         step, trials = None, 0
         if memory.pairs:
             step, trials, _ = _line_search(
-                U, memory.direction(G.coeffs), 1.0, g, cost, y0, cfg, params, opts,
-                descent_only=True,
+                U, memory.direction(G.coeffs), 1.0, g, cost, y0, cfg, params, descent_only=True
             )
             kind = "quasi_newton"
         if step is None:
             memory.pairs.clear()
             step, more, decrease = _line_search(
                 U, -G.coeffs, 1.0 / max(1.0, norm_l2h1_trap(G)), g, cost, y0, cfg, params,
-                opts, descent_only=False,
+                descent_only=False,
             )
             trials += more
             kind = "gradient"
@@ -371,7 +362,7 @@ def optimize(
                 report.termination = "line search stalled at near-stationary point"
                 break
             raise LineSearchFailed(
-                f"no Armijo step above {opts.min_step} at iteration {it} "
+                f"no Armijo step above {MIN_STEP} at iteration {it} "
                 f"(gradient mapping {mapping:.3e}, directional derivative {decrease:.3e})"
             )
 
@@ -384,5 +375,5 @@ def optimize(
         memory.push(trial.coeffs - U.coeffs, new_G.coeffs - G.coeffs)
         U, cost, g, G = trial, new_cost, new_g, new_G
 
-    report.vi_residuals = sample_vi_residuals(U, g, cfg.radius, rng, opts.n_vi_samples)
+    report.vi_residuals = sample_vi_residuals(U, g, cfg.radius, rng, N_VI_SAMPLES)
     return U, report

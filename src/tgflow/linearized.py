@@ -30,16 +30,8 @@ from functools import partial
 import numpy as np
 
 from .params import ModelParams
-from .spectral import (
-    Field,
-    SpectralBasis,
-    Workspace,
-    fields,
-    slots,
-    to_grid,
-    trilinear_b,
-)
-from .state import march, midpoint_gain, solve_state
+from .spectral import Field, SpectralBasis, Workspace, to_grid, trilinear_b
+from .state import _FIELDS, _SLOTS, _STRAIN, march, midpoint_gain, solve_state
 from .trajectory import Trajectory, check_same_grid
 
 __all__ = [
@@ -47,32 +39,11 @@ __all__ = [
     "gateaux_taylor_test",
     "TaylorResult",
     "linearized_form",
-    "FrozenState",
     "LinearizedWork",
 ]
 
-# the named fields the linearized rhs reads, of z and of the frozen state y alike,
-# and the slots it writes
-_FIELDS = fields("a_x", "b_x", "a_y", "b_y", "w", "a", "b", "u1", "u2")
-_SLOTS = slots("a", "b", "u1", "u2")
-_STRAIN = fields("a", "b")
 # (1, -1) against a stacked pair: _SIGNS * w = (w, -w)
 _SIGNS = np.array([1.0, -1.0])[:, None, None]
-
-
-class FrozenState:
-    """A frozen state midpoint y, at which the linearized and adjoint kernels are taken.
-
-    A kernel's workspace synthesizes y and builds the weight grids it
-    multiplies the fields of its argument by once per FrozenState, which it
-    tells apart by identity; the solvers make one per step.
-    """
-
-    __slots__ = ("basis", "coeffs")
-
-    def __init__(self, basis: SpectralBasis, coeffs: np.ndarray):
-        self.basis = basis
-        self.coeffs = coeffs
 
 
 def cubic_tangent(ab: np.ndarray, coef: float, out: np.ndarray, diag: np.ndarray) -> None:
@@ -95,14 +66,13 @@ class LinearizedWork(Workspace):
     The slot grids that project to F'(y)[z] are sums of the fields of z times
     weight grids of y: grad_w times (a_x, b_x) and (a_y, b_y) and pair_w times w, a, b, u1
     and u2 in the a and b slots, conv_w times w and (u2, u1) in the u1 and u2
-    slots.  freeze builds the weights at a FrozenState.
+    slots.  freeze builds the weights at the frozen state's coefficients.
     """
 
     def __init__(self, basis: SpectralBasis, params: ModelParams, scale=None):
         super().__init__(basis, _FIELDS, _SLOTS, scale)
         Q = basis.n_points
         self.params = params
-        self.frozen = None
         self.grad_w = np.empty((2, 1, Q, Q))
         self.pair_w = np.empty((5, 2, Q, Q))
         self.conv_w = np.empty((2, 2, Q, Q))
@@ -117,10 +87,10 @@ class LinearizedWork(Workspace):
             partial(np.add, out[2:4], self.conv, out[2:4]),
         )
 
-    def freeze(self, frozen: FrozenState) -> None:
+    def freeze(self, frozen: np.ndarray) -> None:
         al, Q = self.params.alpha1, self.basis.n_points
         # y's fields are z's: synth holds them until the kernel synthesizes z
-        y = to_grid(Field(frozen.coeffs, self.basis), rows=_FIELDS, out=self.synth)
+        y = to_grid(Field(frozen, self.basis), rows=_FIELDS, out=self.synth)
         w, ab, u = y[4], y[5:7], y[7:9]
         # F' pairs minus the stress with (a, b)(h_i), so every weight carries a minus
         # sign: alpha1 (y.grad A(z) + z.grad A(y)) + beta tangent (a_z, b_z) and the
@@ -135,39 +105,34 @@ class LinearizedWork(Workspace):
         # (y.grad)z + (z.grad)y in Lamb form, w_z (y2, -y1) + w (z2, -z1), plus a pressure
         np.multiply(_SIGNS[::-1], u[::-1], out=self.conv_w[0])
         np.multiply(_SIGNS[::-1], w, out=self.conv_w[1])
-        self.frozen = frozen
 
 
 def linearized_rhs_coeffs(
-    frozen: FrozenState,
+    basis: SpectralBasis,
     params: ModelParams,
+    y_coeffs: np.ndarray,
     z_coeffs: np.ndarray,
     work: LinearizedWork | None = None,
 ) -> np.ndarray:
     """Projection coefficients of F'(y)[z] at the frozen state y, F the state rhs.
 
     With work (a LinearizedWork for this basis and params, reused through a
-    solve) the buffers are work's, its weights are rebuilt only for a new
-    frozen state, and the result, F'(y)[z] times work's scale per mode, is
-    work.out, valid until the next call.
+    solve) the weights are rebuilt only when y is not the array of the call
+    before, and the result, F'(y)[z] times work's scale per mode, is work.out,
+    valid until the next call.
     """
-    w = work if work is not None else LinearizedWork(frozen.basis, params)
-    if w.frozen is not frozen:
-        w.freeze(frozen)
-    to_grid(Field(z_coeffs, frozen.basis), rows=_FIELDS, out=w.synth)
-    w.form()
-    return w.project()
+    return (work if work is not None else LinearizedWork(basis, params))(z_coeffs, y_coeffs)
 
 
 def solve_linearized(y_traj: Trajectory, psi: Trajectory, params: ModelParams) -> Trajectory:
     """Solve the linearized equation driven by psi around the stored state."""
     check_same_grid(y_traj, psi)
     basis, dt = y_traj.basis, y_traj.dt
-    frozen = [FrozenState(basis, y) for y in y_traj.midpoints()]
+    frozen = list(y_traj.midpoints())  # one array per step: identity marks a new step
     work = LinearizedWork(basis, params, midpoint_gain(basis, params, dt) / basis.vmult)
     coeffs = march(
         basis, params, dt, np.zeros(basis.n_modes), psi.midpoints() / basis.vmult,
-        lambda k, mid: linearized_rhs_coeffs(frozen[k], params, mid, work),
+        lambda k, mid: linearized_rhs_coeffs(basis, params, frozen[k], mid, work),
     )
     return Trajectory(y_traj.times.copy(), coeffs, basis, "linearized")
 

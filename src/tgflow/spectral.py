@@ -59,10 +59,14 @@ three kernels:
   b slots, since T : grad h = t11 a(h) + t12 b(h).  The trapezoid weights sit
   in the projection tables, so no pass over the grid applies them.
 
-A solver runs its kernel hundreds of times on one basis, so it hands the
-kernel a Workspace: the grids above live in buffers allocated once per solve,
-and the per-mode factor the time stepper applies to the kernel's result is
-folded into the workspace's projection amplitudes, so it costs nothing per call.
+Each rhs kernel is a Workspace, and one call of it is the whole pass above.
+A solver runs its kernel hundreds of times on one basis, so it makes one
+workspace per solve: the grids live in buffers allocated once, the per-mode
+factor the time stepper applies to the kernel's result is folded into the
+projection amplitudes, so it costs nothing per call, and the weight grids of
+the frozen state a linearized or adjoint kernel is taken at are rebuilt only
+when the frozen state's coefficient array is not the one of the call before:
+once per step.
 
 to_grid by order, to_coeffs and project_div are the velocity cases of the two
 transforms.
@@ -390,17 +394,19 @@ def project(basis: SpectralBasis, grids: np.ndarray, rows: slice) -> np.ndarray:
 
 
 class Workspace:
-    """The buffers one rhs kernel reuses through a solve, and its projection scaled per mode.
+    """One rhs kernel: the buffers it reuses through a solve, its ops and its scaled projection.
 
-    A kernel synthesizes the K fields in rows into synth
-    (`to_grid(..., out=work.synth)`), the first K of the K + spare grids in
-    grid (the rest room for products it forms in place).  form() then runs
-    ops, the kernel's broadcast products as calls bound to views of these
-    buffers, which leave the S grids it tests against the fields in slot_rows
-    in slots; project() pairs them as `project` does, times scale (one
-    (n_modes,) row for every slot or one row per slot; None for none), and
-    sums over the slots into out, which the next call overwrites.  Binding
-    every view once per workspace keeps slicing out of the per-call cost.
+    A call work(coeffs, frozen) is the kernel's whole pass.  When frozen, a
+    frozen state's coefficient vector, is not the one of the call before, the
+    subclass's freeze(frozen) rebuilds the weight grids the kernel multiplies
+    by.  The K fields in rows of coeffs are synthesized into synth, the first
+    K of the K + spare grids in grid (the rest room for products formed in
+    place).  ops, the kernel's broadcast products as calls bound to views of
+    these buffers, leave the S grids it tests against the fields in slot_rows
+    in slots, which are paired as `project` does, times scale (one (n_modes,)
+    row for every slot or one row per slot; None for none), and summed over
+    the slots into out, which the next call overwrites.  Binding every view
+    once per workspace keeps slicing out of the per-call cost.
     """
 
     def __init__(
@@ -408,7 +414,7 @@ class Workspace:
     ):
         M, Q = basis.max_mode, basis.n_points
         n_fields, n_slots = rows.stop - rows.start, slot_rows.stop - slot_rows.start
-        self.basis = basis
+        self.basis, self.rows, self.frozen = basis, rows, None
         self.grid = np.empty((n_fields + spare, Q, Q))
         self.synth = self.grid[:n_fields]
         self.slots = np.empty((n_slots, Q, Q))
@@ -425,14 +431,14 @@ class Workspace:
             partial(np.add.reduce, paired.reshape(n_slots, -1), 0, None, self.out),
         )
 
-    def form(self) -> np.ndarray:
-        """Run the kernel's ops on the synthesized fields; returns slots."""
+    def __call__(self, coeffs: np.ndarray, frozen: np.ndarray | None = None) -> np.ndarray:
+        """The kernel's scaled coefficients at coeffs, in out."""
+        if frozen is not self.frozen:
+            self.freeze(frozen)
+            self.frozen = frozen
+        to_grid(Field(coeffs, self.basis), rows=self.rows, out=self.synth)
         for op in self.ops:
             op()
-        return self.slots
-
-    def project(self) -> np.ndarray:
-        """The coefficients of the slots, scaled and summed over the slots, in out."""
         for op in self._projection:
             op()
         return self.out

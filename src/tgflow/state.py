@@ -50,7 +50,7 @@ from .spectral import (
     norm_weights,
     slots,
     synthesize,
-    to_grid,
+    to_grid,  # noqa: F401 -- perfbench traces to_grid in every solver module's namespace
 )
 from .trajectory import Trajectory, check_same_grid
 
@@ -79,7 +79,8 @@ _PREDICT = tuple(
 )
 # (m_new, 2 m_new) - (m, a_k) = (m_new - m, a_next) in one product and one difference
 _STACK = np.array([[1.0], [2.0]])
-# the named fields the state rhs reads, and the slots it writes: stress, then force
+# the named fields the state and linearized rhs read (the linearized one of z and of
+# the frozen state alike), and the slots they write: stress, then force
 _FIELDS = fields("a_x", "b_x", "a_y", "b_y", "w", "a", "b", "u1", "u2")
 _SLOTS = slots("a", "b", "u1", "u2")
 _STRAIN = fields("a", "b")
@@ -153,13 +154,10 @@ def state_rhs_coeffs(
     """Projection coefficients of F(y) = -(y.grad)y + div N(y) + div S(y).
 
     With work (a StateWork for this basis and params, reused through a solve)
-    the buffers are work's and the result, F(y) times work's scale per mode,
-    is work.out, valid until the next call.
+    the result, F(y) times work's scale per mode, is work.out, valid until the
+    next call.
     """
-    w = work if work is not None else StateWork(basis, params)
-    to_grid(Field(y_coeffs, basis), rows=_FIELDS, out=w.synth)
-    w.form()
-    return w.project()
+    return (work if work is not None else StateWork(basis, params))(y_coeffs)
 
 
 def _implicit(basis: SpectralBasis, params: ModelParams, dt: float) -> np.ndarray:

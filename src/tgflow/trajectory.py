@@ -76,9 +76,9 @@ class Trajectory:
         """Interval midpoint coefficients by node averaging, shape (N_t, n_modes)."""
         return 0.5 * (self.coeffs[:-1] + self.coeffs[1:])
 
-    def reversed(self, kind: str | None = None) -> "Trajectory":
+    def reversed(self) -> "Trajectory":
         """Same node values traversed backward on the same forward time grid."""
-        return Trajectory(self.times, self.coeffs[::-1].copy(), self.basis, kind or self.kind)
+        return Trajectory(self.times, self.coeffs[::-1].copy(), self.basis, self.kind)
 
     def with_kind(self, kind: str) -> "Trajectory":
         return Trajectory(self.times, self.coeffs, self.basis, kind)

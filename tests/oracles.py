@@ -10,21 +10,24 @@ own: the full periodic grid of 2 * grid_size points per axis on [0, 2pi)^2,
 where the plain grid sum is the exact quadrature.  The solver uses only the
 grid_size + 1 of those points per axis that lie in [0, pi], with trapezoid
 weights, so these references check its quadrature independently.
-Two exceptions sit at the end.  `stress` is the deviator of the state kernel
+Three exceptions sit at the end.  `stress` is the deviator of the state kernel
 in plain pair algebra, read from a synthesised grid, for the constitutive
 identity tests.  `march_endpoint` is the time stepper in its endpoint form,
 which iterates a_{k+1} instead of the midpoint, and the `*_endpoint` solvers
 drive it with the package's rhs kernels called without a workspace, as the
 reference for the solvers' midpoint iteration and folded scales.
+`adjoint_kernel_terms` splits the package's adjoint kernel into the two terms
+`adjoint_rhs_oracle` returns.
 """
 
 import math
 
 import numpy as np
 
-from tgflow.adjoint import adjoint_rhs_terms
+from tgflow.adjoint import AdjointWork, adjoint_rhs_terms
 from tgflow.errors import FixedPointDiverged
-from tgflow.linearized import FrozenState, linearized_rhs_coeffs
+from tgflow.linearized import linearized_rhs_coeffs
+from tgflow.spectral import project, slots
 from tgflow.state import FP_MAX_ITER, FP_TOL, PREDICTOR_ORDER, state_rhs_coeffs
 
 
@@ -350,8 +353,7 @@ def solve_linearized_endpoint(y_traj, psi, params, calls=None):
     y_mid, psi_mid = y_traj.midpoints(), psi.midpoints()
 
     def rhs_at(k):
-        frozen = FrozenState(basis, y_mid[k])
-        return lambda mid: linearized_rhs_coeffs(frozen, params, mid) / basis.vmult
+        return lambda mid: linearized_rhs_coeffs(basis, params, y_mid[k], mid) / basis.vmult
 
     zero = np.zeros(basis.n_modes)
     return march_endpoint(basis, params, y_traj.dt, zero, psi_mid / basis.vmult, rhs_at, calls)
@@ -363,13 +365,16 @@ def solve_adjoint_endpoint(y_traj, f, params, calls=None):
     y_mid, f_mid = y_traj.reversed().midpoints(), f.reversed().midpoints()
 
     def rhs_at(k):
-        frozen = FrozenState(basis, y_mid[k])
-
-        def rhs(mid):
-            inner, outer = adjoint_rhs_terms(frozen, params, mid)
-            return inner / basis.vmult + outer
-
-        return rhs
+        return lambda mid: adjoint_rhs_terms(basis, params, y_mid[k], mid) / basis.vmult
 
     zero = np.zeros(basis.n_modes)
     return march_endpoint(basis, params, y_traj.dt, zero, f_mid / basis.vmult, rhs_at, calls)
+
+
+def adjoint_kernel_terms(basis, params, y, q):
+    """(inner, outer) of `adjoint_rhs_terms` at the frozen state y: the slot grids
+    of one AdjointWork call, projected slot by slot; the w slot is -outer."""
+    work = AdjointWork(basis, params)
+    adjoint_rhs_terms(basis, params, y, q, work)
+    r = project(basis, work.slots, slots("w", "a", "b", "u1", "u2"))
+    return r[1:].sum(axis=0), -r[0]

@@ -165,7 +165,7 @@ def test_criterion_7_optimizer_contract():
     u0 = Trajectory(times, np.zeros_like(u_true.coeffs), BASIS, "control")
     j0, _ = eval_cost(u0, y0, cfg, PARAMS)
     vi_tol = 1e-6
-    opts = OptimizeOptions(max_iter=100, tol=vi_tol / (4.0 * (1.0 + radius)), n_vi_samples=20)
+    opts = OptimizeOptions(max_iter=100, tol=vi_tol / (4.0 * (1.0 + radius)))
     u_star, report = optimize(u0, y0, cfg, PARAMS, opts, rng)
     reduction = report.cost[-1] / j0
     monotone = all(b < a for a, b in zip(report.cost, report.cost[1:]))

@@ -200,10 +200,16 @@ BAD_VALUE_BASE = (
         ("optimize", "tol = 1e-7", "tol = -1"),
         ("taylor", "rhos = 1e-1,1e-2", "rhos = 1e-1,abc"),
         ("taylor", "rhos = 1e-1,1e-2", "rhos = 1e-1,-1e-2"),
+        ("simulate", "grid = 12", "gird = 12"),
+        ("simulate", "amplitude = 0.2", "amplitude = 0.2\nomgea = 4.0"),
+        ("simulate", "[init]", "[contrl]"),
+        ("optimize", "max_iter = 5", "max_iters = 5"),
+        ("verify", "[init]", "[Init]"),
     ],
 )
 def test_bad_value_exits_2(tmp_path, command, line, bad):
-    """Each value is rejected as a configuration error, never a traceback or solver failure."""
+    """Each value, and each section or key that no command reads, is rejected as a
+    configuration error, never a traceback, a solver failure or a silent default."""
     assert BAD_VALUE_BASE.count(line) == 1
     times = time_grid(0.5, 32)
     basis = build_basis(3, 0.5, 12)

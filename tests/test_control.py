@@ -4,6 +4,7 @@ import pytest
 from conftest import random_field, random_traj
 from tgflow import build_basis, control
 from tgflow.control import (
+    N_VI_SAMPLES,
     CostConfig,
     OptimizeOptions,
     eval_cost,
@@ -168,7 +169,7 @@ def test_optimize_manufactured_recovery(setup, basis, params, rng):
     assert all(b < a for a, b in zip(report.cost, report.cost[1:]))
     assert norm_l2h1_trap(u_star) <= radius * (1.0 + 1e-12)
     vi_floor = -1e-6 * (1.0 + abs(report.cost[-1]))
-    assert len(report.vi_residuals) == opts.n_vi_samples
+    assert len(report.vi_residuals) == N_VI_SAMPLES
     assert min(report.vi_residuals) >= vi_floor
 
 
@@ -312,16 +313,10 @@ def test_report_counts_state_and_adjoint_solves(setup, basis, params, rng, monke
         ("max_iter", 0),
         ("tol", -1e-9),
         ("tol", float("nan")),
-        ("armijo_c", 0.0),
-        ("armijo_c", 1.0),
-        ("backtrack_ratio", 0.0),
-        ("backtrack_ratio", 1.0),
-        ("min_step", 0.0),
-        ("n_vi_samples", 0),
     ],
 )
 def test_optimize_options_rejected(field, value):
-    """Out-of-range options would loop forever (backtrack_ratio >= 1) or break reports."""
+    """With these options optimize would run no iteration or could never converge."""
     with pytest.raises(ValueError, match=field):
         OptimizeOptions(**{field: value})
 

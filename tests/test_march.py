@@ -10,7 +10,7 @@ from oracles import solve_adjoint_endpoint, solve_linearized_endpoint, solve_sta
 from tgflow import adjoint, build_basis, linearized, state, validate_params
 from tgflow.adjoint import AdjointWork, adjoint_rhs_terms, solve_adjoint
 from tgflow.errors import FixedPointDiverged
-from tgflow.linearized import FrozenState, LinearizedWork, linearized_rhs_coeffs, solve_linearized
+from tgflow.linearized import LinearizedWork, linearized_rhs_coeffs, solve_linearized
 from tgflow.spectral import Field
 from tgflow.state import (
     FP_MAX_ITER,
@@ -295,8 +295,7 @@ def test_repeated_and_interleaved_solves_are_bitwise_identical(params):
 
 def test_workspace_kernels_are_the_plain_kernels_scaled(params, rng):
     """A kernel given a workspace returns its plain value times the workspace's
-    per-mode scale (the adjoint's outer term times vmult more), whichever frozen
-    state and basis the calls before it used."""
+    per-mode scale, whichever frozen state and basis the calls before it used."""
     bases = [build_basis(4, params.alpha1), build_basis(3, params.alpha1)]
     scales = [rng.uniform(0.5, 2.0, size=b.n_modes) for b in bases]
     works = [
@@ -306,18 +305,38 @@ def test_workspace_kernels_are_the_plain_kernels_scaled(params, rng):
     for _ in range(2):
         for b, s, (sw, lw, aw) in zip(bases, scales, works):
             y, z = 0.5 * rng.normal(size=(2, b.n_modes)) / np.sqrt(1.0 + b.lam)
-            frozen = FrozenState(b, y)
-            inner, outer = adjoint_rhs_terms(frozen, params, z)
             pairs = [
                 (state_rhs_coeffs(b, params, y, sw), state_rhs_coeffs(b, params, y)),
                 (
-                    linearized_rhs_coeffs(frozen, params, z, lw),
-                    linearized_rhs_coeffs(frozen, params, z),
+                    linearized_rhs_coeffs(b, params, y, z, lw),
+                    linearized_rhs_coeffs(b, params, y, z),
                 ),
-                (adjoint_rhs_terms(frozen, params, z, aw), inner + b.vmult * outer),
+                (adjoint_rhs_terms(b, params, y, z, aw), adjoint_rhs_terms(b, params, y, z)),
             ]
             for got, plain in pairs:
                 assert np.max(np.abs(got - s * plain)) <= 1e-14 * np.max(np.abs(s * plain))
+
+
+@pytest.mark.parametrize(
+    "module, solve, work",
+    [(linearized, solve_linearized, LinearizedWork), (adjoint, solve_adjoint, AdjointWork)],
+)
+def test_solvers_freeze_once_per_step(params, monkeypatch, module, solve, work):
+    """A solve builds the frozen state's weight grids once per step, not once per
+    rhs evaluation, and at every step's own midpoint in march's order."""
+    _, _, _, y, psi = solver_inputs(4, params, seed=2)
+    frozen, freeze = [], work.freeze
+
+    def freeze_counted(self, coeffs):
+        frozen.append(coeffs.copy())
+        freeze(self, coeffs)
+
+    monkeypatch.setattr(work, "freeze", freeze_counted)
+    steps = counted(module, monkeypatch)
+    solve(y, psi, params)
+    assert len(frozen) == y.n_steps < len(steps)
+    mids = y.midpoints() if module is linearized else y.reversed().midpoints()
+    assert np.array_equal(frozen, mids)
 
 
 def test_state_rhs_is_unchanged_by_a_solve(params):

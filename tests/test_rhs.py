@@ -3,10 +3,15 @@
 import numpy as np
 import pytest
 
-from oracles import adjoint_rhs_oracle, linearized_rhs_oracle, state_rhs_oracle
+from oracles import (
+    adjoint_kernel_terms,
+    adjoint_rhs_oracle,
+    linearized_rhs_oracle,
+    state_rhs_oracle,
+)
 from tgflow import build_basis, validate_params
 from tgflow.adjoint import adjoint_rhs_terms
-from tgflow.linearized import FrozenState, linearized_rhs_coeffs
+from tgflow.linearized import linearized_rhs_coeffs
 from tgflow.state import state_rhs_coeffs
 
 # the default model and one case for each constant the kernels branch on or drop
@@ -41,17 +46,19 @@ def test_state_rhs_matches_oracle(max_mode, model):
 @pytest.mark.parametrize("max_mode,model", CASES)
 def test_linearized_rhs_matches_oracle(max_mode, model):
     basis, params, y, z = _setup(max_mode, model)
-    got = linearized_rhs_coeffs(FrozenState(basis, y), params, z)
+    got = linearized_rhs_coeffs(basis, params, y, z)
     assert _rel(got, linearized_rhs_oracle(basis, params, y, z)) <= TOL
 
 
 @pytest.mark.parametrize("max_mode,model", CASES)
 def test_adjoint_terms_match_oracle(max_mode, model):
     basis, params, y, q = _setup(max_mode, model)
-    inner, outer = adjoint_rhs_terms(FrozenState(basis, y), params, q)
+    inner, outer = adjoint_kernel_terms(basis, params, y, q)
     want_inner, want_outer = adjoint_rhs_oracle(basis, params, y, q)
     assert _rel(inner, want_inner) <= TOL
     assert _rel(outer, want_outer) <= TOL
+    want = want_inner + basis.vmult * want_outer
+    assert _rel(adjoint_rhs_terms(basis, params, y, q), want) <= TOL
 
 
 @pytest.mark.parametrize("model", MODELS)
@@ -67,7 +74,7 @@ def test_linearized_rhs_is_jvp_of_state_rhs(model):
 
     h = 1e-2
     jvp = (4.0 * central(h / 2.0) - central(h)) / 3.0
-    assert _rel(jvp, linearized_rhs_coeffs(FrozenState(basis, y), params, z)) <= 1e-12
+    assert _rel(jvp, linearized_rhs_coeffs(basis, params, y, z)) <= 1e-12
 
 
 @pytest.mark.parametrize("max_mode", [3, 4, 8])
