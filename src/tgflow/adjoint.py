@@ -28,13 +28,13 @@ from functools import partial
 
 import numpy as np
 
-from .linearized import _SIGNS, _stress_pairing, cubic_tangent, solve_linearized
+from .linearized import _SIGNS, cubic_tangent, solve_linearized
 from .params import ModelParams
-from .spectral import Field, SpectralBasis, Workspace, fields, slots, to_grid, trilinear_b
+from .spectral import Field, SpectralBasis, Workspace, fields, slots, to_grid
 from .state import march, midpoint_gain
 from .trajectory import Trajectory, check_same_grid, pair_l2l2_mid
 
-__all__ = ["solve_adjoint", "check_duality", "adjoint_form", "AdjointWork"]
+__all__ = ["solve_adjoint", "check_duality", "AdjointWork"]
 
 # the named fields of q the adjoint rhs reads, and the slots it writes: the
 # stream function of the terms tested against v(phi), the stress and the force;
@@ -140,21 +140,3 @@ def check_duality(
     rhs = pair_l2l2_mid(f, z)
     gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
     return lhs, rhs, gap
-
-
-def adjoint_form(y: Field, p: Field, phi: Field, params: ModelParams) -> float:
-    """Spatial weak form a*(p, phi) of the adjoint equation at frozen y.
-
-    Transposition check: a*(p, z) equals the linearized module's a(z, p).
-    """
-    basis = y.basis
-    v_y = Field(y.coeffs * basis.vmult, basis)
-    v_phi = Field(phi.coeffs * basis.vmult, basis)
-    visc = params.nu * float(np.sum(p.coeffs * phi.coeffs * basis.lam / basis.vmult))
-    conv = (
-        -trilinear_b(phi, p, v_y)
-        + trilinear_b(p, phi, v_y)
-        + trilinear_b(p, y, v_phi)
-        - trilinear_b(y, p, v_phi)
-    )
-    return visc + conv + _stress_pairing(y, p, phi, params)

@@ -15,23 +15,24 @@ projection is the radial retraction, which is the exact metric projection for
 a norm ball in its own norm.
 
 `optimize` is projected limited-memory BFGS run in the ball's own inner
-product <.,.>_W, so that every projection it makes is the exact one.  The
-gradient it steps along is G = riesz_l2h1_trap(g), the W representative of
-the midpoint pairing: pair_l2l2_mid(g, V) = <G, V>_W.  The adjoint gradient is
-exact, so every accepted step gives an exact curvature sample (s, y) of the
-reduced Hessian: s the change of control, y the change of G.  The last
-LBFGS_MEMORY pairs with <s, y>_W > 0 give the direction d = -H G by the
-two-loop recursion (Nocedal, Math. Comp. 35, 1980; Liu and Nocedal, Math.
-Programming 45, 1989), from the initial inverse Hessian
-H0 = gamma diag(1 + lam_i), which makes the first quasi-Newton step an L2
-step.  Each iteration backtracks along proj(U + t d) from t = 1 with the
-Armijo test in the midpoint pairing.  When the projected direction does not
-descend or its line search fails, the memory is cleared and the iteration is
-redone as a projected gradient step along -G, which is also the first
-iteration's step.  Stationarity is measured by the gradient mapping
-||U - proj(U - s0 G)||_W / s0 at the fixed reference step s0 = 1.  References:
-Hinze, Pinnau, Ulbrich and Ulbrich, Optimization with PDE Constraints (2009),
-ch. 2; Kelley, Iterative Methods for Optimization (1999), ch. 5.
+product <.,.>_W, so that every projection it makes is the exact one.  It steps
+on the node arrays of the run's `trajectory.ControlSpace`.  The gradient it
+steps along is G = space.riesz(g), the W representative of the midpoint
+pairing, space.mid(g, V) = <G, V>_W.  The adjoint gradient is exact, so every
+accepted step gives an exact curvature sample (s, y) of the reduced Hessian:
+s the change of control, y the change of G.  The last LBFGS_MEMORY pairs with
+<s, y>_W > 0 give the direction d = -H G by the two-loop recursion (Nocedal,
+Math. Comp. 35, 1980; Liu and Nocedal, Math. Programming 45, 1989), from the
+initial inverse Hessian H0 = gamma diag(1 + lam_i), which makes the first
+quasi-Newton step an L2 step.  Each iteration backtracks along proj(U + t d)
+from t = 1 with the Armijo test in the midpoint pairing.  When the projected
+direction does not descend or its line search fails, the memory is cleared
+and the iteration is redone as a projected gradient step along -G, which is
+also the first iteration's step.  Stationarity is measured by the gradient
+mapping ||U - proj(U - s0 G)||_W / s0 at the fixed reference step s0 = 1.
+References: Hinze, Pinnau, Ulbrich and Ulbrich, Optimization with PDE
+Constraints (2009), ch. 2; Kelley, Iterative Methods for Optimization (1999),
+ch. 5.
 """
 
 from __future__ import annotations
@@ -46,15 +47,7 @@ from .errors import LineSearchFailed
 from .params import ModelParams
 from .spectral import Field
 from .state import solve_state
-from .trajectory import (
-    Trajectory,
-    check_same_grid,
-    norm_l2h1_trap,
-    norm_l2l2_mid,
-    pair_l2l2_mid,
-    l2h1_trap_weights,
-    riesz_l2h1_trap,
-)
+from .trajectory import ControlSpace, Trajectory, check_same_grid, pair_l2l2_mid
 
 __all__ = [
     "CostConfig",
@@ -62,7 +55,6 @@ __all__ = [
     "OptimizerReport",
     "eval_cost",
     "gradient_direction",
-    "project_admissible",
     "gradient_mapping_norm",
     "optimize",
     "random_admissible",
@@ -169,28 +161,16 @@ def gradient_direction(
     return _gradient_from_state(U, y_traj, cfg, params), cost, y_traj
 
 
-def project_admissible(U: Trajectory, radius: float) -> Trajectory:
-    """Radial retraction onto the L2(0,T; H1) ball of the given radius."""
-    if radius <= 0:
-        raise ValueError("radius must be > 0")
-    nrm = norm_l2h1_trap(U)
-    if nrm <= radius:
-        return U
-    return Trajectory(U.times, U.coeffs * (radius / nrm), U.basis, U.kind)
-
-
-def gradient_mapping_norm(U: Trajectory, g: Trajectory, radius: float) -> float:
-    """||U - proj(U - s0 G)||_W / s0 with G the W representative of the adjoint gradient g.
+def gradient_mapping_norm(
+    space: ControlSpace, U: np.ndarray, G: np.ndarray, radius: float
+) -> float:
+    """||U - proj(U - s0 G)||_W / s0 on node arrays, G = space.riesz(g) for the adjoint gradient g.
 
     It vanishes exactly where U solves the variational inequality, boundary
     points with G = -c U, c > 0, included.
     """
     s0 = GRADIENT_MAPPING_STEP
-    G = riesz_l2h1_trap(g)
-    trial = Trajectory(U.times, U.coeffs - s0 * G.coeffs, U.basis, "control")
-    proj = project_admissible(trial, radius)
-    diff = Trajectory(U.times, U.coeffs - proj.coeffs, U.basis, "control")
-    return norm_l2h1_trap(diff) / s0
+    return space.norm(U - space.project(U - s0 * G, radius)) / s0
 
 
 def random_admissible(
@@ -203,53 +183,25 @@ def random_admissible(
         2.0 * np.pi * template.times / max(template.horizon, 1e-30) + rng.uniform(0, 2 * np.pi)
     )
     coeffs = profile[:, None] * (rng.normal(size=basis.n_modes) * decay)[None, :]
-    cand = Trajectory(template.times, coeffs, basis, "control")
-    nrm = norm_l2h1_trap(cand)
-    scale = fill * radius / max(nrm, 1e-30)
+    scale = fill * radius / max(ControlSpace(template.times, basis).norm(coeffs), 1e-30)
     return Trajectory(template.times, coeffs * scale, basis, "control")
-
-
-def sample_vi_residuals(
-    U: Trajectory,
-    g: Trajectory,
-    radius: float,
-    rng: np.random.Generator,
-    n_samples: int,
-) -> list[float]:
-    """Residuals int (psi - U, g) dt for random admissible psi.
-
-    At a solution of the variational inequality every residual is
-    nonnegative; sampled residuals certify stationarity a posteriori.
-    """
-    out = []
-    for _ in range(n_samples):
-        psi = random_admissible(U, radius, rng, fill=float(rng.uniform(0.2, 1.0)))
-        diff = Trajectory(U.times, psi.coeffs - U.coeffs, U.basis, "control")
-        out.append(pair_l2l2_mid(diff, g))
-    return out
 
 
 class _Memory:
     """The last LBFGS_MEMORY curvature pairs (s, y) and the two-loop recursion.
 
-    Inner products are sum(a * b * weight) over whole coefficient arrays,
-    summed by numpy rather than BLAS so that results do not depend on the
-    BLAS thread count.  The initial inverse Hessian is gamma diag(h0), h0
-    broadcast against the arrays like weight.
+    Inner products are the space's <., .>_W, and the initial inverse Hessian
+    is gamma diag(space.h0).
     """
 
-    def __init__(self, weight: np.ndarray, h0: np.ndarray):
-        self.weight = weight
-        self.h0 = h0
+    def __init__(self, space: ControlSpace):
+        self.dot, self.h0 = space.inner, space.h0
         self.pairs: deque = deque(maxlen=LBFGS_MEMORY)
-
-    def _dot(self, a: np.ndarray, b: np.ndarray) -> float:
-        return float(np.sum(a * b * self.weight))
 
     def push(self, s: np.ndarray, y: np.ndarray) -> bool:
         """Store (s, y) if s.y > 1e-12 |s| |y|, the condition that keeps H positive definite."""
-        sy = self._dot(s, y)
-        if not sy > 1e-12 * np.sqrt(self._dot(s, s) * self._dot(y, y)):
+        sy = self.dot(s, y)
+        if not sy > 1e-12 * np.sqrt(self.dot(s, s) * self.dot(y, y)):
             return False
         self.pairs.append((s, y, 1.0 / sy))
         return True
@@ -259,34 +211,32 @@ class _Memory:
         q = g.copy()
         alphas = []
         for s, y, rho in reversed(self.pairs):
-            alpha = rho * self._dot(s, q)
+            alpha = rho * self.dot(s, q)
             q -= alpha * y
             alphas.append(alpha)
         _, y, rho = self.pairs[-1]
-        r = q * self.h0 * (1.0 / (rho * self._dot(y, self.h0 * y)))
+        r = q * self.h0 * (1.0 / (rho * self.dot(y, self.h0 * y)))
         for (s, y, rho), alpha in zip(self.pairs, reversed(alphas)):
-            r += (alpha - rho * self._dot(y, r)) * s
+            r += (alpha - rho * self.dot(y, r)) * s
         return -r
 
 
-def _line_search(U, d, t, g, cost, y0, cfg, params, descent_only):
-    """Backtrack t along the projected arc proj(U + t d) until the Armijo test holds.
+def _line_search(space, u, d, t, g, cost, y0, cfg, params, descent_only):
+    """Backtrack t along the projected arc proj(u + t d) until the Armijo test holds.
 
-    Returns (t, trial, cost, state trajectory) of the accepted point or None,
-    the number of state solves made, and the directional derivative of the
-    last trial move.  With descent_only, a trial whose move does not descend
-    ends the search before its state solve.
+    u, d and the gradient g are node arrays.  Returns the accepted point as
+    (t, trial Trajectory, cost, state trajectory) or None, the number of state
+    solves made, and the directional derivative of the last trial move.  With
+    descent_only, a trial whose move does not descend ends the search before
+    its state solve.
     """
-    trials = 0
-    decrease = 0.0
+    trials, decrease = 0, 0.0
     while t >= MIN_STEP:
-        trial = project_admissible(
-            Trajectory(U.times, U.coeffs + t * d, U.basis, "control"), cfg.radius
-        )
-        move = Trajectory(U.times, trial.coeffs - U.coeffs, U.basis, "control")
-        decrease = pair_l2l2_mid(g, move)
+        u_t = space.project(u + t * d, cfg.radius)
+        decrease = space.mid(g, u_t - u)
         if descent_only and decrease >= 0.0:
             break
+        trial = Trajectory(space.times, u_t, space.basis, "control")
         new_cost, new_traj = eval_cost(trial, y0, cfg, params)
         trials += 1
         if new_cost <= cost + ARMIJO_C * decrease and new_cost < cost:
@@ -312,17 +262,20 @@ def optimize(
     opts = opts or OptimizeOptions()
     rng = rng or np.random.default_rng(0)
     report = OptimizerReport(state_solves=1, adjoint_solves=1)
+    space = ControlSpace(U_init.times, U_init.basis)
 
-    U = project_admissible(U_init, cfg.radius)
-    g, cost, _ = gradient_direction(U, y0, cfg, params)
-    G = riesz_l2h1_trap(g)
-    memory = _Memory(l2h1_trap_weights(U), 1.0 + U.basis.lam)
+    u = space.project(U_init.coeffs, cfg.radius)
+    U = U_init if u is U_init.coeffs else Trajectory(U_init.times, u, U_init.basis, U_init.kind)
+    grad, cost, _ = gradient_direction(U, y0, cfg, params)
+    g = grad.coeffs
+    G = space.riesz(g)
+    memory = _Memory(space)
 
     for it in range(opts.max_iter + 1):
-        mapping = gradient_mapping_norm(U, g, cfg.radius)
-        nrm_u = norm_l2h1_trap(U)
+        mapping = gradient_mapping_norm(space, u, G, cfg.radius)
+        nrm_u = space.norm(u)
         report.cost.append(cost)
-        report.grad_norm.append(norm_l2l2_mid(g))
+        report.grad_norm.append(float(np.sqrt(space.mid(g, g))))
         report.grad_mapping.append(mapping)
         report.constraint_active.append(bool(nrm_u >= cfg.radius * (1.0 - 1e-9)))
         report.control_norm.append(nrm_u)
@@ -340,13 +293,13 @@ def optimize(
         step, trials = None, 0
         if memory.pairs:
             step, trials, _ = _line_search(
-                U, memory.direction(G.coeffs), 1.0, g, cost, y0, cfg, params, descent_only=True
+                space, u, memory.direction(G), 1.0, g, cost, y0, cfg, params, descent_only=True
             )
             kind = "quasi_newton"
         if step is None:
             memory.pairs.clear()
             step, more, decrease = _line_search(
-                U, -G.coeffs, 1.0 / max(1.0, norm_l2h1_trap(G)), g, cost, y0, cfg, params,
+                space, u, -G, 1.0 / max(1.0, space.norm(G)), g, cost, y0, cfg, params,
                 descent_only=False,
             )
             trials += more
@@ -366,14 +319,19 @@ def optimize(
                 f"(gradient mapping {mapping:.3e}, directional derivative {decrease:.3e})"
             )
 
-        t, trial, new_cost, new_traj = step
+        t, U, new_cost, new_traj = step
         report.step_size.append(t)
         report.direction.append(kind)
-        new_g = _gradient_from_state(trial, new_traj, cfg, params)
-        new_G = riesz_l2h1_trap(new_g)
+        new_g = _gradient_from_state(U, new_traj, cfg, params).coeffs
+        new_G = space.riesz(new_g)
         report.adjoint_solves += 1
-        memory.push(trial.coeffs - U.coeffs, new_G.coeffs - G.coeffs)
-        U, cost, g, G = trial, new_cost, new_g, new_G
+        memory.push(U.coeffs - u, new_G - G)
+        u, cost, g, G = U.coeffs, new_cost, new_g, new_G
 
-    report.vi_residuals = sample_vi_residuals(U, g, cfg.radius, rng, N_VI_SAMPLES)
+    # residuals int (psi - U, g) dt at random admissible psi: at a solution of
+    # the variational inequality all are nonnegative, certifying it a posteriori
+    report.vi_residuals = []
+    for _ in range(N_VI_SAMPLES):
+        psi = random_admissible(U, cfg.radius, rng, fill=float(rng.uniform(0.2, 1.0)))
+        report.vi_residuals.append(space.mid(psi.coeffs - u, g))
     return U, report

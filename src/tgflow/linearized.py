@@ -10,12 +10,12 @@ with the same Crank-Nicolson/midpoint scheme (`state.march`), frozen midpoint
 states taken by averaging adjacent stored nodes.  Since the divergence-form
 Jacobian and the weak formulation of the linearized equation differ only by a
 pressure gradient, which projects to zero, the coefficient ODEs here are
-exactly the Galerkin system of the weak form; `linearized_form` assembles that
-weak form term by term so tests can check the agreement, and the adjoint
-module checks its transpose.  In 2D A(y) and A(z) are symmetric and traceless,
-so A(y)A(z) + A(z)A(y) = (A(y):A(z)) I: the alpha2 part of N'(y)[z], the
+exactly the Galerkin system of the weak form, and the adjoint module's system
+is its transpose (the test suite assembles both weak forms term by term to
+check this).  In 2D A(y) and A(z) are symmetric and traceless, so
+A(y)A(z) + A(z)A(y) = (A(y):A(z)) I: the alpha2 part of N'(y)[z], the
 matching part of its alpha1 term and the (alpha1 + alpha2) term of the weak
-form are pressures too, and neither the rhs kernel nor linearized_form forms them.
+form are pressures too, and the rhs kernel does not form them.
 
 Because the scheme's midpoint is the average of the step endpoints, this
 discrete solve is also the exact derivative of the discrete state solve, which
@@ -30,15 +30,14 @@ from functools import partial
 import numpy as np
 
 from .params import ModelParams
-from .spectral import Field, SpectralBasis, Workspace, to_grid, trilinear_b
-from .state import _FIELDS, _SLOTS, _STRAIN, march, midpoint_gain, solve_state
+from .spectral import Field, SpectralBasis, Workspace, to_grid
+from .state import _FIELDS, _SLOTS, march, midpoint_gain, solve_state
 from .trajectory import Trajectory, check_same_grid
 
 __all__ = [
     "solve_linearized",
     "gateaux_taylor_test",
     "TaylorResult",
-    "linearized_form",
     "LinearizedWork",
 ]
 
@@ -171,38 +170,3 @@ def gateaux_taylor_test(
     with np.errstate(divide="ignore", invalid="ignore"):
         slopes = np.diff(np.log(remainders)) / np.diff(np.log(rhos))
     return TaylorResult(rhos=rhos, remainders=remainders, slopes=slopes)
-
-
-def linearized_form(y: Field, z: Field, phi: Field, params: ModelParams) -> float:
-    """Spatial weak form a(z, phi) of the linearized equation at frozen y.
-
-    a(z, phi) = 2 nu (Dz, Dphi) + b(y, v(z), phi) + b(z, v(y), phi)
-              + b(phi, y, v(z)) + b(phi, z, v(y))
-              + (alpha1 + alpha2)(A(y)A(z) + A(z)A(y), grad phi)
-              + beta (|A(y)|^2 A(z), grad phi)
-              + 2 beta ((A(z):A(y)) A(y), grad phi).
-    """
-    basis = y.basis
-    v_y = Field(y.coeffs * basis.vmult, basis)
-    v_z = Field(z.coeffs * basis.vmult, basis)
-    # 2 nu (Dz, Dphi) = nu (grad z, grad phi) = nu sum lam c_z c_phi / vmult
-    visc = params.nu * float(np.sum(z.coeffs * phi.coeffs * basis.lam / basis.vmult))
-    conv = (
-        trilinear_b(y, v_z, phi)
-        + trilinear_b(z, v_y, phi)
-        + trilinear_b(phi, y, v_z)
-        + trilinear_b(phi, z, v_y)
-    )
-    return visc + conv + _stress_pairing(y, z, phi, params)
-
-
-def _stress_pairing(y: Field, z: Field, phi: Field, params: ModelParams) -> float:
-    """(T, grad phi), T the cubic tangent stress of A(y) along A(z).
-
-    The stress term of linearized_form and adjoint_form, whose (alpha1 + alpha2) part vanishes.
-    """
-    ab, ab_z, ab_phi = (to_grid(f, rows=_STRAIN) for f in (y, z, phi))
-    # S'(y)[z] = beta (|A|^2 A(z) + 2 (A(y) : A(z)) A(y)), |A|^2 = 2 (a^2 + b^2)
-    t = params.beta * (2.0 * np.sum(ab * ab, axis=0) * ab_z + 4.0 * np.sum(ab * ab_z, axis=0) * ab)
-    # T : grad phi = T : A(phi) / 2 = t11 a_phi + t12 b_phi for traceless symmetric T
-    return y.basis.quad(np.sum(t * ab_phi, axis=0))

@@ -4,9 +4,9 @@ A Trajectory stores one Field per node of a uniform time grid as a single
 (N_t + 1, n_modes) coefficient matrix.  The Crank-Nicolson solvers sample
 interval midpoints by averaging adjacent nodes, so the natural space-time
 quadrature here is the midpoint rule over node-averaged values; that choice
-makes the discrete duality and gradient identities exact.  The admissible-ball
-norm uses trapezoidal node weights instead, which are strictly positive and
-hence define a genuine norm on node values.
+makes the discrete duality and gradient identities exact.  The admissible
+ball's geometry, `ControlSpace`, uses trapezoidal node weights instead, which
+are strictly positive and hence define a genuine norm on node values.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from .errors import GridMismatch, UnknownKind
 from .spectral import Field, SpectralBasis, norm_weights
 
-__all__ = ["Trajectory", "KINDS", "time_grid", "random_field", "random_traj"]
+__all__ = ["Trajectory", "ControlSpace", "KINDS", "time_grid", "random_field", "random_traj"]
 
 KINDS = ("state", "linearized", "adjoint", "control", "target")
 
@@ -111,49 +111,68 @@ def check_same_grid(a: Trajectory, b: Trajectory) -> None:
         raise GridMismatch("trajectories live on different time grids")
 
 
+def _pair_mid(a: np.ndarray, b: np.ndarray, dt: float, vmult: np.ndarray) -> float:
+    """Midpoint-rule int_0^T (a, b)_{L2(D)} dt of node arrays on a grid of step dt."""
+    am, bm = 0.5 * (a[:-1] + a[1:]), 0.5 * (b[:-1] + b[1:])
+    return float(dt * np.sum(np.sum(am * bm / vmult, axis=1)))
+
+
 def pair_l2l2_mid(a: Trajectory, b: Trajectory) -> float:
     """Midpoint-rule space-time pairing int_0^T (a, b)_{L2(D)} dt."""
     check_same_grid(a, b)
-    am, bm = a.midpoints(), b.midpoints()
-    per_interval = np.sum(am * bm / a.basis.vmult, axis=1)
-    return float(a.dt * np.sum(per_interval))
+    return _pair_mid(a.coeffs, b.coeffs, a.dt, a.basis.vmult)
 
 
 def norm_l2l2_mid(a: Trajectory) -> float:
     return float(np.sqrt(max(pair_l2l2_mid(a, a), 0.0)))
 
 
-def l2h1_trap_weights(a: Trajectory) -> np.ndarray:
-    """(N_t + 1, n_modes) weights W of the trapezoidal L2(0,T; H1) product sum(x * y * W).
-
-    Trapezoid weights in time times the H1 weights (1 + lam) / vmult in space.
-    """
-    w = np.full(a.times.size, a.dt)
-    w[0] = w[-1] = 0.5 * a.dt
-    return w[:, None] * norm_weights(a.basis, "H1")
-
-
-def pair_l2h1_trap(a: Trajectory, b: Trajectory) -> float:
-    """Trapezoidal L2(0,T; H1) inner product of node values, the admissible ball's own."""
-    check_same_grid(a, b)
-    return float(np.sum(a.coeffs * b.coeffs * l2h1_trap_weights(a)))
-
-
 def norm_l2h1_trap(a: Trajectory) -> float:
-    """Trapezoidal L2(0,T; H1) norm of node values, used for the admissible ball."""
-    return float(np.sqrt(pair_l2h1_trap(a, a)))
+    """Trapezoidal L2(0,T; H1) norm of node values, the admissible ball's (ControlSpace.norm)."""
+    return ControlSpace(a.times, a.basis).norm(a.coeffs)
 
 
-def riesz_l2h1_trap(g: Trajectory) -> Trajectory:
-    """Riesz representative G of the midpoint pairing in the trapezoidal L2(0,T; H1) product.
+class ControlSpace:
+    """The admissible ball's geometry on the (N_t + 1, n_modes) node arrays of controls.
 
-    pair_l2l2_mid(g, V) = pair_l2h1_trap(G, V) for every V on the grid of g.
-    With gm the interval midpoints of g, G is (gm_{j-1} + gm_j) / 2 at the
-    interior nodes, gm_0 and gm_{N-1} at the end nodes, each divided by
-    1 + lam mode by mode.
+    Its inner product W is trapezoidal L2(0,T; H1), <a, b>_W = sum_j w_j
+    sum_i a_ji b_ji (1 + lam_i) / vmult_i with trapezoid weights w_j, summed
+    by numpy rather than BLAS so that results do not depend on the BLAS
+    thread count.  The gradient pairs with controls by the solvers' midpoint
+    rule (`mid`); `riesz` maps it to W.
     """
-    gm = g.midpoints()
-    nodes = np.empty_like(g.coeffs)
-    nodes[0], nodes[-1] = gm[0], gm[-1]
-    nodes[1:-1] = 0.5 * (gm[:-1] + gm[1:])
-    return Trajectory(g.times, nodes / (1.0 + g.basis.lam), g.basis, g.kind)
+
+    def __init__(self, times: np.ndarray, basis: SpectralBasis):
+        self.times, self.basis = times, basis
+        self.dt = float(times[1] - times[0])
+        self.h0 = 1.0 + basis.lam  # the H1 factor of W, mode by mode
+        w = np.full(times.size, self.dt)
+        w[0] = w[-1] = 0.5 * self.dt
+        self.weight = w[:, None] * norm_weights(basis, "H1")
+
+    def mid(self, a: np.ndarray, b: np.ndarray) -> float:
+        """Midpoint-rule pairing int_0^T (a, b)_{L2(D)} dt, the one the gradient is taken in."""
+        return _pair_mid(a, b, self.dt, self.basis.vmult)
+
+    def inner(self, a: np.ndarray, b: np.ndarray) -> float:
+        return float(np.sum(a * b * self.weight))
+
+    def norm(self, a: np.ndarray) -> float:
+        return float(np.sqrt(self.inner(a, a)))
+
+    def riesz(self, g: np.ndarray) -> np.ndarray:
+        """W representative G of the midpoint pairing: mid(g, v) = inner(G, v) for every v.
+
+        With gm the interval midpoints of g, G is (gm_{j-1} + gm_j) / 2 at the interior
+        nodes, gm_0 and gm_{N-1} at the end nodes, each divided by 1 + lam mode by mode.
+        """
+        gm = 0.5 * (g[:-1] + g[1:])
+        nodes = np.empty_like(g)
+        nodes[0], nodes[-1] = gm[0], gm[-1]
+        nodes[1:-1] = 0.5 * (gm[:-1] + gm[1:])
+        return nodes / self.h0
+
+    def project(self, a: np.ndarray, radius: float) -> np.ndarray:
+        """Radial retraction onto the W ball, its exact metric projection; a itself inside it."""
+        nrm = self.norm(a)
+        return a if nrm <= radius else a * (radius / nrm)

@@ -72,9 +72,9 @@ from .spectral import (
 )
 from .state import energy_balance_residuals, energy_report, manufactured_control, solve_state
 from .trajectory import (
+    ControlSpace,
     Trajectory,
     norm_l2h1_trap,
-    norm_l2l2_mid,
     pair_l2l2_mid,
     random_field,
     random_traj,
@@ -397,10 +397,7 @@ def stability_check(
         return np.sqrt(np.sum(diff_sq * norm_weights(u1.basis, "W"), axis=1))
 
     direction = u2.coeffs - u1.coeffs
-    d_norm_sq = pair_l2l2_mid(
-        Trajectory(u1.times, direction, u1.basis, "control"),
-        Trajectory(u1.times, direction, u1.basis, "control"),
-    )
+    d_norm_sq = ControlSpace(u1.times, u1.basis).mid(direction, direction)
     sweep = []
     for e in eps:
         pert = Trajectory(u1.times, u1.coeffs + e * direction, u1.basis, "control")
@@ -555,13 +552,12 @@ def uniqueness_diagnostics(
         u_init = random_admissible(u_zero, cfg.radius, rng, fill=float(rng.uniform(0.3, 0.9)))
         u_star, _ = optimize(u_init, y0, cfg_big, params, opts, rng)
         minimizers.append(u_star)
+    space = ControlSpace(times, basis)
     dist = 0.0
     for i in range(n_starts):
         for j in range(i + 1, n_starts):
-            diff = Trajectory(
-                times, minimizers[i].coeffs - minimizers[j].coeffs, basis, "control"
-            )
-            dist = max(dist, norm_l2l2_mid(diff))
+            diff = minimizers[i].coeffs - minimizers[j].coeffs
+            dist = max(dist, float(np.sqrt(space.mid(diff, diff))))
 
     return {
         "kappa_lower_bound": kappa,

@@ -10,14 +10,17 @@ own: the full periodic grid of 2 * grid_size points per axis on [0, 2pi)^2,
 where the plain grid sum is the exact quadrature.  The solver uses only the
 grid_size + 1 of those points per axis that lie in [0, pi], with trapezoid
 weights, so these references check its quadrature independently.
-Three exceptions sit at the end.  `stress` is the deviator of the state kernel
+Four exceptions sit at the end.  `stress` is the deviator of the state kernel
 in plain pair algebra, read from a synthesised grid, for the constitutive
 identity tests.  `march_endpoint` is the time stepper in its endpoint form,
 which iterates a_{k+1} instead of the midpoint, and the `*_endpoint` solvers
 drive it with the package's rhs kernels called without a workspace, as the
 reference for the solvers' midpoint iteration and folded scales.
 `adjoint_kernel_terms` splits the package's adjoint kernel into the two terms
-`adjoint_rhs_oracle` returns.
+`adjoint_rhs_oracle` returns.  `linearized_form` and `adjoint_form` assemble
+the spatial weak forms of the linearized and adjoint equations term by term
+from the package's `trilinear_b` and synthesis, for the checks that the rhs
+kernel realizes the first and that the second is its exact transpose.
 """
 
 import math
@@ -27,8 +30,8 @@ import numpy as np
 from tgflow.adjoint import AdjointWork, adjoint_rhs_terms
 from tgflow.errors import FixedPointDiverged
 from tgflow.linearized import linearized_rhs_coeffs
-from tgflow.spectral import project, slots
-from tgflow.state import FP_MAX_ITER, FP_TOL, PREDICTOR_ORDER, state_rhs_coeffs
+from tgflow.spectral import Field, project, slots, to_grid, trilinear_b
+from tgflow.state import _STRAIN, FP_MAX_ITER, FP_TOL, PREDICTOR_ORDER, state_rhs_coeffs
 
 
 def trapezoid_grid(res):
@@ -378,3 +381,58 @@ def adjoint_kernel_terms(basis, params, y, q):
     adjoint_rhs_terms(basis, params, y, q, work)
     r = project(basis, work.slots, slots("w", "a", "b", "u1", "u2"))
     return r[1:].sum(axis=0), -r[0]
+
+
+# -- the spatial weak forms of the linearized and adjoint equations ----------------
+
+def linearized_form(y, z, phi, params):
+    """Spatial weak form a(z, phi) of the linearized equation at frozen y.
+
+    a(z, phi) = 2 nu (Dz, Dphi) + b(y, v(z), phi) + b(z, v(y), phi)
+              + b(phi, y, v(z)) + b(phi, z, v(y))
+              + (alpha1 + alpha2)(A(y)A(z) + A(z)A(y), grad phi)
+              + beta (|A(y)|^2 A(z), grad phi)
+              + 2 beta ((A(z):A(y)) A(y), grad phi).
+    """
+    basis = y.basis
+    v_y = Field(y.coeffs * basis.vmult, basis)
+    v_z = Field(z.coeffs * basis.vmult, basis)
+    # 2 nu (Dz, Dphi) = nu (grad z, grad phi) = nu sum lam c_z c_phi / vmult
+    visc = params.nu * float(np.sum(z.coeffs * phi.coeffs * basis.lam / basis.vmult))
+    conv = (
+        trilinear_b(y, v_z, phi)
+        + trilinear_b(z, v_y, phi)
+        + trilinear_b(phi, y, v_z)
+        + trilinear_b(phi, z, v_y)
+    )
+    return visc + conv + _stress_pairing(y, z, phi, params)
+
+
+def adjoint_form(y, p, phi, params):
+    """Spatial weak form a*(p, phi) of the adjoint equation at frozen y.
+
+    Transposition check: a*(p, z) equals linearized_form's a(z, p).
+    """
+    basis = y.basis
+    v_y = Field(y.coeffs * basis.vmult, basis)
+    v_phi = Field(phi.coeffs * basis.vmult, basis)
+    visc = params.nu * float(np.sum(p.coeffs * phi.coeffs * basis.lam / basis.vmult))
+    conv = (
+        -trilinear_b(phi, p, v_y)
+        + trilinear_b(p, phi, v_y)
+        + trilinear_b(p, y, v_phi)
+        - trilinear_b(y, p, v_phi)
+    )
+    return visc + conv + _stress_pairing(y, p, phi, params)
+
+
+def _stress_pairing(y, z, phi, params):
+    """(T, grad phi), T the cubic tangent stress of A(y) along A(z).
+
+    The stress term of linearized_form and adjoint_form, whose (alpha1 + alpha2) part vanishes.
+    """
+    ab, ab_z, ab_phi = (to_grid(f, rows=_STRAIN) for f in (y, z, phi))
+    # S'(y)[z] = beta (|A|^2 A(z) + 2 (A(y) : A(z)) A(y)), |A|^2 = 2 (a^2 + b^2)
+    t = params.beta * (2.0 * np.sum(ab * ab, axis=0) * ab_z + 4.0 * np.sum(ab * ab_z, axis=0) * ab)
+    # T : grad phi = T : A(phi) / 2 = t11 a_phi + t12 b_phi for traceless symmetric T
+    return y.basis.quad(np.sum(t * ab_phi, axis=0))

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import random_field, random_traj, sup_w
-from tgflow.adjoint import adjoint_form, check_duality, solve_adjoint
+from oracles import adjoint_form, linearized_form
+from tgflow.adjoint import check_duality, solve_adjoint
 from tgflow.errors import GridMismatch
-from tgflow.linearized import linearized_form
 from tgflow.state import solve_state
 from tgflow.trajectory import Trajectory, time_grid, norm_l2l2_mid
 

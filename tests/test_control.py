@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -11,18 +13,15 @@ from tgflow.control import (
     gradient_direction,
     gradient_mapping_norm,
     optimize,
-    project_admissible,
     random_admissible,
 )
 from tgflow.spectral import Field
 from tgflow.state import solve_state
 from tgflow.trajectory import (
+    ControlSpace,
     Trajectory,
     norm_l2h1_trap,
-    norm_l2l2_mid,
-    pair_l2h1_trap,
     pair_l2l2_mid,
-    riesz_l2h1_trap,
     time_grid,
 )
 
@@ -115,31 +114,32 @@ def test_gradient_against_central_differences(setup, basis, params, rng):
 
 def test_projection_inside_ball_unchanged(basis, rng):
     times = time_grid(0.5, 8)
-    u = random_traj(basis, times, rng, amp=0.1)
-    radius = 2.0 * norm_l2h1_trap(u)
-    assert project_admissible(u, radius) is u
+    u = random_traj(basis, times, rng, amp=0.1).coeffs
+    space = ControlSpace(times, basis)
+    radius = 2.0 * space.norm(u)
+    assert space.project(u, radius) is u
 
 
 def test_projection_radial_scaling(basis, rng):
     times = time_grid(0.5, 8)
-    u = random_traj(basis, times, rng, amp=0.5)
-    radius = 0.5 * norm_l2h1_trap(u)  # ||u|| = 2K
-    proj = project_admissible(u, radius)
-    assert abs(norm_l2h1_trap(proj) - radius) <= 1e-12 * radius
+    u = random_traj(basis, times, rng, amp=0.5).coeffs
+    space = ControlSpace(times, basis)
+    radius = 0.5 * space.norm(u)  # ||u|| = 2K
+    proj = space.project(u, radius)
+    assert abs(space.norm(proj) - radius) <= 1e-12 * radius
     # projection is radial: directions are preserved
-    cos = np.sum(proj.coeffs * u.coeffs) / np.sqrt(
-        np.sum(proj.coeffs ** 2) * np.sum(u.coeffs ** 2)
-    )
+    cos = np.sum(proj * u) / np.sqrt(np.sum(proj ** 2) * np.sum(u ** 2))
     assert abs(cos - 1.0) <= 1e-12
 
 
 def test_projection_idempotent(basis, rng):
     times = time_grid(0.5, 8)
-    u = random_traj(basis, times, rng, amp=0.9)
-    radius = 0.3 * norm_l2h1_trap(u)
-    once = project_admissible(u, radius)
-    twice = project_admissible(once, radius)
-    assert np.max(np.abs(twice.coeffs - once.coeffs)) <= 1e-15
+    u = random_traj(basis, times, rng, amp=0.9).coeffs
+    space = ControlSpace(times, basis)
+    radius = 0.3 * space.norm(u)
+    once = space.project(u, radius)
+    twice = space.project(once, radius)
+    assert np.max(np.abs(twice - once)) <= 1e-15
 
 
 def test_optimize_already_optimal(basis, params, rng):
@@ -168,6 +168,7 @@ def test_optimize_manufactured_recovery(setup, basis, params, rng):
     assert report.cost[-1] <= 0.05 * j0
     assert all(b < a for a, b in zip(report.cost, report.cost[1:]))
     assert norm_l2h1_trap(u_star) <= radius * (1.0 + 1e-12)
+    assert report.control_norm[-1] == norm_l2h1_trap(u_star)  # the W norm verify checks
     vi_floor = -1e-6 * (1.0 + abs(report.cost[-1]))
     assert len(report.vi_residuals) == N_VI_SAMPLES
     assert min(report.vi_residuals) >= vi_floor
@@ -175,40 +176,41 @@ def test_optimize_manufactured_recovery(setup, basis, params, rng):
 
 def test_gradient_mapping_zero_at_stationary_point(basis, params, rng):
     times = time_grid(0.5, 8)
-    g = zero_traj(basis, times)
-    u = random_traj(basis, times, rng, amp=0.1)
-    assert gradient_mapping_norm(u, g, radius=100.0) == 0.0
+    space = ControlSpace(times, basis)
+    G = space.riesz(zero_traj(basis, times).coeffs)
+    u = random_traj(basis, times, rng, amp=0.1).coeffs
+    assert gradient_mapping_norm(space, u, G, radius=100.0) == 0.0
 
 
 @pytest.mark.parametrize("max_mode", [3, 4])
 @pytest.mark.parametrize("n_steps", [1, 2, 16])
 def test_riesz_map_represents_midpoint_pairing(params, rng, max_mode, n_steps):
-    """pair_l2l2_mid(g, V) = <R g, V>_W for every V; n_steps = 1 leaves only the end nodes."""
+    """mid(g, V) = <R g, V>_W for every V; n_steps = 1 leaves only the end nodes."""
     basis = build_basis(max_mode, params.alpha1)
     times = time_grid(0.5, n_steps)
+    space = ControlSpace(times, basis)
     shape = (times.size, basis.n_modes)
-    g = Trajectory(times, rng.normal(size=shape), basis, "control")
-    G = riesz_l2h1_trap(g)
+    g = rng.normal(size=shape)
+    G = space.riesz(g)
     for _ in range(3):
-        v = Trajectory(times, rng.normal(size=shape), basis, "control")
-        expected = pair_l2l2_mid(g, v)
-        assert abs(pair_l2h1_trap(G, v) - expected) <= 1e-13 * abs(expected)
+        v = rng.normal(size=shape)
+        expected = space.mid(g, v)
+        assert abs(space.inner(G, v) - expected) <= 1e-13 * abs(expected)
 
 
 def test_gradient_mapping_zero_at_boundary_stationary_point(basis, rng):
     """On the boundary with R g = -c U, c > 0, the W mapping vanishes to roundoff;
     the L2 mapping of the same point does not."""
     times = time_grid(0.5, 16)
-    g = random_traj(basis, times, rng, amp=0.5)
-    G = riesz_l2h1_trap(g)
+    space = ControlSpace(times, basis)
+    g = random_traj(basis, times, rng, amp=0.5).coeffs
+    G = space.riesz(g)
     radius = 0.7
-    u = Trajectory(times, -radius / norm_l2h1_trap(G) * G.coeffs, basis, "control")
-    assert gradient_mapping_norm(u, g, radius) <= 1e-14 * radius
-    l2_step = project_admissible(
-        Trajectory(times, u.coeffs - g.coeffs, basis, "control"), radius
-    )
-    l2_mapping = norm_l2l2_mid(Trajectory(times, u.coeffs - l2_step.coeffs, basis, "control"))
-    assert l2_mapping >= 1e-3 * norm_l2l2_mid(g)
+    u = -radius / space.norm(G) * G
+    assert gradient_mapping_norm(space, u, G, radius) <= 1e-14 * radius
+    l2_move = u - space.project(u - g, radius)
+    l2_mapping = np.sqrt(space.mid(l2_move, l2_move))
+    assert l2_mapping >= 1e-3 * np.sqrt(space.mid(g, g))
 
 
 def test_random_admissible_inside_ball(basis, rng):
@@ -321,6 +323,11 @@ def test_optimize_options_rejected(field, value):
         OptimizeOptions(**{field: value})
 
 
+def _fake_space(w, h0):
+    """A stand-in for ControlSpace with the product sum(a * b * w) and h0."""
+    return SimpleNamespace(inner=lambda a, b: float(np.sum(a * b * w)), h0=h0)
+
+
 def _weighted_quadratic(rng, shape):
     """Diagonal SPD A, node-by-mode weights w, and n = prod(shape) steps conjugate in <a, A b>_w."""
     n = int(np.prod(shape))
@@ -338,7 +345,7 @@ def test_lbfgs_direction_is_newton_on_quadratic(rng):
     """With exact pairs y = A s over a full set of conjugate steps, -H g = -A^{-1} g."""
     shape = (2, control.LBFGS_MEMORY // 2)
     a, w, steps = _weighted_quadratic(rng, shape)
-    memory = control._Memory(w, 1.0 + rng.uniform(2.0, 32.0, size=shape[-1]))
+    memory = control._Memory(_fake_space(w, 1.0 + rng.uniform(2.0, 32.0, size=shape[-1])))
     for s in steps:
         assert memory.push(s, a * s)
     g = rng.normal(size=shape)
@@ -347,7 +354,7 @@ def test_lbfgs_direction_is_newton_on_quadratic(rng):
 
 
 def test_lbfgs_memory_skips_non_positive_curvature(rng):
-    memory = control._Memory(np.ones(3), np.array([3.0, 6.0, 11.0]))
+    memory = control._Memory(_fake_space(np.ones(3), np.array([3.0, 6.0, 11.0])))
     s = rng.normal(size=(4, 3))
     assert not memory.push(s, -s)
     assert not memory.push(s, np.zeros_like(s))

@@ -1,12 +1,8 @@
 import numpy as np
 
 from conftest import random_field, random_traj, sup_w
-from tgflow.linearized import (
-    gateaux_taylor_test,
-    linearized_form,
-    linearized_rhs_coeffs,
-    solve_linearized,
-)
+from oracles import linearized_form
+from tgflow.linearized import gateaux_taylor_test, linearized_rhs_coeffs, solve_linearized
 from tgflow.state import solve_state
 from tgflow.trajectory import Trajectory, time_grid, norm_l2l2_mid
 

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_field, random_traj
 from tgflow import build_basis
-from tgflow.control import CostConfig, project_admissible
+from tgflow.control import CostConfig
 from tgflow.errors import GridMismatch, UnknownKind
 from tgflow.state import solve_state
 from tgflow.trajectory import (
@@ -103,8 +103,6 @@ def test_cost_config_validation(basis, rng):
         CostConfig(y_d=t, lam=-1.0, radius=1.0)
     with pytest.raises(ValueError):
         CostConfig(y_d=t, lam=0.0, radius=0.0)
-    with pytest.raises(ValueError):
-        project_admissible(t, 0.0)
 
 
 def test_concurrent_solves_match_serial(basis, params, rng):
