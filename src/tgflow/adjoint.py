@@ -28,63 +28,69 @@ from functools import partial
 
 import numpy as np
 
-from .linearized import _SIGNS, cubic_tangent, solve_linearized
+from .linearized import cubic_tangent, solve_linearized
 from .params import ModelParams
-from .spectral import Field, SpectralBasis, Workspace, fields, slots, to_grid
+from .spectral import SpectralBasis, Workspace, fields, signed_rows, slots, synthesize
+from .spectral import to_grid  # noqa: F401 -- perfbench traces it in every solver's namespace
 from .state import march, midpoint_gain
 from .trajectory import Trajectory, check_same_grid, pair_l2l2_mid
 
 __all__ = ["solve_adjoint", "check_duality", "AdjointWork"]
 
 # the named fields of q the adjoint rhs reads, and the slots it writes: the
-# stream function of the terms tested against v(phi), the stress and the force;
-# the frozen state's fields w_v, a, b, u1 and u2 come in one run
+# stream function of the terms tested against v(phi), the stress and the force
 _FIELDS = fields("a", "b", "u1", "u2")
 _SLOTS = slots("w", "a", "b", "u1", "u2")
-_FROZEN = fields("w_v", "a_x", "b_x", "a_y", "b_y", "w", "a", "b", "u1", "u2")
+# the frozen state's grids the weights take as they are, signs folded into the synthesis
+_FROZEN = ("u2", "-u1", "w_v", "-w_v", "a", "b")
 
 
 class AdjointWork(Workspace):
-    """Buffers, the eight weight grids and the ops of `adjoint_rhs_terms`.
+    """Buffers, the weight grids and the ops of `adjoint_rhs_terms`.
 
     The slot grids are sums of the fields of q times weight grids of ybar:
     (ybar2, -ybar1) times (q1, q2) in the w slot, -beta times the cubic tangent
     times (a, b) in the a and b slots, and (w_v, -w_v) times (q2, q1) in the
-    u1 and u2 slots.  freeze builds the weights at the frozen state's
-    coefficients.  scale (None for none) is per mode, for the slots tested
-    against phi; the w slot, tested against v(phi), enters the time derivative
-    undivided by vmult, so it carries scale times -vmult.
+    u1 and u2 slots.  freeze builds the weights of a chunk of frozen states,
+    a slot each: the six grids of _FROZEN, the tangent and its scratch.  scale
+    (None for none) is per mode, for the slots tested against phi; the w
+    slot, tested against v(phi), enters the time derivative undivided by
+    vmult, so it carries scale times -vmult.
     """
 
-    def __init__(self, basis: SpectralBasis, params: ModelParams, scale=None):
+    def __init__(self, basis: SpectralBasis, params: ModelParams, scale=None, frozen=()):
         scale = np.tile(np.ones(basis.n_modes) if scale is None else scale, (5, 1))
         scale[0] *= -basis.vmult
-        # the frozen state's ten fields fill grid, q's four its first rows
-        super().__init__(basis, _FIELDS, _SLOTS, scale, spare=6)
+        super().__init__(basis, _FIELDS, _SLOTS, scale, frozen=frozen)
         Q = basis.n_points
         self.params = params
-        self.weights = wt = np.empty((4, 2, Q, Q))  # psi, stress (2, 2) and force weights
-        self.products = p = np.empty((3, 2, Q, Q))
-        q, out = self.synth, self.slots
-        self.ops = (
+        self.tables = signed_rows(basis, *_FROZEN)
+        n = self.chunk(11)  # ten weight grids and the tangent's scratch per step
+        self.weights = np.empty((n, 11, Q, Q))
+        self.products = np.empty((3, 2, Q, Q))
+        self.slot_ops = tuple(map(self._bind, range(n)))
+
+    def _bind(self, s: int) -> tuple:
+        Q = self.basis.n_points
+        q, p, out, wt = self.synth, self.products, self.slots, self.weights[s]
+        return (
             # +b(q, ybar, v(phi)) - b(ybar, q, v(phi)) pairs (ybar.grad)q - (q.grad)ybar =
             # curl(psi), psi = q1 ybar2 - q2 ybar1, with v(phi); psi vanishes on the walls,
             # so by parts that is -(psi, w(v(phi))), the w slot carrying the v-weight
-            partial(np.multiply, wt[0], q[2:4], p[0]),
+            partial(np.multiply, wt[0:2], q[2:4], p[0]),
             # -(S'(ybar)[q], grad phi), by summation by parts tested against (a, b)(phi)
-            partial(np.multiply, wt[1:3], q[None, 0:2], p[1:3]),
+            partial(np.multiply, wt[6:10].reshape(2, 2, Q, Q), q[None, 0:2], p[1:3]),
             partial(np.add.reduce, p, 1, None, out[0:3]),
             # -b(phi, q, v(ybar)) and +b(q, phi, v(ybar)) move to the right-hand side as
             # ((grad q)^T v + (q . grad) v, phi): in Lamb form w_v (q2, -q1) plus a pressure
-            partial(np.multiply, wt[3], q[3:1:-1], out[3:5]),
+            partial(np.multiply, wt[2:4], q[3:1:-1], out[3:5]),
         )
 
-    def freeze(self, frozen: np.ndarray) -> None:
-        y = to_grid(Field(frozen, self.basis), rows=_FROZEN, out=self.grid)
-        wt = self.weights
-        np.multiply(_SIGNS, y[9:7:-1], out=wt[0])
-        cubic_tangent(y[6:8], -self.params.beta, wt[1:3], self.products[0, 0])
-        np.multiply(_SIGNS, y[0], out=wt[3])
+    def freeze(self, stack: np.ndarray) -> None:
+        n, Q = len(stack), self.basis.n_points
+        y = synthesize(self.basis, stack, self.tables, out=self.weights[:n, 0:6])
+        tangent = self.weights[:n, 6:10].reshape(n, 2, 2, Q, Q)
+        cubic_tangent(y[:, 4:6], -self.params.beta, tangent, self.weights[:n, 10])
 
 
 def adjoint_rhs_terms(
@@ -99,9 +105,9 @@ def adjoint_rhs_terms(
     The coefficient ODE reads ds/dt = (-nu lam s + inner + c(f)) / vmult + outer,
     where inner collects the terms tested against phi and outer the two tested
     against v(phi); this returns inner + vmult outer.  With work (an
-    AdjointWork for this basis and params, reused through a solve) the weights
-    are rebuilt only when ybar is not the array of the call before, and the
-    result, times work's scale per mode, is work.out, valid until the next call.
+    AdjointWork for this basis and params, reused through a solve, which builds
+    ybar's weights as `spectral.Workspace` says) the result, times work's scale
+    per mode, is work.out, valid until the next call.
     """
     return (work if work is not None else AdjointWork(basis, params))(q_coeffs, y_coeffs)
 
@@ -114,13 +120,14 @@ def solve_adjoint(y_traj: Trajectory, f: Trajectory, params: ModelParams) -> Tra
     """
     check_same_grid(y_traj, f)
     basis, dt = y_traj.basis, y_traj.dt
-    frozen = list(y_traj.reversed().midpoints())  # one array per step
-    work = AdjointWork(basis, params, midpoint_gain(basis, params, dt) / basis.vmult)
+    y_rev, f_rev = y_traj.coeffs[::-1], f.coeffs[::-1]
+    scale = midpoint_gain(basis, params, dt) / basis.vmult
+    work = AdjointWork(basis, params, scale, 0.5 * (y_rev[:-1] + y_rev[1:]))
     q = march(
-        basis, params, dt, np.zeros(basis.n_modes), f.reversed().midpoints() / basis.vmult,
-        lambda k, mid: adjoint_rhs_terms(basis, params, frozen[k], mid, work),
+        basis, params, dt, np.zeros(basis.n_modes), 0.5 * (f_rev[:-1] + f_rev[1:]) / basis.vmult,
+        lambda k, mid: adjoint_rhs_terms(basis, params, work.steps[k], mid, work),
     )
-    return Trajectory(y_traj.times.copy(), q, basis, "adjoint").reversed()
+    return Trajectory(y_traj.times.copy(), q[::-1].copy(), basis, "adjoint")
 
 
 def check_duality(

@@ -30,7 +30,8 @@ from functools import partial
 import numpy as np
 
 from .params import ModelParams
-from .spectral import Field, SpectralBasis, Workspace, to_grid
+from .spectral import Field, SpectralBasis, Workspace, synthesize
+from .spectral import to_grid  # noqa: F401 -- perfbench traces it in every solver's namespace
 from .state import _FIELDS, _SLOTS, march, midpoint_gain, solve_state
 from .trajectory import Trajectory, check_same_grid
 
@@ -46,17 +47,17 @@ _SIGNS = np.array([1.0, -1.0])[:, None, None]
 
 
 def cubic_tangent(ab: np.ndarray, coef: float, out: np.ndarray, diag: np.ndarray) -> None:
-    """coef times the cubic tangent |A|^2 I + 4 (a, b) (a, b)^T of the pair ab = (a, b), into out.
+    """coef times the cubic tangent |A|^2 I + 4 (a, b) (a, b)^T of the pairs ab, into out.
 
-    out is a (2, 2, Q, Q) symmetric array and diag a (Q, Q) scratch grid;
-    beta times the tangent along (a_z, b_z) is S'(y)[z], |A|^2 = 2 (a^2 + b^2).
+    ab is (..., 2, Q, Q), out a (..., 2, 2, Q, Q) symmetric array and diag a (..., Q, Q)
+    scratch grid; beta times the tangent along (a_z, b_z) is S'(y)[z], |A|^2 = 2 (a^2 + b^2).
     """
-    np.multiply(ab[:, None], ab[None, :], out=out)
-    np.add(out[0, 0], out[1, 1], out=diag)
+    np.multiply(ab[..., :, None, :, :], ab[..., None, :, :, :], out=out)
+    np.add(out[..., 0, 0, :, :], out[..., 1, 1, :, :], out=diag)
     out *= 4.0 * coef
     diag *= 2.0 * coef
-    on_diag = out.reshape(4, *diag.shape)[::3]
-    np.add(on_diag, diag, out=on_diag)
+    on_diag = out.reshape(*out.shape[:-4], 4, *diag.shape[-2:])[..., ::3, :, :]
+    np.add(on_diag, diag[..., None, :, :], out=on_diag)
 
 
 class LinearizedWork(Workspace):
@@ -65,45 +66,52 @@ class LinearizedWork(Workspace):
     The slot grids that project to F'(y)[z] are sums of the fields of z times
     weight grids of y: grad_w times (a_x, b_x) and (a_y, b_y) and pair_w times w, a, b, u1
     and u2 in the a and b slots, conv_w times w and (u2, u1) in the u1 and u2
-    slots.  freeze builds the weights at the frozen state's coefficients.
+    slots.  freeze builds the weights of a chunk of frozen states, one slot each.
     """
 
-    def __init__(self, basis: SpectralBasis, params: ModelParams, scale=None):
-        super().__init__(basis, _FIELDS, _SLOTS, scale)
+    def __init__(self, basis: SpectralBasis, params: ModelParams, scale=None, frozen=()):
+        super().__init__(basis, _FIELDS, _SLOTS, scale, frozen=frozen)
         Q = basis.n_points
         self.params = params
-        self.grad_w = np.empty((2, 1, Q, Q))
-        self.pair_w = np.empty((5, 2, Q, Q))
-        self.conv_w = np.empty((2, 2, Q, Q))
-        self.conv = np.empty((2, Q, Q))
-        z, p, out = self.synth, np.empty((7, 2, Q, Q)), self.slots
-        self.ops = (
-            partial(np.multiply, self.grad_w, z[0:4].reshape(2, 2, Q, Q), p[0:2]),
-            partial(np.multiply, self.pair_w, z[4:9, None], p[2:7]),
+        n = self.chunk(25)  # 16 weight grids and the 9 fields of y per step
+        self.y = np.empty((n, 9, Q, Q))
+        self.grad_w = np.empty((n, 2, 1, Q, Q))
+        self.pair_w = np.empty((n, 5, 2, Q, Q))
+        self.conv_w = np.empty((n, 2, 2, Q, Q))
+        self.conv, self.products = np.empty((2, Q, Q)), np.empty((7, 2, Q, Q))
+        self.slot_ops = tuple(map(self._bind, range(n)))
+
+    def _bind(self, s: int) -> tuple:
+        Q = self.basis.n_points
+        z, p, out = self.synth, self.products, self.slots
+        return (
+            partial(np.multiply, self.grad_w[s], z[0:4].reshape(2, 2, Q, Q), p[0:2]),
+            partial(np.multiply, self.pair_w[s], z[4:9, None], p[2:7]),
             partial(np.add.reduce, p, 0, None, out[0:2]),
-            partial(np.multiply, self.conv_w[0], z[4], out[2:4]),
-            partial(np.multiply, self.conv_w[1], z[8:6:-1], self.conv),
+            partial(np.multiply, self.conv_w[s, 0], z[4], out[2:4]),
+            partial(np.multiply, self.conv_w[s, 1], z[8:6:-1], self.conv),
             partial(np.add, out[2:4], self.conv, out[2:4]),
         )
 
-    def freeze(self, frozen: np.ndarray) -> None:
-        al, Q = self.params.alpha1, self.basis.n_points
-        # y's fields are z's: synth holds them until the kernel synthesizes z
-        y = to_grid(Field(frozen, self.basis), rows=_FIELDS, out=self.synth)
-        w, ab, u = y[4], y[5:7], y[7:9]
+    def freeze(self, stack: np.ndarray) -> None:
+        al, n, Q = self.params.alpha1, len(stack), self.basis.n_points
+        y = synthesize(self.basis, stack, _FIELDS, out=self.y[:n])
+        w, ab, u = y[:, 4, None], y[:, 5:7], y[:, 7:9]
+        pair_w = self.pair_w[:n]
         # F' pairs minus the stress with (a, b)(h_i), so every weight carries a minus
         # sign: alpha1 (y.grad A(z) + z.grad A(y)) + beta tangent (a_z, b_z) and the
         # spin terms of the convected derivative, -w_z (b, -a) - w (b_z, -a_z)
-        np.multiply(-al, u, out=self.grad_w[:, 0])
-        np.multiply(_SIGNS * al, ab[::-1], out=self.pair_w[0])
-        cubic_tangent(ab, -self.params.beta, self.pair_w[1:3], self.conv[0])
-        np.multiply(_SIGNS * -al, w, out=self.conv)
-        off_diag = self.pair_w[1:3].reshape(4, Q, Q)[1:3]
-        np.add(off_diag, self.conv, out=off_diag)
-        np.multiply(-al, y[0:4].reshape(2, 2, Q, Q), out=self.pair_w[3:5])
+        np.multiply(-al, u, out=self.grad_w[:n, :, 0])
+        np.multiply(_SIGNS * al, ab[:, ::-1], out=pair_w[:, 0])
+        np.multiply(-al, y[:, 0:4].reshape(n, 2, 2, Q, Q), out=pair_w[:, 3:5])
+        # y's gradient fields are spent: their grids are scratch from here on
+        cubic_tangent(ab, -self.params.beta, pair_w[:, 1:3], y[:, 2])
+        np.multiply(_SIGNS * -al, w, out=y[:, 0:2])
+        off_diag = pair_w[:, 1:3].reshape(n, 4, Q, Q)[:, 1:3]
+        np.add(off_diag, y[:, 0:2], out=off_diag)
         # (y.grad)z + (z.grad)y in Lamb form, w_z (y2, -y1) + w (z2, -z1), plus a pressure
-        np.multiply(_SIGNS[::-1], u[::-1], out=self.conv_w[0])
-        np.multiply(_SIGNS[::-1], w, out=self.conv_w[1])
+        np.multiply(_SIGNS[::-1], u[:, ::-1], out=self.conv_w[:n, 0])
+        np.multiply(_SIGNS[::-1], w, out=self.conv_w[:n, 1])
 
 
 def linearized_rhs_coeffs(
@@ -116,9 +124,8 @@ def linearized_rhs_coeffs(
     """Projection coefficients of F'(y)[z] at the frozen state y, F the state rhs.
 
     With work (a LinearizedWork for this basis and params, reused through a
-    solve) the weights are rebuilt only when y is not the array of the call
-    before, and the result, F'(y)[z] times work's scale per mode, is work.out,
-    valid until the next call.
+    solve, which builds y's weights as `spectral.Workspace` says) the result,
+    F'(y)[z] times work's scale per mode, is work.out, valid until the next call.
     """
     return (work if work is not None else LinearizedWork(basis, params))(z_coeffs, y_coeffs)
 
@@ -127,11 +134,11 @@ def solve_linearized(y_traj: Trajectory, psi: Trajectory, params: ModelParams) -
     """Solve the linearized equation driven by psi around the stored state."""
     check_same_grid(y_traj, psi)
     basis, dt = y_traj.basis, y_traj.dt
-    frozen = list(y_traj.midpoints())  # one array per step: identity marks a new step
-    work = LinearizedWork(basis, params, midpoint_gain(basis, params, dt) / basis.vmult)
+    scale = midpoint_gain(basis, params, dt) / basis.vmult
+    work = LinearizedWork(basis, params, scale, y_traj.midpoints())
     coeffs = march(
         basis, params, dt, np.zeros(basis.n_modes), psi.midpoints() / basis.vmult,
-        lambda k, mid: linearized_rhs_coeffs(basis, params, frozen[k], mid, work),
+        lambda k, mid: linearized_rhs_coeffs(basis, params, work.steps[k], mid, work),
     )
     return Trajectory(y_traj.times.copy(), coeffs, basis, "linearized")
 

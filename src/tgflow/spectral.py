@@ -64,9 +64,9 @@ A solver runs its kernel hundreds of times on one basis, so it makes one
 workspace per solve: the grids live in buffers allocated once, the per-mode
 factor the time stepper applies to the kernel's result is folded into the
 projection amplitudes, so it costs nothing per call, and the weight grids of
-the frozen state a linearized or adjoint kernel is taken at are rebuilt only
-when the frozen state's coefficient array is not the one of the call before:
-once per step.
+the frozen states a linearized or adjoint kernel is taken at are built for a
+chunk of steps at once, from one batched synthesis of their stacked
+coefficients, and read in place by ops bound once per slot of the chunk.
 
 to_grid by order, to_coeffs and project_div are the velocity cases of the two
 transforms.
@@ -85,8 +85,8 @@ spectral divergence of T equals minus pairing grad h_i with T.  Content that
 no mode carries never reaches a coefficient, so the projection is alias-free
 by construction.  Every quadrature the package forms (the rhs kernels, the
 |A|^4 energy term, the W14 norm) has per-axis degree at most 4M, so it is
-exact once grid_size >= 2M + 1, the smallest resolution accepted; the default
-4M has margin.
+exact once grid_size >= 2M + 1, the smallest resolution accepted and the
+default: a finer grid changes results only by roundoff.
 """
 
 from __future__ import annotations
@@ -108,9 +108,9 @@ __all__ = [
     "fields",
     "slots",
     "build_basis",
-    "default_grid_size",
     "min_grid_size",
     "project",
+    "signed_rows",
     "synthesize",
     "to_grid",
     "to_coeffs",
@@ -210,11 +210,6 @@ def min_grid_size(max_mode: int) -> int:
     return 2 * max_mode + 1
 
 
-def default_grid_size(max_mode: int) -> int:
-    """Default resolution 4M, above the exactness floor 2M + 1."""
-    return 4 * max_mode
-
-
 @dataclass(frozen=True, eq=False)
 class SpectralBasis:
     """Divergence-free free-slip basis truncated at max_mode per axis.
@@ -296,14 +291,15 @@ class Field:
 def build_basis(max_mode: int, alpha1: float, grid_size: int | None = None) -> SpectralBasis:
     """Construct the basis with M^2 modes, 1 <= m, n <= max_mode.
 
-    grid_size defaults to 4 * max_mode and must be at least 2 * max_mode + 1.
+    grid_size defaults to the exactness floor 2 * max_mode + 1 (`min_grid_size`),
+    the smallest accepted; a finer grid changes results only by roundoff.
     """
     if max_mode < 1:
         raise ValueError("max_mode must be >= 1")
     if not 0.0 <= alpha1 < math.inf:
         raise ValueError("alpha1 must be finite and >= 0")
     if grid_size is None:
-        grid_size = default_grid_size(max_mode)
+        grid_size = min_grid_size(max_mode)
     if grid_size < min_grid_size(max_mode):
         raise ValueError(
             f"grid_size {grid_size} below the exact-quadrature minimum {min_grid_size(max_mode)}"
@@ -349,17 +345,27 @@ def build_basis(max_mode: int, alpha1: float, grid_size: int | None = None) -> S
     )
 
 
+def signed_rows(basis: SpectralBasis, *names: str) -> tuple:
+    """The (x, amp, y) table rows of the named fields, rows for `synthesize`; '-' negates one."""
+    index = [FIELDS.index(name.lstrip("-")) for name in names]
+    sign = np.array([-1.0 if name[0] == "-" else 1.0 for name in names])[:, None, None]
+    return basis.field_x[index], basis.field_amp[index] * sign, basis.field_y[index]
+
+
 def synthesize(
-    basis: SpectralBasis, coeffs: np.ndarray, rows: slice, out: np.ndarray | None = None
+    basis: SpectralBasis, coeffs: np.ndarray, rows, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """The named fields in rows (see `fields`) of (..., n_modes) coefficients, as (..., K, Q, Q).
+    """The fields in rows (`fields`, `signed_rows`) of (..., n_modes) coeffs, as (..., K, Q, Q).
 
     One multiply and two batched products; a stack of coefficient vectors is
     synthesized in the same three calls.  out, when given, receives the result.
     """
     b = basis
-    coef = coeffs.reshape(*coeffs.shape[:-1], 1, b.max_mode, b.max_mode) * b.field_amp[rows]
-    return np.matmul(b.field_x[rows] @ coef, b.field_y[rows], out=out)
+    if not isinstance(rows, tuple):
+        rows = b.field_x[rows], b.field_amp[rows], b.field_y[rows]
+    x, amp, y = rows
+    coef = coeffs.reshape(*coeffs.shape[:-1], 1, b.max_mode, b.max_mode) * amp
+    return np.matmul(x @ coef, y, out=out)
 
 
 def to_grid(
@@ -393,33 +399,44 @@ def project(basis: SpectralBasis, grids: np.ndarray, rows: slice) -> np.ndarray:
     return (r * b.proj_amp[rows]).reshape(-1, b.n_modes)
 
 
+CHUNK_BYTES = 1 << 20  # the frozen states' weights of a chunk of steps fit in this
+MAX_CHUNK = 8
+
+
 class Workspace:
     """One rhs kernel: the buffers it reuses through a solve, its ops and its scaled projection.
 
-    A call work(coeffs, frozen) is the kernel's whole pass.  When frozen, a
-    frozen state's coefficient vector, is not the one of the call before, the
-    subclass's freeze(frozen) rebuilds the weight grids the kernel multiplies
-    by.  The K fields in rows of coeffs are synthesized into synth, the first
-    K of the K + spare grids in grid (the rest room for products formed in
-    place).  ops, the kernel's broadcast products as calls bound to views of
-    these buffers, leave the S grids it tests against the fields in slot_rows
-    in slots, which are paired as `project` does, times scale (one (n_modes,)
-    row for every slot or one row per slot; None for none), and summed over
-    the slots into out, which the next call overwrites.  Binding every view
-    once per workspace keeps slicing out of the per-call cost.
+    A call work(coeffs, frozen) is the kernel's whole pass.  coeffs is copied
+    into the workspace's own Field, and the K fields in rows of it are
+    synthesized into synth, the first K of the K + spare grids in grid (the
+    rest room for products formed in place).  ops, the kernel's broadcast
+    products as calls bound to views of these buffers, leave the S grids it
+    tests against the fields in slot_rows in slots, which are paired as
+    `project` does, times scale (one (n_modes,) row for every slot or one row
+    per slot; None for none), and summed over the slots into out, which the
+    next call overwrites.  Binding every view once per workspace keeps slicing
+    out of the per-call cost.
+
+    A linearized or adjoint kernel is taken at frozen, one of the rows steps
+    of its solve's stack of frozen states, known by identity.  At a row no
+    built chunk holds, freeze(stack) builds the weights of the chunk it
+    starts, a slot each, read by slot_ops[slot]; any other array is a chunk of one.
     """
 
     def __init__(
-        self, basis: SpectralBasis, rows: slice, slot_rows: slice, scale=None, spare: int = 0
+        self, basis: SpectralBasis, rows: slice, slot_rows: slice, scale=None, spare: int = 0,
+        frozen=(),
     ):
         M, Q = basis.max_mode, basis.n_points
         n_fields, n_slots = rows.stop - rows.start, slot_rows.stop - slot_rows.start
         self.basis, self.rows, self.frozen = basis, rows, None
+        self.field = Field(np.zeros(basis.n_modes), basis)
         self.grid = np.empty((n_fields + spare, Q, Q))
         self.synth = self.grid[:n_fields]
         self.slots = np.empty((n_slots, Q, Q))
         self.out = np.empty(basis.n_modes)
-        self.ops = ()
+        self.stack, self.steps = frozen, list(frozen)
+        self._step, self._built = {id(row): k for k, row in enumerate(self.steps)}, range(0)
         amp = basis.proj_amp[slot_rows]
         if scale is not None:
             amp = amp * np.reshape(scale, (-1, M, M))
@@ -431,12 +448,25 @@ class Workspace:
             partial(np.add.reduce, paired.reshape(n_slots, -1), 0, None, self.out),
         )
 
+    def chunk(self, step_grids: int) -> int:
+        """Steps per freeze of step_grids grids each: as CHUNK_BYTES, MAX_CHUNK and steps allow."""
+        fit = CHUNK_BYTES // (step_grids * self.slots[0].nbytes)
+        return max(1, min(MAX_CHUNK, len(self.steps), fit))
+
     def __call__(self, coeffs: np.ndarray, frozen: np.ndarray | None = None) -> np.ndarray:
         """The kernel's scaled coefficients at coeffs, in out."""
         if frozen is not self.frozen:
-            self.freeze(frozen)
+            k = self._step.get(id(frozen))
+            if k is None:  # no step of the solve: a chunk of one
+                self.freeze(np.reshape(frozen, (1, -1)))
+                k, self._built = 0, range(0)
+            elif k not in self._built:
+                self._built = range(k, min(k + len(self.slot_ops), len(self.steps)))
+                self.freeze(self.stack[k : self._built.stop])
+            self.ops = self.slot_ops[k - self._built.start]
             self.frozen = frozen
-        to_grid(Field(coeffs, self.basis), rows=self.rows, out=self.synth)
+        np.copyto(self.field.coeffs, coeffs)
+        to_grid(self.field, rows=self.rows, out=self.synth)
         for op in self.ops:
             op()
         for op in self._projection:

@@ -18,7 +18,7 @@ are sampled at midpoints by averaging adjacent nodes.  `march` carries out this
 scheme for the state, linearized and adjoint solvers alike; each solver supplies
 its explicit source per step and its rhs kernel, whose projection amplitudes
 already carry the step's factor `midpoint_gain` / vmult (see
-`spectral.Workspace`), so one iteration is one kernel call and five small array
+`spectral.Workspace`), so one iteration is one kernel call and a few small array
 operations.
 
 Because every projection is an exact quadrature pairing, the scheme satisfies
@@ -77,8 +77,6 @@ _PREDICT = tuple(
     np.array([(-1.0) ** (j + 1) * math.comb(q, j) for j in range(q, 0, -1)])
     for q in range(PREDICTOR_ORDER + 1)
 )
-# (m_new, 2 m_new) - (m, a_k) = (m_new - m, a_next) in one product and one difference
-_STACK = np.array([[1.0], [2.0]])
 # the named fields the state and linearized rhs read (the linearized one of z and of
 # the frozen state alike), and the slots they write: stress, then force
 _FIELDS = fields("a_x", "b_x", "a_y", "b_y", "w", "a", "b", "u1", "u2")
@@ -134,15 +132,16 @@ class StateWork(Workspace):
     def __init__(self, basis: SpectralBasis, params: ModelParams, scale=None):
         super().__init__(basis, _FIELDS, _SLOTS, scale, spare=2)
         g = p = self.grid
+        Q = basis.n_points
         strain_sq = np.empty(g.shape[1:])
-        ab, w, u1, u2 = g[5:7], g[4], g[7], g[8]
+        ab, w, u = g[5:7], g[4], g[7:9, None]
+        grads = g[0:4].reshape(2, 2, Q, Q)  # (a_x, b_x), (a_y, b_y)
         mix = _mixing(params.alpha1, params.beta)
         self.ops = (
             partial(np.multiply, ab, ab, p[9:11]),
             partial(np.add, p[9], p[10], strain_sq),
             partial(np.multiply, strain_sq, ab, p[9:11]),
-            partial(np.multiply, u1, g[0:2], p[0:2]),
-            partial(np.multiply, u2, g[2:4], p[2:4]),
+            partial(np.multiply, u, grads, grads),
             partial(np.multiply, w, g[5:9], p[5:9]),
             partial(np.matmul, mix, p.reshape(len(p), -1), self.slots.reshape(len(self.slots), -1)),
         )
@@ -188,63 +187,55 @@ def march(
         m = c_k + rhs(k, m),    c_k = a_k / (1 + imp) + h src[k],
 
     where rhs(k, m) returns h f(m) (the solvers fold h into their kernels), by
-    fixed-point iteration.  Step 0 starts from m = a_0; step k > 0 from
-    c_k + sum_j w_j r_{k-j}, which extrapolates the converged explicit terms
-    r_j = m_j - c_j of the last q = min(k, PREDICTOR_ORDER) steps by the
-    polynomial through them, w_j = (-1)^(j+1) C(q, j): 2 r_{k-1} - r_{k-2} for
-    q = 2.  Unlike the nodes, r carries no source, so it stays smooth in time
-    under rough controls.  Then a_{k+1} = 2 m - a_k, formed as
-    decay a_k + 2 h src[k] + 2 r_k with decay = (1 - imp) / (1 + imp),
-    so that a step with f = 0 is the exact Crank-Nicolson product.
-    The iteration stops when the endpoints a = 2 m - a_k of two consecutive
-    iterates satisfy |a_next - a_new|_inf <= FP_TOL |a_next|_inf.  A step that
-    produces a non-finite value or does not converge in FP_MAX_ITER iterations
-    raises FixedPointDiverged with its index k and its residuals.
+    fixed-point iteration on the explicit term r = rhs(k, m), m = c_k + r.
+    Step k starts from the prediction r = sum_j w_j r_{k-j}, which extrapolates
+    the converged explicit terms of the last q = min(k, PREDICTOR_ORDER) steps
+    by the polynomial through them, w_j = (-1)^(j+1) C(q, j): 2 r_{k-1} - r_{k-2}
+    for q = 2, and r = 0 at step 0, so that step 0 starts from c_0.  Unlike the
+    nodes, r carries no source, so it stays smooth in time under rough controls.
+    The endpoint is a_{k+1} = 2 m - a_k = b_k + 2 r, b_k = decay a_k + 2 h src[k]
+    with decay = (1 - imp) / (1 + imp), so that a step with f = 0 is the exact
+    Crank-Nicolson product.  The iteration stops when the endpoints of two
+    consecutive iterates satisfy |a_next - a_new|_inf <= FP_TOL |a_next|_inf,
+    that is |r_new - r|_inf <= FP_TOL |a_next / 2|_inf; each iteration forms
+    (r_new - r, a_next / 2) = r_new - (r, -b_k / 2) in one difference.  A step
+    that produces a non-finite value or does not converge in FP_MAX_ITER
+    iterations raises FixedPointDiverged with its index k and its residuals.
     """
     imp = _implicit(basis, params, dt)
-    # per step, (c_k, b_k) = (carry, decay) a_k + (h, 2 h) src[k]; then a_{k+1} = b_k + 2 (m - c_k)
-    carry_decay = np.stack([1.0 / (1.0 + imp), (1.0 - imp) / (1.0 + imp)])
-    gain_src = (dt / (1.0 + imp)) * src
-    sources = np.stack([0.5 * gain_src, gain_src], axis=1)
+    # per step, (-b_k / 2, c_k) = (-decay / 2, carry) a_k + (-h, h) src[k]
+    carry_decay = np.stack([-0.5 * ((1.0 - imp) / (1.0 + imp)), 1.0 / (1.0 + imp)])
+    half_src = (0.5 * dt / (1.0 + imp)) * src
+    sources = np.stack([-half_src, half_src], axis=1)
     n_steps, n_modes = src.shape
     nodes = np.empty((n_steps + 1, n_modes))
     nodes[0] = a0
-    # the stacks (m, a_k) of the current and the next midpoint iterate, swapped each iteration
-    stacks = np.empty((2, 2, n_modes))
-    pairs, mids = (stacks[0], stacks[1]), (stacks[0, 0], stacks[1, 0])
-    check = np.empty((2, n_modes))  # |m_new - m| and |a_next|, a_next = 2 m_new - a_k
-    ends = np.empty((2, n_modes))
-    c, b = ends
-    terms = np.empty((n_steps, n_modes))  # the converged explicit terms m - c_k
+    ref = np.empty((3, n_modes))  # (r, -b_k / 2, c_k): r the current explicit term
+    r, c, ends = ref[0], ref[2], ref[1:3]
+    mid, check, magnitude = np.empty(n_modes), np.empty((2, n_modes)), np.empty((2, n_modes))
+    terms = np.empty((n_steps, n_modes))  # the converged explicit terms
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
-            a_k = nodes[k]
-            stacks[:, 1] = a_k
-            np.multiply(carry_decay, a_k, out=ends)
-            ends += sources[k]
-            now, q = 0, min(k, PREDICTOR_ORDER)
-            np.matmul(_PREDICT[q], terms[k - q : k], out=mids[now])
-            np.add(mids[now], c if k else a_k, out=mids[now])  # step 0 starts from a_0
+            np.multiply(carry_decay, nodes[k], out=ends)
+            np.add(ends, sources[k], out=ends)
+            q = min(k, PREDICTOR_ORDER)
+            np.matmul(_PREDICT[q], terms[k - q : k], out=r)
+            np.add(c, r, out=mid)
             residuals = []
             for _ in range(FP_MAX_ITER):
-                new = 1 - now
-                np.add(rhs(k, mids[now]), c, out=mids[new])
-                np.multiply(_STACK, mids[new], out=check)
-                np.subtract(check, pairs[now], out=check)
-                change, size = np.maximum.reduce(np.abs(check, out=check), axis=1).tolist()
+                out = rhs(k, mid)
+                np.subtract(out, ref[0:2], out=check)  # (r_new - r, a_next / 2)
+                change, half = np.maximum.reduce(np.abs(check, out=magnitude), axis=1).tolist()
                 # a NaN or inf in a_next makes scale non-finite
-                scale = max(size, 1e-30)
+                scale = max(half, 0.5e-30)
                 if not math.isfinite(scale):
-                    raise FixedPointDiverged(
-                        "midpoint iteration produced non-finite values; dt is too large",
-                        step=k,
-                        residuals=residuals,
-                    )
-                res = 2.0 * change / scale
-                residuals.append(res)
-                now = new
-                if res <= FP_TOL:
+                    message = "midpoint iteration produced non-finite values; dt is too large"
+                    raise FixedPointDiverged(message, step=k, residuals=residuals)
+                residuals.append(change / scale)
+                if residuals[-1] <= FP_TOL:
                     break
+                np.copyto(r, out)
+                np.add(c, out, out=mid)
             else:
                 raise FixedPointDiverged(
                     f"midpoint iteration did not reach {FP_TOL} in {FP_MAX_ITER} iterations "
@@ -252,9 +243,8 @@ def march(
                     step=k,
                     residuals=residuals,
                 )
-            np.subtract(mids[now], c, out=terms[k])
-            np.add(terms[k], terms[k], out=c)
-            np.add(b, c, out=nodes[k + 1])
+            np.copyto(terms[k], out)
+            np.add(check[1], check[1], out=nodes[k + 1])
     return nodes
 
 
@@ -331,21 +321,21 @@ def manufactured_control(
         c_i(U) = (g' D_i + nu lam_i g) delta_{i,mode} - c_i(F(y*)),
 
     so the semi-discrete Galerkin solution is y* exactly and the fully
-    discrete error isolates the time discretization.  Returns (U, y*) as
-    node trajectories.
+    discrete error isolates the time discretization.  F is quadratic plus
+    cubic, F(s h) = s^2 F2 + s^3 F3, so its values at h and -h give F2 and
+    F3 for every node.  Returns (U, y*) as node trajectories.
     """
-    n_nodes = times.size
-    u = np.empty((n_nodes, basis.n_modes))
-    ystar = np.zeros((n_nodes, basis.n_modes))
-    work = StateWork(basis, params)
-    for k, t in enumerate(times):
-        gk = float(g(t))
-        ystar[k, mode_index] = gk
-        u[k] = -state_rhs_coeffs(basis, params, ystar[k], work)
-        u[k, mode_index] += (
-            float(gprime(t)) * basis.vmult[mode_index] + params.nu * basis.lam[mode_index] * gk
-        )
+    unit = np.zeros(basis.n_modes)
+    unit[mode_index] = 1.0
+    f_plus, f_minus = (state_rhs_coeffs(basis, params, s * unit) for s in (1.0, -1.0))
+    f2, f3 = 0.5 * (f_plus + f_minus), 0.5 * (f_plus - f_minus)
+    gk = np.array([float(g(t)) for t in times])[:, None]
+    u = -(gk ** 2 * f2 + gk ** 3 * f3)
+    u[:, mode_index] += (
+        np.array([float(gprime(t)) for t in times]) * basis.vmult[mode_index]
+        + params.nu * basis.lam[mode_index] * gk[:, 0]
+    )
     return (
         Trajectory(times, u, basis, "control"),
-        Trajectory(times, ystar, basis, "state"),
+        Trajectory(times, gk * unit, basis, "state"),
     )

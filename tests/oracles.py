@@ -300,10 +300,11 @@ def march_endpoint(basis, params, dt, a0, src, rhs_at, calls=None):
     Step k solves a_{k+1} = decay a_k + gain (src[k] + rhs(mid)), mid = (a_k + a_{k+1}) / 2,
     with decay = (1 - imp) / (1 + imp), gain = dt / (1 + imp) and imp = dt nu lam / (2 vmult),
     for rhs = rhs_at(k), the time derivative the kernel contributes, by fixed-point
-    iteration with the stopping test and failures of `state.march`.  Step 0 starts from
-    a_0; step k from decay a_k + gain src[k] plus the explicit terms gain rhs(mid) of the
-    last q = min(k, PREDICTOR_ORDER) steps extrapolated to step k by Newton's backward
-    differences, e_{k-1} + del e_{k-1} + ... + del^(q-1) e_{k-1}.  calls, when given,
+    iteration with the stopping test and failures of `state.march`.  Step k starts from
+    decay a_k + gain src[k] plus the explicit terms gain rhs(mid) of the last
+    q = min(k, PREDICTOR_ORDER) steps extrapolated to step k by Newton's backward
+    differences, e_{k-1} + del e_{k-1} + ... + del^(q-1) e_{k-1}, none at step 0, whose
+    first midpoint is then c_0 = (a_0 + decay a_0 + gain src[0]) / 2.  calls, when given,
     collects the rhs evaluations of each step.
     """
     imp = 0.5 * dt * params.nu * basis.lam / basis.vmult
@@ -319,7 +320,7 @@ def march_endpoint(basis, params, dt, a0, src, rhs_at, calls=None):
             base = decay * a_prev + gain * src[k]
             last = terms[k - min(k, PREDICTOR_ORDER) : k]
             predicted = sum(np.diff(last, n, axis=0)[-1] for n in range(len(last)))
-            a_new = base + predicted if k else a_prev
+            a_new = base + predicted
             residuals = []
             for _ in range(FP_MAX_ITER):
                 term = gain * rhs(0.5 * (a_prev + a_new))

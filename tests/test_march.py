@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import solve_adjoint_endpoint, solve_linearized_endpoint, solve_state_endpoint
-from tgflow import adjoint, build_basis, linearized, state, validate_params
+from tgflow import adjoint, build_basis, linearized, spectral, state, validate_params
 from tgflow.adjoint import AdjointWork, adjoint_rhs_terms, solve_adjoint
 from tgflow.errors import FixedPointDiverged
 from tgflow.linearized import LinearizedWork, linearized_rhs_coeffs, solve_linearized
@@ -84,8 +84,8 @@ def test_polynomial_explicit_term_is_predicted_exactly(basis, rng, degree):
 
 
 def test_source_only_march_is_predicted_from_step_1(basis, params, rng):
-    """With no rhs every explicit term is exactly zero, so each step after the
-    first starts from its converged midpoint c_k; step 0 starts from a_0."""
+    """With no rhs every explicit term is exactly zero, so every step starts from
+    its converged midpoint c_k, step 0 included, and takes one evaluation."""
     n_steps = 8
     calls = [0] * n_steps
 
@@ -95,7 +95,7 @@ def test_source_only_march_is_predicted_from_step_1(basis, params, rng):
 
     src = rng.normal(size=(n_steps, basis.n_modes))
     march(basis, params, 0.05, rng.normal(size=basis.n_modes), src, rhs)
-    assert calls == [2] + [1] * (n_steps - 1)
+    assert calls == [1] * n_steps
 
 
 def test_non_finite_values_raise_with_step_and_residuals(basis, params):
@@ -322,21 +322,50 @@ def test_workspace_kernels_are_the_plain_kernels_scaled(params, rng):
     [(linearized, solve_linearized, LinearizedWork), (adjoint, solve_adjoint, AdjointWork)],
 )
 def test_solvers_freeze_once_per_step(params, monkeypatch, module, solve, work):
-    """A solve builds the frozen state's weight grids once per step, not once per
-    rhs evaluation, and at every step's own midpoint in march's order."""
-    _, _, _, y, psi = solver_inputs(4, params, seed=2)
+    """A solve builds each step's weight grids once, not once per rhs evaluation,
+    in one build per chunk of c steps: the chunks cover every step's own
+    midpoint once, in march's order."""
+    basis, _, _, y, psi = solver_inputs(4, params, seed=2)
+    mids = y.midpoints() if module is linearized else y.reversed().midpoints()
+    c = len(work(basis, params, frozen=mids).slot_ops)
+    assert 1 < c < y.n_steps
     frozen, freeze = [], work.freeze
 
-    def freeze_counted(self, coeffs):
-        frozen.append(coeffs.copy())
-        freeze(self, coeffs)
+    def freeze_counted(self, stack):
+        frozen.append(stack.copy())
+        freeze(self, stack)
 
     monkeypatch.setattr(work, "freeze", freeze_counted)
     steps = counted(module, monkeypatch)
     solve(y, psi, params)
-    assert len(frozen) == y.n_steps < len(steps)
-    mids = y.midpoints() if module is linearized else y.reversed().midpoints()
-    assert np.array_equal(frozen, mids)
+    assert y.n_steps < len(steps)
+    chunks = np.array_split(mids, range(c, y.n_steps, c))
+    assert [len(stack) for stack in frozen] == [len(chunk) for chunk in chunks]
+    assert np.array_equal(np.concatenate(frozen), mids)
+
+
+@pytest.mark.parametrize("max_mode", [3, 4])
+@pytest.mark.parametrize(
+    "solve, work", [(solve_linearized, LinearizedWork), (solve_adjoint, AdjointWork)]
+)
+def test_chunked_solves_match_chunks_of_one(params, monkeypatch, max_mode, solve, work):
+    """Linearized and adjoint solves that freeze a chunk of c steps at once give the
+    same bytes as solves that freeze one step at a time, for step counts around
+    and across c."""
+    basis = build_basis(max_mode, params.alpha1)
+    rng = np.random.default_rng(max_mode)
+    c = len(work(basis, params, frozen=np.zeros((1000, basis.n_modes))).slot_ops)
+    assert c > 2
+    y0 = random_field(basis, rng, amp=0.4)
+    for n_steps in (1, c - 1, c, c + 1, 2 * c + 3):
+        times = time_grid(0.5, n_steps)
+        y = solve_state(y0, random_traj(basis, times, rng, amp=1.0), params)
+        psi = random_traj(basis, times, rng)
+        chunked = solve(y, psi, params).coeffs
+        monkeypatch.setattr(spectral, "CHUNK_BYTES", 0)
+        single = solve(y, psi, params).coeffs
+        monkeypatch.undo()
+        assert np.array_equal(chunked, single), n_steps
 
 
 def test_state_rhs_is_unchanged_by_a_solve(params):

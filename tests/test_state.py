@@ -86,18 +86,29 @@ def test_manufactured_solution_convergence(basis, params):
     assert np.min(orders) >= 1.8
 
 
-def test_manufactured_control_is_the_plain_kernel_per_node(basis, params):
-    """One workspace serves every node: the control is bitwise the residual built
-    from a plain kernel call per node."""
+def test_manufactured_control_matches_the_kernel_per_node():
+    """The control built from the quadratic and cubic parts of F, taken from two
+    kernel calls at +-h, is the residual built from a plain kernel call per node
+    to 1e-13 relative, with and without the alpha1 and beta terms."""
     g = lambda t: 0.4 * (1.0 + 0.5 * math.sin(3.0 * t))
     gp = lambda t: 0.6 * math.cos(3.0 * t)
-    times, mode = time_grid(0.5, 16), 2
-    control, ystar = manufactured_control(basis, params, times, mode, g, gp)
-    want = -np.array([state_rhs_coeffs(basis, params, y) for y in ystar.coeffs])
-    want[:, mode] += [
-        gp(t) * basis.vmult[mode] + params.nu * basis.lam[mode] * g(t) for t in times
+    models = [
+        validate_params(nu=1.0, alpha1=0.5, alpha2=-0.2, beta=0.4),
+        validate_params(nu=1.0, alpha1=0.0, alpha2=0.0, beta=0.4),
+        validate_params(nu=1.0, alpha1=0.5, alpha2=-0.5, beta=0.0),
     ]
-    assert np.array_equal(control.coeffs, want)
+    for max_mode in (3, 4):
+        for params in models:
+            basis = build_basis(max_mode, params.alpha1)
+            times, mode = time_grid(0.5, 16), 2
+            control, ystar = manufactured_control(basis, params, times, mode, g, gp)
+            assert np.array_equal(ystar.coeffs[:, mode], [g(t) for t in times])
+            want = -np.array([state_rhs_coeffs(basis, params, y) for y in ystar.coeffs])
+            want[:, mode] += [
+                gp(t) * basis.vmult[mode] + params.nu * basis.lam[mode] * g(t) for t in times
+            ]
+            err = np.max(np.abs(control.coeffs - want))
+            assert err <= 1e-13 * np.max(np.abs(want)), (max_mode, params)
 
 
 def test_energy_identity_and_inequality(basis, params, rng):
