@@ -51,46 +51,45 @@ class AdjointWork(Workspace):
     The slot grids are sums of the fields of q times weight grids of ybar:
     (ybar2, -ybar1) times (q1, q2) in the w slot, -beta times the cubic tangent
     times (a, b) in the a and b slots, and (w_v, -w_v) times (q2, q1) in the
-    u1 and u2 slots.  freeze builds the weights of a chunk of frozen states,
-    a slot each: the six grids of _FROZEN, the tangent and its scratch.  scale
-    (None for none) is per mode, for the slots tested against phi; the w
-    slot, tested against v(phi), enters the time derivative undivided by
-    vmult, so it carries scale times -vmult.
+    u1 and u2 slots.  freeze builds the weights of a window of frozen states:
+    the six grids of _FROZEN and the tangent.  scale (None for none) is per
+    mode, for the slots tested against phi; the w slot, tested against v(phi),
+    enters the time derivative undivided by vmult, so it carries scale times
+    -vmult.
     """
 
     def __init__(self, basis: SpectralBasis, params: ModelParams, scale=None, frozen=()):
         scale = np.tile(np.ones(basis.n_modes) if scale is None else scale, (5, 1))
         scale[0] *= -basis.vmult
-        super().__init__(basis, _FIELDS, _SLOTS, scale, frozen=frozen)
-        Q = basis.n_points
+        # per step, ten weight grids and six grids of products
+        super().__init__(basis, _FIELDS, _SLOTS, scale, frozen=frozen, extra=16)
+        c, Q = self.window, basis.n_points
         self.params = params
         self.tables = signed_rows(basis, *_FROZEN)
-        n = self.chunk(11)  # ten weight grids and the tangent's scratch per step
-        self.weights = np.empty((n, 11, Q, Q))
-        self.products = np.empty((3, 2, Q, Q))
-        self.slot_ops = tuple(map(self._bind, range(n)))
+        self.weights = np.empty((c, 10, Q, Q))
+        self.products = np.empty((c, 3, 2, Q, Q))
 
-    def _bind(self, s: int) -> tuple:
+    def kernel_ops(self, n: int) -> tuple:
         Q = self.basis.n_points
-        q, p, out, wt = self.synth, self.products, self.slots, self.weights[s]
+        q, p, out, wt = self.synth[:n], self.products[:n], self.slots[:n], self.weights[:n]
         return (
             # +b(q, ybar, v(phi)) - b(ybar, q, v(phi)) pairs (ybar.grad)q - (q.grad)ybar =
             # curl(psi), psi = q1 ybar2 - q2 ybar1, with v(phi); psi vanishes on the walls,
             # so by parts that is -(psi, w(v(phi))), the w slot carrying the v-weight
-            partial(np.multiply, wt[0:2], q[2:4], p[0]),
+            partial(np.multiply, wt[:, 0:2], q[:, 2:4], p[:, 0]),
             # -(S'(ybar)[q], grad phi), by summation by parts tested against (a, b)(phi)
-            partial(np.multiply, wt[6:10].reshape(2, 2, Q, Q), q[None, 0:2], p[1:3]),
-            partial(np.add.reduce, p, 1, None, out[0:3]),
+            partial(np.multiply, wt[:, 6:10].reshape(n, 2, 2, Q, Q), q[:, None, 0:2], p[:, 1:3]),
+            partial(np.add, p[:, :, 0], p[:, :, 1], out[:, 0:3]),
             # -b(phi, q, v(ybar)) and +b(q, phi, v(ybar)) move to the right-hand side as
             # ((grad q)^T v + (q . grad) v, phi): in Lamb form w_v (q2, -q1) plus a pressure
-            partial(np.multiply, wt[2:4], q[3:1:-1], out[3:5]),
+            partial(np.multiply, wt[:, 2:4], q[:, 3:1:-1], out[:, 3:5]),
         )
 
     def freeze(self, stack: np.ndarray) -> None:
         n, Q = len(stack), self.basis.n_points
         y = synthesize(self.basis, stack, self.tables, out=self.weights[:n, 0:6])
         tangent = self.weights[:n, 6:10].reshape(n, 2, 2, Q, Q)
-        cubic_tangent(y[:, 4:6], -self.params.beta, tangent, self.weights[:n, 10])
+        cubic_tangent(y[:, 4:6], -self.params.beta, tangent, self.synth[:n, 0])
 
 
 def adjoint_rhs_terms(
@@ -109,7 +108,8 @@ def adjoint_rhs_terms(
     ybar's weights as `spectral.Workspace` says) the result, times work's scale
     per mode, is work.out, valid until the next call.
     """
-    return (work if work is not None else AdjointWork(basis, params))(q_coeffs, y_coeffs)
+    work = work or AdjointWork(basis, params, frozen=np.reshape(y_coeffs, (-1, basis.n_modes)))
+    return work(q_coeffs, y_coeffs)
 
 
 def solve_adjoint(y_traj: Trajectory, f: Trajectory, params: ModelParams) -> Trajectory:
@@ -125,7 +125,8 @@ def solve_adjoint(y_traj: Trajectory, f: Trajectory, params: ModelParams) -> Tra
     work = AdjointWork(basis, params, scale, 0.5 * (y_rev[:-1] + y_rev[1:]))
     q = march(
         basis, params, dt, np.zeros(basis.n_modes), 0.5 * (f_rev[:-1] + f_rev[1:]) / basis.vmult,
-        lambda k, mid: adjoint_rhs_terms(basis, params, work.steps[k], mid, work),
+        lambda k, m: adjoint_rhs_terms(basis, params, work.steps[k // work.window], m, work),
+        work.window,
     )
     return Trajectory(y_traj.times.copy(), q[::-1].copy(), basis, "adjoint")
 

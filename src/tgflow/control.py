@@ -47,7 +47,7 @@ from .errors import LineSearchFailed
 from .params import ModelParams
 from .spectral import Field
 from .state import solve_state
-from .trajectory import ControlSpace, Trajectory, check_same_grid, pair_l2l2_mid
+from .trajectory import ControlSpace, Trajectory, _pair_mid, check_same_grid, pair_l2l2_mid
 
 __all__ = [
     "CostConfig",
@@ -139,18 +139,18 @@ def eval_cost(
     """Solve the state under U and return (J, state trajectory)."""
     check_same_grid(U, cfg.y_d)
     y_traj = solve_state(y0, U, params)
-    diff = Trajectory(y_traj.times, y_traj.coeffs - cfg.y_d.coeffs, y_traj.basis, "state")
-    track = 0.5 * pair_l2l2_mid(diff, diff)
+    diff = y_traj.coeffs - cfg.y_d.coeffs
+    track = 0.5 * _pair_mid(diff, diff, U.dt, U.basis.vmult)
     penalty = 0.5 * cfg.lam * pair_l2l2_mid(U, U)
     return track + penalty, y_traj
 
 
 def _gradient_from_state(
     U: Trajectory, y_traj: Trajectory, cfg: CostConfig, params: ModelParams
-) -> Trajectory:
+) -> np.ndarray:
+    """The node array of the adjoint gradient g = p + lambda U at the state y_traj under U."""
     f = Trajectory(y_traj.times, y_traj.coeffs - cfg.y_d.coeffs, y_traj.basis, "state")
-    p = solve_adjoint(y_traj, f, params)
-    return Trajectory(U.times, p.coeffs + cfg.lam * U.coeffs, U.basis, "control")
+    return solve_adjoint(y_traj, f, params).coeffs + cfg.lam * U.coeffs
 
 
 def gradient_direction(
@@ -158,7 +158,8 @@ def gradient_direction(
 ) -> tuple[Trajectory, float, Trajectory]:
     """Adjoint gradient g = p + lambda U; returns (g, J, state trajectory)."""
     cost, y_traj = eval_cost(U, y0, cfg, params)
-    return _gradient_from_state(U, y_traj, cfg, params), cost, y_traj
+    g = _gradient_from_state(U, y_traj, cfg, params)
+    return Trajectory(U.times, g, U.basis, "control"), cost, y_traj
 
 
 def gradient_mapping_norm(
@@ -177,14 +178,19 @@ def random_admissible(
     template: Trajectory, radius: float, rng: np.random.Generator, fill: float = 0.5
 ) -> Trajectory:
     """Random smooth control with trapezoidal L2H1 norm fill * radius."""
-    basis = template.basis
+    coeffs = _random_admissible(ControlSpace(template.times, template.basis), radius, rng, fill)
+    return Trajectory(template.times, coeffs, template.basis, "control")
+
+
+def _random_admissible(space: ControlSpace, radius: float, rng, fill: float) -> np.ndarray:
+    """The node array of `random_admissible` on the space's time grid."""
+    times, basis = space.times, space.basis
     decay = 1.0 / (1.0 + basis.lam)
     profile = 1.0 + 0.5 * np.sin(
-        2.0 * np.pi * template.times / max(template.horizon, 1e-30) + rng.uniform(0, 2 * np.pi)
+        2.0 * np.pi * times / max(float(times[-1] - times[0]), 1e-30) + rng.uniform(0, 2 * np.pi)
     )
     coeffs = profile[:, None] * (rng.normal(size=basis.n_modes) * decay)[None, :]
-    scale = fill * radius / max(ControlSpace(template.times, basis).norm(coeffs), 1e-30)
-    return Trajectory(template.times, coeffs * scale, basis, "control")
+    return coeffs * (fill * radius / max(space.norm(coeffs), 1e-30))
 
 
 class _Memory:
@@ -322,7 +328,7 @@ def optimize(
         t, U, new_cost, new_traj = step
         report.step_size.append(t)
         report.direction.append(kind)
-        new_g = _gradient_from_state(U, new_traj, cfg, params).coeffs
+        new_g = _gradient_from_state(U, new_traj, cfg, params)
         new_G = space.riesz(new_g)
         report.adjoint_solves += 1
         memory.push(U.coeffs - u, new_G - G)
@@ -332,6 +338,6 @@ def optimize(
     # the variational inequality all are nonnegative, certifying it a posteriori
     report.vi_residuals = []
     for _ in range(N_VI_SAMPLES):
-        psi = random_admissible(U, cfg.radius, rng, fill=float(rng.uniform(0.2, 1.0)))
-        report.vi_residuals.append(space.mid(psi.coeffs - u, g))
+        psi = _random_admissible(space, cfg.radius, rng, fill=float(rng.uniform(0.2, 1.0)))
+        report.vi_residuals.append(space.mid(psi - u, g))
     return U, report

@@ -66,36 +66,35 @@ class LinearizedWork(Workspace):
     The slot grids that project to F'(y)[z] are sums of the fields of z times
     weight grids of y: grad_w times (a_x, b_x) and (a_y, b_y) and pair_w times w, a, b, u1
     and u2 in the a and b slots, conv_w times w and (u2, u1) in the u1 and u2
-    slots.  freeze builds the weights of a chunk of frozen states, one slot each.
+    slots.  freeze builds the weights of a window of frozen states, y's fields
+    synthesized into synth, which the next call overwrites.
     """
 
     def __init__(self, basis: SpectralBasis, params: ModelParams, scale=None, frozen=()):
-        super().__init__(basis, _FIELDS, _SLOTS, scale, frozen=frozen)
-        Q = basis.n_points
+        # per step, 16 weight grids and 16 grids of products
+        super().__init__(basis, _FIELDS, _SLOTS, scale, frozen=frozen, extra=32)
+        c, Q = self.window, basis.n_points
         self.params = params
-        n = self.chunk(25)  # 16 weight grids and the 9 fields of y per step
-        self.y = np.empty((n, 9, Q, Q))
-        self.grad_w = np.empty((n, 2, 1, Q, Q))
-        self.pair_w = np.empty((n, 5, 2, Q, Q))
-        self.conv_w = np.empty((n, 2, 2, Q, Q))
-        self.conv, self.products = np.empty((2, Q, Q)), np.empty((7, 2, Q, Q))
-        self.slot_ops = tuple(map(self._bind, range(n)))
+        self.grad_w = np.empty((c, 2, 1, Q, Q))
+        self.pair_w = np.empty((c, 5, 2, Q, Q))
+        self.conv_w = np.empty((c, 2, 2, Q, Q))
+        self.conv, self.products = np.empty((c, 2, Q, Q)), np.empty((c, 7, 2, Q, Q))
 
-    def _bind(self, s: int) -> tuple:
+    def kernel_ops(self, n: int) -> tuple:
         Q = self.basis.n_points
-        z, p, out = self.synth, self.products, self.slots
+        z, p, out, conv_w = self.synth[:n], self.products[:n], self.slots[:n], self.conv_w[:n]
         return (
-            partial(np.multiply, self.grad_w[s], z[0:4].reshape(2, 2, Q, Q), p[0:2]),
-            partial(np.multiply, self.pair_w[s], z[4:9, None], p[2:7]),
-            partial(np.add.reduce, p, 0, None, out[0:2]),
-            partial(np.multiply, self.conv_w[s, 0], z[4], out[2:4]),
-            partial(np.multiply, self.conv_w[s, 1], z[8:6:-1], self.conv),
-            partial(np.add, out[2:4], self.conv, out[2:4]),
+            partial(np.multiply, self.grad_w[:n], z[:, 0:4].reshape(n, 2, 2, Q, Q), p[:, 0:2]),
+            partial(np.multiply, self.pair_w[:n], z[:, 4:9, None], p[:, 2:7]),
+            partial(np.add.reduce, p, 1, None, out[:, 0:2]),
+            partial(np.multiply, conv_w[:, 0], z[:, 4, None], out[:, 2:4]),
+            partial(np.multiply, conv_w[:, 1], z[:, 8:6:-1], self.conv[:n]),
+            partial(np.add, out[:, 2:4], self.conv[:n], out[:, 2:4]),
         )
 
     def freeze(self, stack: np.ndarray) -> None:
         al, n, Q = self.params.alpha1, len(stack), self.basis.n_points
-        y = synthesize(self.basis, stack, _FIELDS, out=self.y[:n])
+        y = synthesize(self.basis, stack, _FIELDS, out=self.synth[:n])
         w, ab, u = y[:, 4, None], y[:, 5:7], y[:, 7:9]
         pair_w = self.pair_w[:n]
         # F' pairs minus the stress with (a, b)(h_i), so every weight carries a minus
@@ -127,7 +126,8 @@ def linearized_rhs_coeffs(
     solve, which builds y's weights as `spectral.Workspace` says) the result,
     F'(y)[z] times work's scale per mode, is work.out, valid until the next call.
     """
-    return (work if work is not None else LinearizedWork(basis, params))(z_coeffs, y_coeffs)
+    work = work or LinearizedWork(basis, params, frozen=np.reshape(y_coeffs, (-1, basis.n_modes)))
+    return work(z_coeffs, y_coeffs)
 
 
 def solve_linearized(y_traj: Trajectory, psi: Trajectory, params: ModelParams) -> Trajectory:
@@ -138,7 +138,8 @@ def solve_linearized(y_traj: Trajectory, psi: Trajectory, params: ModelParams) -
     work = LinearizedWork(basis, params, scale, y_traj.midpoints())
     coeffs = march(
         basis, params, dt, np.zeros(basis.n_modes), psi.midpoints() / basis.vmult,
-        lambda k, mid: linearized_rhs_coeffs(basis, params, work.steps[k], mid, work),
+        lambda k, m: linearized_rhs_coeffs(basis, params, work.steps[k // work.window], m, work),
+        work.window,
     )
     return Trajectory(y_traj.times.copy(), coeffs, basis, "linearized")
 

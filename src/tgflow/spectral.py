@@ -61,12 +61,11 @@ three kernels:
 
 Each rhs kernel is a Workspace, and one call of it is the whole pass above.
 A solver runs its kernel hundreds of times on one basis, so it makes one
-workspace per solve: the grids live in buffers allocated once, the per-mode
+workspace per solve: the grids live in buffers allocated once, and the per-mode
 factor the time stepper applies to the kernel's result is folded into the
-projection amplitudes, so it costs nothing per call, and the weight grids of
-the frozen states a linearized or adjoint kernel is taken at are built for a
-chunk of steps at once, from one batched synthesis of their stacked
-coefficients, and read in place by ops bound once per slot of the chunk.
+projection amplitudes.  A linearized or adjoint kernel evaluates a window of
+steps per call, the pass above over a stack of midpoints against the weight
+grids of their frozen states, built for the window from one batched synthesis.
 
 to_grid by order, to_coeffs and project_div are the velocity cases of the two
 transforms.
@@ -399,79 +398,76 @@ def project(basis: SpectralBasis, grids: np.ndarray, rows: slice) -> np.ndarray:
     return (r * b.proj_amp[rows]).reshape(-1, b.n_modes)
 
 
-CHUNK_BYTES = 1 << 20  # the frozen states' weights of a chunk of steps fit in this
-MAX_CHUNK = 8
+WINDOW_BYTES = 1 << 19  # what a sweep over a window of steps touches fits in this
+MAX_WINDOW = 16
+MIN_WINDOW = 4  # shorter windows cost more than they save: below this, windows of one
 
 
 class Workspace:
     """One rhs kernel: the buffers it reuses through a solve, its ops and its scaled projection.
 
-    A call work(coeffs, frozen) is the kernel's whole pass.  coeffs is copied
-    into the workspace's own Field, and the K fields in rows of it are
-    synthesized into synth, the first K of the K + spare grids in grid (the
-    rest room for products formed in place).  ops, the kernel's broadcast
-    products as calls bound to views of these buffers, leave the S grids it
-    tests against the fields in slot_rows in slots, which are paired as
-    `project` does, times scale (one (n_modes,) row for every slot or one row
-    per slot; None for none), and summed over the slots into out, which the
-    next call overwrites.  Binding every view once per workspace keeps slicing
-    out of the per-call cost.
-
-    A linearized or adjoint kernel is taken at frozen, one of the rows steps
-    of its solve's stack of frozen states, known by identity.  At a row no
-    built chunk holds, freeze(stack) builds the weights of the chunk it
-    starts, a slot each, read by slot_ops[slot]; any other array is a chunk of one.
+    A call work(coeffs, frozen) is the kernel's whole pass over n steps, coeffs a row
+    or an (n, n_modes) stack: the K fields in rows are synthesized into synth, the
+    first K of the K + spare grids of each step in grid (the rest room for products
+    formed in place); ops, calls bound to views of these buffers once per n, form the
+    S slot grids, which are paired as `project` does, times scale (one (n_modes,) row
+    or one per slot; None for none), and summed over the slots into out, valid until
+    the next call; a row in gives a row out.  A linearized or adjoint kernel is taken
+    at frozen, n frozen states: when frozen is not the array of the call before,
+    freeze(stack) builds their weights from one batched synthesis.  A solve hands the
+    workspace its (N, n_modes) stack of frozen states; window, the steps one call
+    evaluates, is as many as WINDOW_BYTES holds of the grids a step touches (extra of
+    them the kernel's own), a power of two from MIN_WINDOW to MAX_WINDOW, else one,
+    and at most N; steps holds the stack's windows, the arrays its calls pass.
     """
 
     def __init__(
         self, basis: SpectralBasis, rows: slice, slot_rows: slice, scale=None, spare: int = 0,
-        frozen=(),
+        frozen=(), extra: int = 0,
     ):
         M, Q = basis.max_mode, basis.n_points
         n_fields, n_slots = rows.stop - rows.start, slot_rows.stop - slot_rows.start
-        self.basis, self.rows, self.frozen = basis, rows, None
-        self.field = Field(np.zeros(basis.n_modes), basis)
-        self.grid = np.empty((n_fields + spare, Q, Q))
-        self.synth = self.grid[:n_fields]
-        self.slots = np.empty((n_slots, Q, Q))
-        self.out = np.empty(basis.n_modes)
-        self.stack, self.steps = frozen, list(frozen)
-        self._step, self._built = {id(row): k for k, row in enumerate(self.steps)}, range(0)
+        fit = WINDOW_BYTES // ((n_fields + spare + n_slots + extra) * Q * Q * 8)
+        c = min(MAX_WINDOW, 1 << fit.bit_length() >> 1) if fit >= MIN_WINDOW else 1
+        self.window = c = max(1, min(c, len(frozen)))
+        self.steps = [frozen[k : k + c] for k in range(0, len(frozen), c)]
+        self.basis, self.frozen, self.n = basis, None, 0
+        self.rows = basis.field_x[rows], basis.field_amp[rows], basis.field_y[rows]
+        self.grid = np.empty((c, n_fields + spare, Q, Q))
+        self.synth = self.grid[:, :n_fields]
+        self.slots = np.empty((c, n_slots, Q, Q))
+        self.out = np.empty((c, basis.n_modes))
         amp = basis.proj_amp[slot_rows]
         if scale is not None:
             amp = amp * np.reshape(scale, (-1, M, M))
-        half, paired = np.empty((n_slots, M, Q)), np.empty((n_slots, M, M))
-        self._projection = (
-            partial(np.matmul, basis.proj_x[slot_rows], self.slots, half),
-            partial(np.matmul, half, basis.proj_y[slot_rows], paired),
-            partial(np.multiply, paired, amp, paired),
-            partial(np.add.reduce, paired.reshape(n_slots, -1), 0, None, self.out),
-        )
+        self._projection = basis.proj_x[slot_rows], basis.proj_y[slot_rows], amp
+        self._half, self._paired = np.empty((c, n_slots, M, Q)), np.empty((c, n_slots, M, M))
 
-    def chunk(self, step_grids: int) -> int:
-        """Steps per freeze of step_grids grids each: as CHUNK_BYTES, MAX_CHUNK and steps allow."""
-        fit = CHUNK_BYTES // (step_grids * self.slots[0].nbytes)
-        return max(1, min(MAX_CHUNK, len(self.steps), fit))
+    def bind(self, n: int, kernel_ops: tuple) -> None:
+        """Bind the kernel's ops, formed on the first n steps, and the projection to them."""
+        x, y, amp = self._projection
+        at = slice(n) if n > 1 else 0  # one step projects without a window axis
+        slots, half, paired = self.slots[at], self._half[at], self._paired[at]
+        self.n, self.ops = n, kernel_ops + (
+            partial(np.matmul, x, slots, half),
+            partial(np.matmul, half, y, paired),
+            partial(np.multiply, paired, amp, paired),
+            partial(np.add.reduce, paired.reshape(*paired.shape[:-2], -1), -2, None, self.out[at]),
+        )
 
     def __call__(self, coeffs: np.ndarray, frozen: np.ndarray | None = None) -> np.ndarray:
         """The kernel's scaled coefficients at coeffs, in out."""
         if frozen is not self.frozen:
-            k = self._step.get(id(frozen))
-            if k is None:  # no step of the solve: a chunk of one
-                self.freeze(np.reshape(frozen, (1, -1)))
-                k, self._built = 0, range(0)
-            elif k not in self._built:
-                self._built = range(k, min(k + len(self.slot_ops), len(self.steps)))
-                self.freeze(self.stack[k : self._built.stop])
-            self.ops = self.slot_ops[k - self._built.start]
+            stack = np.reshape(frozen, (-1, self.basis.n_modes))
+            self.freeze(stack)
+            if len(stack) != self.n:
+                self.bind(len(stack), self.kernel_ops(len(stack)))
             self.frozen = frozen
-        np.copyto(self.field.coeffs, coeffs)
-        to_grid(self.field, rows=self.rows, out=self.synth)
+        n = self.n
+        synthesize(self.basis, coeffs.reshape(n, -1), self.rows, out=self.synth[:n])
         for op in self.ops:
             op()
-        for op in self._projection:
-            op()
-        return self.out
+        return self.out[:n] if coeffs.ndim == 2 else self.out[0]
 
 
 def to_coeffs(basis: SpectralBasis, vel: np.ndarray) -> Field:

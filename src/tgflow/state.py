@@ -12,14 +12,12 @@ turns this into coefficient ODEs
 where c_i is the basis projection of the nonlinear force F and the control.
 One step is Crank-Nicolson on the diagonal viscous part with the nonlinear
 terms evaluated at the interval midpoint (y_k + y_{k+1}) / 2, resolved by
-fixed-point iteration on the midpoint itself, started from the explicit term
-extrapolated from the steps before (the predictor of a PECE scheme).  Controls
-are sampled at midpoints by averaging adjacent nodes.  `march` carries out this
-scheme for the state, linearized and adjoint solvers alike; each solver supplies
-its explicit source per step and its rhs kernel, whose projection amplitudes
-already carry the step's factor `midpoint_gain` / vmult (see
-`spectral.Workspace`), so one iteration is one kernel call and a few small array
-operations.
+fixed-point iteration started from the explicit terms extrapolated from the
+steps before (the predictor of a PECE scheme); controls are sampled at
+midpoints by averaging adjacent nodes.  `march` carries out this scheme for all
+three solvers, a window of steps per sweep: each supplies its source per step
+and its rhs kernel, whose projection amplitudes carry the factor
+`midpoint_gain` / vmult (`spectral.Workspace`), so one sweep is one kernel call.
 
 Because every projection is an exact quadrature pairing, the scheme satisfies
 a discrete V-norm energy identity per step,
@@ -50,7 +48,7 @@ from .spectral import (
     norm_weights,
     slots,
     synthesize,
-    to_grid,  # noqa: F401 -- perfbench traces to_grid in every solver module's namespace
+    to_grid,
 )
 from .trajectory import Trajectory, check_same_grid
 
@@ -71,12 +69,6 @@ __all__ = [
 FP_TOL = 1e-10
 FP_MAX_ITER = 50
 PREDICTOR_ORDER = 8
-# weights (-1)^(j + 1) C(q, j), j = q..1, of the explicit terms of steps k - q..k - 1 that
-# extrapolate them to step k, for each q = min(k, PREDICTOR_ORDER)
-_PREDICT = tuple(
-    np.array([(-1.0) ** (j + 1) * math.comb(q, j) for j in range(q, 0, -1)])
-    for q in range(PREDICTOR_ORDER + 1)
-)
 # the named fields the state and linearized rhs read (the linearized one of z and of
 # the frozen state alike), and the slots they write: stress, then force
 _FIELDS = fields("a_x", "b_x", "a_y", "b_y", "w", "a", "b", "u1", "u2")
@@ -126,25 +118,33 @@ def _mixing(alpha1: float, beta: float) -> np.ndarray:
 
 
 class StateWork(Workspace):
-    """Buffers and ops of `state_rhs_coeffs`: the fields are multiplied in place
-    into the eleven products `_mixing` combines into the four slot grids."""
+    """Buffers and ops of `state_rhs_coeffs`, a window of one: the fields are multiplied
+    in place into the eleven products `_mixing` combines into the four slot grids."""
 
     def __init__(self, basis: SpectralBasis, params: ModelParams, scale=None):
         super().__init__(basis, _FIELDS, _SLOTS, scale, spare=2)
-        g = p = self.grid
-        Q = basis.n_points
+        self.field = Field(np.zeros(basis.n_modes), basis)
+        g = p = self.grid[0]
+        slots, Q = self.slots[0], basis.n_points
         strain_sq = np.empty(g.shape[1:])
         ab, w, u = g[5:7], g[4], g[7:9, None]
         grads = g[0:4].reshape(2, 2, Q, Q)  # (a_x, b_x), (a_y, b_y)
         mix = _mixing(params.alpha1, params.beta)
-        self.ops = (
+        self.bind(1, (
             partial(np.multiply, ab, ab, p[9:11]),
             partial(np.add, p[9], p[10], strain_sq),
             partial(np.multiply, strain_sq, ab, p[9:11]),
             partial(np.multiply, u, grads, grads),
             partial(np.multiply, w, g[5:9], p[5:9]),
-            partial(np.matmul, mix, p.reshape(len(p), -1), self.slots.reshape(len(self.slots), -1)),
-        )
+            partial(np.matmul, mix, p.reshape(len(p), -1), slots.reshape(len(slots), -1)),
+        ))
+
+    def __call__(self, coeffs: np.ndarray) -> np.ndarray:
+        np.copyto(self.field.coeffs, coeffs)
+        to_grid(self.field, rows=self.rows, out=self.synth[0])
+        for op in self.ops:
+            op()
+        return self.out[0]
 
 
 def state_rhs_coeffs(
@@ -175,77 +175,137 @@ def midpoint_gain(basis: SpectralBasis, params: ModelParams, dt: float) -> np.nd
     return 0.5 * dt / (1.0 + _implicit(basis, params, dt))
 
 
+@lru_cache(maxsize=8)
+def _window(basis: SpectralBasis, params: ModelParams, dt: float, c: int) -> tuple:
+    """(spread, coef, h, extrapolate) for windows of c steps, decay = (1 - imp) / (1 + imp).
+
+    spread = (W, T) carries a window's explicit terms to their shares of its midpoints
+    and half endpoints, T[i, l] = decay^(i-l) for l <= i, W[i, l] = 2 T[i-1, l] / (1 + imp)
+    below the diagonal and 1 on it; coef = (-decay^(i+1) / 2, decay^i / (1 + imp)) carries
+    the window's first node to them; h = midpoint_gain.  extrapolate[q], (c, q), takes the
+    terms of steps k - q..k - 1 by the polynomial through them to steps k + s, s < c: for
+    step k - j, (-1)^(j+1) C(s+q, q) j C(q, j) / (s + j).
+    """
+    imp = _implicit(basis, params, dt)
+    decay, carry = (1.0 - imp) / (1.0 + imp), 1.0 / (1.0 + imp)
+    power = decay ** np.arange(c + 1)[:, None]
+    lag = np.subtract.outer(np.arange(c), np.arange(c))
+    spread = np.zeros((2, c, c, basis.n_modes))
+    spread[1] = power[lag.clip(0)] * (lag >= 0)[..., None]
+    spread[0, 1:] = 2.0 * carry * spread[1, :-1]
+    spread[0, lag == 0] = 1.0
+    coef = np.stack([-0.5 * power[1:], carry * power[:-1]])
+    spread.flags.writeable = coef.flags.writeable = False
+    extrapolate = tuple(
+        np.array([[(-1) ** (j + 1) * math.comb(s + q, q) * j * math.comb(q, j) / (s + j)
+                   for j in range(q, 0, -1)] for s in range(c)]).reshape(c, q)
+        for q in range(PREDICTOR_ORDER + 1)
+    )
+    return spread, coef, 0.5 * dt / (1.0 + imp), extrapolate
+
+
 def march(
-    basis: SpectralBasis, params: ModelParams, dt: float, a0: np.ndarray, src: np.ndarray, rhs
+    basis: SpectralBasis, params: ModelParams, dt: float, a0: np.ndarray, src: np.ndarray, rhs,
+    window: int = 1,
 ) -> np.ndarray:
     """Advance a0 by len(src) Crank-Nicolson/midpoint steps; return all len(src) + 1 nodes.
 
-    Step k advances da/dt = -nu lam a / vmult + src[k] + f(a), f evaluated at
-    the midpoint m = (a_k + a_{k+1}) / 2.  With imp = dt nu lam / (2 vmult) and
-    h = midpoint_gain = dt / (2 (1 + imp)), m solves
+    Step k advances da/dt = -nu lam a / vmult + src[k] + f(a), f at the midpoint
+    m = (a_k + a_{k+1}) / 2.  With imp = dt nu lam / (2 vmult), h = midpoint_gain =
+    dt / (2 (1 + imp)) and decay = (1 - imp) / (1 + imp), m = c_k + r_k with the
+    explicit term r_k = h f(m) and c_k = a_k / (1 + imp) + h src[k], and
+    a_{k+1} = 2 m - a_k = decay a_k + 2 h src[k] + 2 r_k: with f = 0, the exact
+    Crank-Nicolson product.
 
-        m = c_k + rhs(k, m),    c_k = a_k / (1 + imp) + h src[k],
-
-    where rhs(k, m) returns h f(m) (the solvers fold h into their kernels), by
-    fixed-point iteration on the explicit term r = rhs(k, m), m = c_k + r.
-    Step k starts from the prediction r = sum_j w_j r_{k-j}, which extrapolates
-    the converged explicit terms of the last q = min(k, PREDICTOR_ORDER) steps
-    by the polynomial through them, w_j = (-1)^(j+1) C(q, j): 2 r_{k-1} - r_{k-2}
-    for q = 2, and r = 0 at step 0, so that step 0 starts from c_0.  Unlike the
-    nodes, r carries no source, so it stays smooth in time under rough controls.
-    The endpoint is a_{k+1} = 2 m - a_k = b_k + 2 r, b_k = decay a_k + 2 h src[k]
-    with decay = (1 - imp) / (1 + imp), so that a step with f = 0 is the exact
-    Crank-Nicolson product.  The iteration stops when the endpoints of two
-    consecutive iterates satisfy |a_next - a_new|_inf <= FP_TOL |a_next|_inf,
-    that is |r_new - r|_inf <= FP_TOL |a_next / 2|_inf; each iteration forms
-    (r_new - r, a_next / 2) = r_new - (r, -b_k / 2) in one difference.  A step
-    that produces a non-finite value or does not converge in FP_MAX_ITER
-    iterations raises FixedPointDiverged with its index k and its residuals.
+    Steps go in windows of c = min(window, len(src)), the last maybe shorter, each
+    solved by Picard sweeps on its terms r (waveform relaxation): a sweep carries r
+    through the recurrence to the window's n midpoints and evaluates them in one
+    call rhs(k, mids), k the window's first step and mids (n, n_modes), or a row for
+    n = 1, which returns the n terms (the solvers fold h into their kernels).  A
+    window starts from r extrapolated from the converged terms of the last
+    q = min(k, PREDICTOR_ORDER) steps by the polynomial through them (at distance 1,
+    weights (-1)^(j+1) C(q, j): 2 r_{k-1} - r_{k-2} for q = 2), or from r = 0 at
+    step 0, which then starts from c_0; r carries no source, so it stays smooth in
+    time under rough controls.  The sweeps stop when at every step the change of
+    the midpoint is at most FP_TOL |a_{k+1}|_inf / 2 (for c = 1 the change of r).
+    A window that produces a non-finite value or does not converge in FP_MAX_ITER
+    sweeps raises FixedPointDiverged with its earliest failing step and that step's
+    residual after each sweep.
     """
-    imp = _implicit(basis, params, dt)
-    # per step, (-b_k / 2, c_k) = (-decay / 2, carry) a_k + (-h, h) src[k]
-    carry_decay = np.stack([-0.5 * ((1.0 - imp) / (1.0 + imp)), 1.0 / (1.0 + imp)])
-    half_src = (0.5 * dt / (1.0 + imp)) * src
-    sources = np.stack([-half_src, half_src], axis=1)
     n_steps, n_modes = src.shape
-    nodes = np.empty((n_steps + 1, n_modes))
+    c = max(1, min(window, n_steps))
+    spread, coef, gain, extrapolate = _window(basis, params, dt, c)
+    # per window, (-b / 2, c) = coef a_k + sources, its half endpoints and midpoints at r = 0
+    half_src = np.concatenate([gain * src, np.zeros((-n_steps % c, n_modes))])
+    sources = np.einsum("ailm,wlm->waim", spread[::-1], half_src.reshape(-1, c, n_modes))
+    sources[:, 0] *= -1.0
+    nodes, terms = np.empty((n_steps + 1, n_modes)), np.empty((n_steps, n_modes))
     nodes[0] = a0
-    ref = np.empty((3, n_modes))  # (r, -b_k / 2, c_k): r the current explicit term
-    r, c, ends = ref[0], ref[2], ref[1:3]
-    mid, check, magnitude = np.empty(n_modes), np.empty((2, n_modes)), np.empty((2, n_modes))
-    terms = np.empty((n_steps, n_modes))  # the converged explicit terms
+    ref = np.empty((3, c, n_modes))  # (W r, -b / 2, c): r the window's current explicit terms
+    ends, mid, n = ref[1:3], np.empty((c, n_modes)), n_steps + 1
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
-            np.multiply(carry_decay, nodes[k], out=ends)
-            np.add(ends, sources[k], out=ends)
+        for k, source in zip(range(0, n_steps, c), sources):
+            if k + n > n_steps:  # the first window, or the last and shorter one: its views
+                n = min(c, n_steps - k)
+                at = slice(n) if n > 1 else 0  # a window of one: rows, as rhs and matmul take them
+                r, c_n, ref_n, m = ref[0, at], ref[2, at], ref[0:2, :n], mid[at]
+                check, both = np.empty((2, 2, n, n_modes))
+                rows, size = check.reshape(2 * n, -1), np.empty((2 * n, n_modes))
+                tri, predict = spread[:, :n, :n], [w[at] for w in extrapolate]
+            np.multiply(coef, nodes[k], out=ends)
+            np.add(ends, source, out=ends)
             q = min(k, PREDICTOR_ORDER)
-            np.matmul(_PREDICT[q], terms[k - q : k], out=r)
-            np.add(c, r, out=mid)
-            residuals = []
+            np.matmul(predict[q], terms[k - q : k], out=r)
+            if n > 1:
+                np.copyto(r, np.einsum("ilm,lm->im", tri[0], r, out=both[0]))
+            np.add(c_n, r, out=m)
+            history = []
             for _ in range(FP_MAX_ITER):
-                out = rhs(k, mid)
-                np.subtract(out, ref[0:2], out=check)  # (r_new - r, a_next / 2)
-                change, half = np.maximum.reduce(np.abs(check, out=magnitude), axis=1).tolist()
-                # a NaN or inf in a_next makes scale non-finite
-                scale = max(half, 0.5e-30)
-                if not math.isfinite(scale):
-                    message = "midpoint iteration produced non-finite values; dt is too large"
-                    raise FixedPointDiverged(message, step=k, residuals=residuals)
-                residuals.append(change / scale)
-                if residuals[-1] <= FP_TOL:
+                out = new = rhs(k, m)
+                if n > 1:
+                    out = np.einsum("ailm,lm->aim", tri, new, out=both)
+                np.subtract(out, ref_n, out=check)  # (change of the midpoints, a_next / 2)
+                sizes = np.maximum.reduce(np.abs(rows, out=size), axis=1).tolist()
+                if not math.isfinite(sum(sizes)):  # a NaN or inf in a_next
+                    raise _diverged(k, history, sizes, new, "produced non-finite values")
+                history.append(sizes)
+                # the largest residual, change / max(half, 0.5e-30), of the window's steps
+                worst = sizes[0] / max(sizes[1], 0.5e-30) if n == 1 else max(_residuals(sizes))
+                if worst <= FP_TOL:
                     break
-                np.copyto(r, out)
-                np.add(c, out, out=mid)
+                np.copyto(r, out[0] if n > 1 else out)
+                np.add(c_n, r, out=m)
             else:
-                raise FixedPointDiverged(
-                    f"midpoint iteration did not reach {FP_TOL} in {FP_MAX_ITER} iterations "
-                    f"(last residuals {residuals[-3:]}); dt is too large",
-                    step=k,
-                    residuals=residuals,
-                )
-            np.copyto(terms[k], out)
-            np.add(check[1], check[1], out=nodes[k + 1])
+                what = f"did not reach {FP_TOL} in {FP_MAX_ITER} sweeps"
+                raise _diverged(k, history, sizes, new, what)
+            np.copyto(terms[k : k + n], new)
+            np.add(check[1], check[1], out=nodes[k + 1 : k + n + 1])
     return nodes
+
+
+def _residuals(sizes: list) -> list:
+    """Per step of a window, the change of its midpoint over its half endpoint's size."""
+    return [change / max(half, 0.5e-30) for change, half in zip(sizes, sizes[len(sizes) // 2 :])]
+
+
+def _diverged(
+    k: int, history: list, sizes: list, terms: np.ndarray, what: str
+) -> FixedPointDiverged:
+    """The failure of the window from step k, of these sizes and terms after its last sweep:
+    at its earliest step with a non-finite term (the zeros of the tables spread a NaN or inf
+    to every step), else with a non-finite half endpoint, else with a residual above FP_TOL."""
+    n = len(sizes) // 2
+    for fails in (
+        ~np.isfinite(np.reshape(terms, (n, -1))).all(axis=1),
+        [not math.isfinite(half) for half in sizes[n:]],
+        [not res <= FP_TOL for res in _residuals(sizes)],
+    ):
+        if any(fails):
+            break
+    bad = list(fails).index(True)
+    residuals = [_residuals(s)[bad] for s in history]
+    message = f"midpoint iteration {what} (last residuals {residuals[-3:]}); dt is too large"
+    return FixedPointDiverged(message, step=k + bad, residuals=residuals)
 
 
 def solve_state(y0: Field, control: Trajectory, params: ModelParams) -> Trajectory:

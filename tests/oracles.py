@@ -294,7 +294,7 @@ def stress(params, g):
 
 # -- the endpoint-form time stepper and the solvers on it ---------------------------
 
-def march_endpoint(basis, params, dt, a0, src, rhs_at, calls=None):
+def march_endpoint(basis, params, dt, a0, src, rhs_at, calls=None, tol=FP_TOL):
     """Advance a0 by len(src) Crank-Nicolson/midpoint steps; return all len(src) + 1 nodes.
 
     Step k solves a_{k+1} = decay a_k + gain (src[k] + rhs(mid)), mid = (a_k + a_{k+1}) / 2,
@@ -305,7 +305,7 @@ def march_endpoint(basis, params, dt, a0, src, rhs_at, calls=None):
     q = min(k, PREDICTOR_ORDER) steps extrapolated to step k by Newton's backward
     differences, e_{k-1} + del e_{k-1} + ... + del^(q-1) e_{k-1}, none at step 0, whose
     first midpoint is then c_0 = (a_0 + decay a_0 + gain src[0]) / 2.  calls, when given,
-    collects the rhs evaluations of each step.
+    collects the rhs evaluations of each step; tol, when given, replaces FP_TOL.
     """
     imp = 0.5 * dt * params.nu * basis.lam / basis.vmult
     decay, gain = (1.0 - imp) / (1.0 + imp), dt / (1.0 + imp)
@@ -330,7 +330,7 @@ def march_endpoint(basis, params, dt, a0, src, rhs_at, calls=None):
                     raise FixedPointDiverged("non-finite values", step=k, residuals=residuals)
                 residuals.append(float(np.max(np.abs(a_next - a_new))) / scale)
                 a_new = a_next
-                if residuals[-1] <= FP_TOL:
+                if residuals[-1] <= tol:
                     break
             else:
                 raise FixedPointDiverged("did not converge", step=k, residuals=residuals)
@@ -351,7 +351,7 @@ def solve_state_endpoint(y0, control, params, calls=None):
     return march_endpoint(basis, params, control.dt, y0.coeffs, u_term, rhs_at, calls)
 
 
-def solve_linearized_endpoint(y_traj, psi, params, calls=None):
+def solve_linearized_endpoint(y_traj, psi, params, calls=None, tol=FP_TOL):
     """Coefficients of `solve_linearized` by the endpoint-form stepper."""
     basis = y_traj.basis
     y_mid, psi_mid = y_traj.midpoints(), psi.midpoints()
@@ -360,10 +360,10 @@ def solve_linearized_endpoint(y_traj, psi, params, calls=None):
         return lambda mid: linearized_rhs_coeffs(basis, params, y_mid[k], mid) / basis.vmult
 
     zero = np.zeros(basis.n_modes)
-    return march_endpoint(basis, params, y_traj.dt, zero, psi_mid / basis.vmult, rhs_at, calls)
+    return march_endpoint(basis, params, y_traj.dt, zero, psi_mid / basis.vmult, rhs_at, calls, tol)
 
 
-def solve_adjoint_endpoint(y_traj, f, params, calls=None):
+def solve_adjoint_endpoint(y_traj, f, params, calls=None, tol=FP_TOL):
     """Coefficients of `solve_adjoint`, in reversed time, by the endpoint-form stepper."""
     basis = y_traj.basis
     y_mid, f_mid = y_traj.reversed().midpoints(), f.reversed().midpoints()
@@ -372,7 +372,7 @@ def solve_adjoint_endpoint(y_traj, f, params, calls=None):
         return lambda mid: adjoint_rhs_terms(basis, params, y_mid[k], mid) / basis.vmult
 
     zero = np.zeros(basis.n_modes)
-    return march_endpoint(basis, params, y_traj.dt, zero, f_mid / basis.vmult, rhs_at, calls)
+    return march_endpoint(basis, params, y_traj.dt, zero, f_mid / basis.vmult, rhs_at, calls, tol)
 
 
 def adjoint_kernel_terms(basis, params, y, q):
