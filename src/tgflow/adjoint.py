@@ -62,9 +62,8 @@ class AdjointWork(Workspace):
         scale = np.tile(np.ones(basis.n_modes) if scale is None else scale, (5, 1))
         scale[0] *= -basis.vmult
         # per step, ten weight grids and six grids of products
-        super().__init__(basis, _FIELDS, _SLOTS, scale, frozen=frozen, extra=16)
+        super().__init__(basis, params, _FIELDS, _SLOTS, scale, frozen=frozen, extra=16)
         c, Q = self.window, basis.n_points
-        self.params = params
         self.tables = signed_rows(basis, *_FROZEN)
         self.weights = np.empty((c, 10, Q, Q))
         self.products = np.empty((c, 3, 2, Q, Q))

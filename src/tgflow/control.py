@@ -82,10 +82,6 @@ class CostConfig:
         if self.radius <= 0:
             raise ValueError("admissible radius K must be > 0")
 
-    @property
-    def horizon(self) -> float:
-        return self.y_d.horizon
-
 
 @dataclass(frozen=True)
 class OptimizeOptions:

@@ -72,9 +72,8 @@ class LinearizedWork(Workspace):
 
     def __init__(self, basis: SpectralBasis, params: ModelParams, scale=None, frozen=()):
         # per step, 16 weight grids and 16 grids of products
-        super().__init__(basis, _FIELDS, _SLOTS, scale, frozen=frozen, extra=32)
+        super().__init__(basis, params, _FIELDS, _SLOTS, scale, frozen=frozen, extra=32)
         c, Q = self.window, basis.n_points
-        self.params = params
         self.grad_w = np.empty((c, 2, 1, Q, Q))
         self.pair_w = np.empty((c, 5, 2, Q, Q))
         self.conv_w = np.empty((c, 2, 2, Q, Q))

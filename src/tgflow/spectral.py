@@ -59,16 +59,17 @@ three kernels:
   b slots, since T : grad h = t11 a(h) + t12 b(h).  The trapezoid weights sit
   in the projection tables, so no pass over the grid applies them.
 
-Each rhs kernel is a Workspace, and one call of it is the whole pass above.
-A solver runs its kernel hundreds of times on one basis, so it makes one
-workspace per solve: the grids live in buffers allocated once, and the per-mode
-factor the time stepper applies to the kernel's result is folded into the
-projection amplitudes.  A linearized or adjoint kernel evaluates a window of
-steps per call, the pass above over a stack of midpoints against the weight
-grids of their frozen states, built for the window from one batched synthesis.
+Each rhs kernel is a Workspace, and one call of it is the whole pass above; it
+refuses a model whose alpha1 is not the basis's, which vmult holds.  A solver
+runs its kernel hundreds of times on one basis, so it makes one workspace per
+solve: the grids live in buffers allocated once, and the per-mode factor the
+time stepper applies to the kernel's result is folded into the projection
+amplitudes.  A linearized or adjoint kernel evaluates a window of steps per
+call, the pass above over a stack of midpoints against the weight grids of
+their frozen states, built for the window from one batched synthesis.
 
 to_grid by order, to_coeffs and project_div are the velocity cases of the two
-transforms.
+transforms; the modified Stokes operators apply and invert vmult.
 
 Quadrature is the trapezoid rule per axis, weights h (1/2, 1, ..., 1, 1/2)
 with h = pi / G (quad, pair_velocity).  Every field and derivative here is
@@ -85,7 +86,7 @@ no mode carries never reaches a coefficient, so the projection is alias-free
 by construction.  Every quadrature the package forms (the rhs kernels, the
 |A|^4 energy term, the W14 norm) has per-axis degree at most 4M, so it is
 exact once grid_size >= 2M + 1, the smallest resolution accepted and the
-default: a finer grid changes results only by roundoff.
+default: a finer grid, up to MAX_GRID_SIZE, changes results only by roundoff.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ShapeMismatch, UnknownKind
+from .errors import GridMismatch, ShapeMismatch, UnknownKind
 
 __all__ = [
     "SpectralBasis",
@@ -118,13 +119,12 @@ __all__ = [
     "apply_modified_stokes",
     "advect",
     "trilinear_b",
-    "strain",
-    "frobenius",
     "norm_weights",
     "norms",
 ]
 
 NORM_KINDS = ("L2", "V", "W", "H1", "H2", "H3", "W14")
+MAX_GRID_SIZE = 1024  # the finest grid accepted, 8.4 MB a grid; configs and perfbench run <= 49
 
 # Base fields as sums of velocity partials (sign, component, x order, y order).
 _BASE_FIELDS = {
@@ -291,7 +291,8 @@ def build_basis(max_mode: int, alpha1: float, grid_size: int | None = None) -> S
     """Construct the basis with M^2 modes, 1 <= m, n <= max_mode.
 
     grid_size defaults to the exactness floor 2 * max_mode + 1 (`min_grid_size`),
-    the smallest accepted; a finer grid changes results only by roundoff.
+    the smallest accepted, and at most MAX_GRID_SIZE; a finer grid changes results
+    only by roundoff.  The arguments are checked before anything is allocated.
     """
     if max_mode < 1:
         raise ValueError("max_mode must be >= 1")
@@ -303,6 +304,8 @@ def build_basis(max_mode: int, alpha1: float, grid_size: int | None = None) -> S
         raise ValueError(
             f"grid_size {grid_size} below the exact-quadrature minimum {min_grid_size(max_mode)}"
         )
+    if grid_size > MAX_GRID_SIZE:
+        raise ValueError(f"grid_size {grid_size} above the maximum {MAX_GRID_SIZE}")
 
     M, Q = max_mode, grid_size + 1
     x = math.pi * np.arange(Q) / grid_size
@@ -418,20 +421,24 @@ class Workspace:
     workspace its (N, n_modes) stack of frozen states; window, the steps one call
     evaluates, is as many as WINDOW_BYTES holds of the grids a step touches (extra of
     them the kernel's own), a power of two from MIN_WINDOW to MAX_WINDOW, else one,
-    and at most N; steps holds the stack's windows, the arrays its calls pass.
+    and at most N; steps holds the stack's windows, the arrays its calls pass.  The
+    kernel reads alpha1 from params, the model it evaluates, and the basis has its own
+    in vmult and the projection amplitudes: GridMismatch unless the two are equal.
     """
 
     def __init__(
-        self, basis: SpectralBasis, rows: slice, slot_rows: slice, scale=None, spare: int = 0,
-        frozen=(), extra: int = 0,
+        self, basis: SpectralBasis, params, rows: slice, slot_rows: slice, scale=None,
+        spare: int = 0, frozen=(), extra: int = 0,
     ):
+        if params.alpha1 != basis.alpha1:
+            raise GridMismatch(f"model alpha1 = {params.alpha1}, basis alpha1 = {basis.alpha1}")
         M, Q = basis.max_mode, basis.n_points
         n_fields, n_slots = rows.stop - rows.start, slot_rows.stop - slot_rows.start
         fit = WINDOW_BYTES // ((n_fields + spare + n_slots + extra) * Q * Q * 8)
         c = min(MAX_WINDOW, 1 << fit.bit_length() >> 1) if fit >= MIN_WINDOW else 1
         self.window = c = max(1, min(c, len(frozen)))
         self.steps = [frozen[k : k + c] for k in range(0, len(frozen), c)]
-        self.basis, self.frozen, self.n = basis, None, 0
+        self.basis, self.params, self.frozen, self.n = basis, params, None, 0
         self.rows = basis.field_x[rows], basis.field_amp[rows], basis.field_y[rows]
         self.grid = np.empty((c, n_fields + spare, Q, Q))
         self.synth = self.grid[:, :n_fields]
@@ -493,16 +500,14 @@ def project_div(basis: SpectralBasis, t: np.ndarray) -> Field:
     return Field(-project(basis, grids, _GRADIENT_SLOTS).sum(axis=0), basis)
 
 
-def apply_modified_stokes(f: Field, alpha1: float) -> Field:
-    """Apply (I - alpha1 P Lap): multiply mode i by 1 + alpha1 lam_i."""
-    return Field(f.coeffs * (1.0 + alpha1 * f.basis.lam), f.basis)
+def apply_modified_stokes(f: Field) -> Field:
+    """Apply (I - alpha1 P Lap) of f's basis: multiply mode i by vmult_i = 1 + alpha1 lam_i."""
+    return Field(f.coeffs * f.basis.vmult, f.basis)
 
 
-def invert_modified_stokes(f: Field, alpha1: float) -> Field:
-    """Solve h - alpha1 Lap h + grad pi = f on the span: divide by 1 + alpha1 lam."""
-    if alpha1 < 0:
-        raise ValueError("alpha1 must be >= 0")
-    return Field(f.coeffs / (1.0 + alpha1 * f.basis.lam), f.basis)
+def invert_modified_stokes(f: Field) -> Field:
+    """Solve h - alpha1 Lap h + grad pi = f on f's basis span: divide by vmult."""
+    return Field(f.coeffs / f.basis.vmult, f.basis)
 
 
 def advect(w: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -516,19 +521,6 @@ def trilinear_b(phi: Field, z: Field, y: Field) -> float:
     phi._check(y)
     adv = advect(to_grid(phi, 1), to_grid(z, 1))
     return phi.basis.pair_velocity(adv, to_grid(y))
-
-
-# -- pointwise tensor algebra ---------------------------------------------------
-
-
-def strain(g: np.ndarray) -> tuple:
-    """A = grad y + (grad y)^T as (A11, A12, A22) from a synthesised grid of y of order >= 1."""
-    return 2.0 * g[0, 1], g[0, 2] + g[1, 1], 2.0 * g[1, 2]
-
-
-def frobenius(a, b) -> np.ndarray:
-    """Pointwise A : B of two symmetric tensors given as (t11, t12, t22)."""
-    return a[0] * b[0] + 2.0 * (a[1] * b[1]) + a[2] * b[2]
 
 
 def _h_multiplier(lam: np.ndarray, order: int) -> np.ndarray:

@@ -85,7 +85,6 @@ class EnergyReport:
     gamma        : sup_k ||y(t_k)||_{H3}, fed to the uniqueness diagnostics
     """
 
-    times: np.ndarray
     h1: np.ndarray
     h3: np.ndarray
     dissipation: np.ndarray
@@ -122,7 +121,7 @@ class StateWork(Workspace):
     in place into the eleven products `_mixing` combines into the four slot grids."""
 
     def __init__(self, basis: SpectralBasis, params: ModelParams, scale=None):
-        super().__init__(basis, _FIELDS, _SLOTS, scale, spare=2)
+        super().__init__(basis, params, _FIELDS, _SLOTS, scale, spare=2)
         self.field = Field(np.zeros(basis.n_modes), basis)
         g = p = self.grid[0]
         slots, Q = self.slots[0], basis.n_points
@@ -201,7 +200,7 @@ def _window(basis: SpectralBasis, params: ModelParams, dt: float, c: int) -> tup
                    for j in range(q, 0, -1)] for s in range(c)]).reshape(c, q)
         for q in range(PREDICTOR_ORDER + 1)
     )
-    return spread, coef, 0.5 * dt / (1.0 + imp), extrapolate
+    return spread, coef, midpoint_gain(basis, params, dt), extrapolate
 
 
 def march(
@@ -333,13 +332,7 @@ def energy_report(traj: Trajectory, params: ModelParams) -> EnergyReport:
     mids = traj.midpoints()
     dstrain_sq = 0.5 * np.sum(mids ** 2 * basis.lam / basis.vmult, axis=1)
     dissipation = np.concatenate([[0.0], np.cumsum(4.0 * params.nu * dstrain_sq * traj.dt)])
-    return EnergyReport(
-        times=traj.times.copy(),
-        h1=h1,
-        h3=h3,
-        dissipation=dissipation,
-        gamma=float(np.max(h3)),
-    )
+    return EnergyReport(h1=h1, h3=h3, dissipation=dissipation, gamma=float(np.max(h3)))
 
 
 def energy_balance_residuals(

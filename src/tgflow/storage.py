@@ -140,6 +140,8 @@ def load_trajectory(path: str) -> Trajectory:
     coeffs = np.frombuffer(payload, dtype="<f8").reshape(n_steps + 1, n_modes).copy()
     if not np.isfinite(coeffs).all():
         raise InvalidInput(f"{path} holds non-finite coefficients")
+    if not np.finfo(float).tiny <= dt < np.inf:
+        raise GridMismatch(f"{path} has time step {dt!r}, not a positive normal float")
     try:
         basis = build_basis(max_mode, alpha1, grid_size)
     except ValueError as exc:
@@ -169,13 +171,12 @@ def cost_history_csv(report) -> str:
     """Per-iteration optimizer record as CSV."""
     lines = ["iteration,cost,step_size,grad_norm,grad_mapping,constraint_active"]
     for i, cost in enumerate(report.cost):
-        step = report.step_size[i] if i < len(report.step_size) else 0.0
         lines.append(
             ",".join(
                 [
                     str(i),
                     _fmt(cost),
-                    _fmt(step),
+                    _fmt(report.step_size[i]),
                     _fmt(report.grad_norm[i]),
                     _fmt(report.grad_mapping[i]),
                     str(int(report.constraint_active[i])),

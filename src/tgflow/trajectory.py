@@ -68,17 +68,9 @@ class Trajectory:
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1] - self.times[0])
-
     def midpoints(self) -> np.ndarray:
         """Interval midpoint coefficients by node averaging, shape (N_t, n_modes)."""
         return 0.5 * (self.coeffs[:-1] + self.coeffs[1:])
-
-    def reversed(self) -> "Trajectory":
-        """Same node values traversed backward on the same forward time grid."""
-        return Trajectory(self.times, self.coeffs[::-1].copy(), self.basis, self.kind)
 
     def with_kind(self, kind: str) -> "Trajectory":
         return Trajectory(self.times, self.coeffs, self.basis, kind)
@@ -121,10 +113,6 @@ def pair_l2l2_mid(a: Trajectory, b: Trajectory) -> float:
     """Midpoint-rule space-time pairing int_0^T (a, b)_{L2(D)} dt."""
     check_same_grid(a, b)
     return _pair_mid(a.coeffs, b.coeffs, a.dt, a.basis.vmult)
-
-
-def norm_l2l2_mid(a: Trajectory) -> float:
-    return float(np.sqrt(max(pair_l2l2_mid(a, a), 0.0)))
 
 
 def norm_l2h1_trap(a: Trajectory) -> float:

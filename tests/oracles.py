@@ -11,8 +11,9 @@ where the plain grid sum is the exact quadrature.  The solver uses only the
 grid_size + 1 of those points per axis that lie in [0, pi], with trapezoid
 weights, so these references check its quadrature independently.
 Four exceptions sit at the end.  `stress` is the deviator of the state kernel
-in plain pair algebra, read from a synthesised grid, for the constitutive
-identity tests.  `march_endpoint` is the time stepper in its endpoint form,
+in plain pair algebra, read from a synthesised grid, with `strain` and the
+pointwise `frobenius` product of its tensors, for the constitutive identity
+tests.  `march_endpoint` is the time stepper in its endpoint form,
 which iterates a_{k+1} instead of the midpoint, and the `*_endpoint` solvers
 drive it with the package's rhs kernels called without a workspace, as the
 reference for the solvers' midpoint iteration and folded scales.
@@ -257,7 +258,18 @@ def adjoint_rhs_oracle(basis, params, y, q):
     return inner, outer
 
 
-# -- the state deviator on a synthesised grid -------------------------------------
+# -- the strain and the state deviator on a synthesised grid ------------------------
+
+
+def strain(g):
+    """A = grad y + (grad y)^T as (A11, A12, A22) from a synthesised grid of y of order >= 1."""
+    return 2.0 * g[0, 1], g[0, 2] + g[1, 1], 2.0 * g[1, 2]
+
+
+def frobenius(a, b):
+    """Pointwise A : B of two symmetric tensors given as (t11, t12, t22)."""
+    return a[0] * b[0] + 2.0 * (a[1] * b[1]) + a[2] * b[2]
+
 
 _SIGNS = np.array([1.0, -1.0])[:, None, None]
 
@@ -366,7 +378,7 @@ def solve_linearized_endpoint(y_traj, psi, params, calls=None, tol=FP_TOL):
 def solve_adjoint_endpoint(y_traj, f, params, calls=None, tol=FP_TOL):
     """Coefficients of `solve_adjoint`, in reversed time, by the endpoint-form stepper."""
     basis = y_traj.basis
-    y_mid, f_mid = y_traj.reversed().midpoints(), f.reversed().midpoints()
+    y_mid, f_mid = y_traj.midpoints()[::-1], f.midpoints()[::-1]
 
     def rhs_at(k):
         return lambda mid: adjoint_rhs_terms(basis, params, y_mid[k], mid) / basis.vmult

@@ -12,13 +12,13 @@ import math
 import numpy as np
 
 from conftest import random_field, random_traj
-from oracles import stress
+from oracles import frobenius, strain, stress
 from tgflow import build_basis, validate_params
 from tgflow.adjoint import check_duality
 from tgflow.control import CostConfig, OptimizeOptions, eval_cost, optimize
 from tgflow.linearized import gateaux_taylor_test
 from tgflow.control import gradient_direction
-from tgflow.spectral import Field, frobenius, project_div, strain, to_grid
+from tgflow.spectral import Field, project_div, to_grid
 from tgflow.state import energy_balance_residuals, manufactured_control, solve_state
 from tgflow.trajectory import (
     Trajectory,

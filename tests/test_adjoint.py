@@ -6,7 +6,7 @@ from oracles import adjoint_form, linearized_form
 from tgflow.adjoint import check_duality, solve_adjoint
 from tgflow.errors import GridMismatch
 from tgflow.state import solve_state
-from tgflow.trajectory import Trajectory, time_grid, norm_l2l2_mid
+from tgflow.trajectory import Trajectory, pair_l2l2_mid, time_grid
 
 
 def make_state(basis, params, rng, n_steps=32, amp=0.3):
@@ -110,6 +110,6 @@ def test_bound_ratio_invariant_under_rescaling(basis, params, rng):
     p1 = solve_adjoint(traj, f, params)
     f3 = Trajectory(times, 3.0 * f.coeffs, basis, "control")
     p3 = solve_adjoint(traj, f3, params)
-    r1 = sup_w(p1) / norm_l2l2_mid(f)
-    r3 = sup_w(p3) / norm_l2l2_mid(f3)
+    r1 = sup_w(p1) / np.sqrt(pair_l2l2_mid(f, f))
+    r3 = sup_w(p3) / np.sqrt(pair_l2l2_mid(f3, f3))
     assert abs(r1 - r3) <= 1e-9 * r1

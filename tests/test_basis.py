@@ -3,7 +3,7 @@ import pytest
 
 from oracles import gram_matrices
 from tgflow import build_basis
-from tgflow.spectral import Field, min_grid_size, to_grid
+from tgflow.spectral import MAX_GRID_SIZE, Field, min_grid_size, to_grid
 
 
 def test_single_mode_basis():
@@ -23,6 +23,13 @@ def test_grid_size_floor():
     with pytest.raises(ValueError):
         build_basis(4, alpha1=0.5, grid_size=min_grid_size(4) - 1)
     build_basis(4, alpha1=0.5, grid_size=min_grid_size(4))
+
+
+def test_grid_size_cap():
+    """Above MAX_GRID_SIZE the basis is refused before anything is allocated."""
+    with pytest.raises(ValueError, match="above the maximum"):
+        build_basis(2, alpha1=0.5, grid_size=MAX_GRID_SIZE + 1)
+    assert build_basis(2, alpha1=0.5, grid_size=MAX_GRID_SIZE).n_points == MAX_GRID_SIZE + 1
 
 
 @pytest.mark.parametrize("max_mode", [3, 4])

@@ -4,10 +4,11 @@ import os
 import numpy as np
 import pytest
 
+from conftest import crafted_trajectory
 from tgflow import build_basis, errors, validate_params
 from tgflow.cli import main
 from tgflow.control import CostConfig, eval_cost
-from tgflow.spectral import Field
+from tgflow.spectral import MAX_GRID_SIZE, Field
 from tgflow.storage import load_trajectory, save_trajectory
 from tgflow.trajectory import Trajectory, time_grid
 
@@ -193,6 +194,7 @@ BAD_VALUE_BASE = (
         ("simulate", "grid = 12", "grid = -12"),
         ("simulate", "amplitude = 0.2", "amplitude = nan"),
         ("simulate", "amplitude = 0.2", "amplitude = 0.2%"),
+        ("simulate", "mode = 1,1", "mode = 1"),
         ("optimize", "lambda = 1e-6", "lambda = -1"),
         ("optimize", "K = 5.0", "K = 0"),
         ("optimize", "K = 5.0", "K = nan"),
@@ -264,6 +266,14 @@ def _setup_target_dir(tmp_path):
     return "optimize", write(tmp_path / "c.ini", BAD_VALUE_BASE), str(tmp_path / "o")
 
 
+def _setup_target_of_16_steps(tmp_path):
+    times = time_grid(0.5, 16)
+    basis = build_basis(3, 0.5, 12)
+    target = Trajectory(times, np.zeros((times.size, basis.n_modes)), basis, "state")
+    save_trajectory(str(tmp_path / "target.traj"), target)
+    return "optimize", write(tmp_path / "c.ini", BAD_VALUE_BASE), str(tmp_path / "o")
+
+
 def _setup_nan_target(tmp_path):
     _nan_target(tmp_path / "target.traj")
     return "optimize", write(tmp_path / "c.ini", BAD_VALUE_BASE), str(tmp_path / "o")
@@ -286,7 +296,9 @@ def _out_under_file(below):
         pytest.param(_export("optimizer", lambda p: None), id="export-optimizer-input-missing"),
         pytest.param(_export("optimizer", lambda p: p.write_text("{oops")), id="export-not-json"),
         pytest.param(_export("optimizer", lambda p: p.write_text("[1, 2]\n")), id="export-not-object"),
+        pytest.param(_export("pictures", lambda p: p.write_text("{}\n")), id="export-unknown-what"),
         pytest.param(_setup_target_dir, id="target-is-directory"),
+        pytest.param(_setup_target_of_16_steps, id="target-other-node-count"),
         pytest.param(_out_under_file(""), id="out-is-file"),
         pytest.param(_out_under_file("sub"), id="out-parent-is-file"),
         pytest.param(_setup_nan_target, id="optimize-nan-target"),
@@ -299,6 +311,41 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, setup):
     assert main([command, "--config", cfg, "--out", out]) == 2
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+@pytest.mark.parametrize(
+    "target_grid, target_dt, disc_grid, what",
+    [
+        (12, 0.015625, MAX_GRID_SIZE + 1, "above the maximum"),
+        (MAX_GRID_SIZE + 1, 0.015625, 12, "above the maximum"),
+        (12, 1e-320, 12, "not a positive normal float"),
+    ],
+    ids=["disc-grid-above-cap", "target-grid-above-cap", "target-dt-subnormal"],
+)
+def test_grid_and_time_step_bounds_exit_2(
+    tmp_path, capsys, target_grid, target_dt, disc_grid, what
+):
+    """A [disc] grid or a target header beyond the bounds is refused as such, before the
+    target is compared with the disc section, and before anything is sized by it."""
+    crafted_trajectory(tmp_path / "target.traj", 3, target_grid, 0.5, target_dt, n_steps=32)
+    cfg = write(tmp_path / "c.ini", BAD_VALUE_BASE.replace("grid = 12", f"grid = {disc_grid}"))
+    assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert what in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "optimize", "taylor", "export-plot"])
+def test_command_without_config_exits_2(tmp_path, capsys, command):
+    assert main([command, "--out", str(tmp_path / "o")]) == 2
+    assert f"{command} requires --config" in capsys.readouterr().err
+
+
+def test_export_optimizer_summary(tmp_path):
+    """export-plot with what = optimizer writes a JSON object's items as sorted key,value rows."""
+    tmp_path.joinpath("report.json").write_text('{"iterations": 3, "converged": true}\n')
+    cfg = write(tmp_path / "e.ini", "[export]\ninput = report.json\nwhat = optimizer\n")
+    assert main(["export-plot", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    text = tmp_path.joinpath("o", "optimizer_summary.csv").read_text()
+    assert text == "key,value\nconverged,True\niterations,3\n"
 
 
 def test_every_error_class_has_one_exit_code_base():

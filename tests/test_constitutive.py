@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 
 from conftest import random_field
-from oracles import strain_quartic_oracle, stress
-from tgflow.spectral import Field, frobenius, project_div, strain, to_grid
+from oracles import frobenius, strain, strain_quartic_oracle, stress
+from tgflow.spectral import Field, project_div, to_grid
 
 
 def divergence(basis, params, y):

@@ -4,7 +4,7 @@ from conftest import random_field, random_traj, sup_w
 from oracles import linearized_form
 from tgflow.linearized import gateaux_taylor_test, linearized_rhs_coeffs, solve_linearized
 from tgflow.state import solve_state
-from tgflow.trajectory import Trajectory, time_grid, norm_l2l2_mid
+from tgflow.trajectory import Trajectory, pair_l2l2_mid, time_grid
 
 
 def make_state(basis, params, rng, n_steps=32, amp=0.3):
@@ -85,8 +85,8 @@ def test_bound_ratio_invariant_under_rescaling(basis, params, rng):
     z1 = solve_linearized(traj, psi, params)
     psi4 = Trajectory(times, 4.0 * psi.coeffs, basis, "control")
     z4 = solve_linearized(traj, psi4, params)
-    r1 = sup_w(z1) / norm_l2l2_mid(psi)
-    r4 = sup_w(z4) / norm_l2l2_mid(psi4)
+    r1 = sup_w(z1) / np.sqrt(pair_l2l2_mid(psi, psi))
+    r4 = sup_w(z4) / np.sqrt(pair_l2l2_mid(psi4, psi4))
     assert abs(r1 - r4) <= 1e-9 * r1
 
 

@@ -9,7 +9,7 @@ import pytest
 from oracles import solve_adjoint_endpoint, solve_linearized_endpoint, solve_state_endpoint
 from tgflow import adjoint, build_basis, linearized, spectral, state, validate_params
 from tgflow.adjoint import AdjointWork, adjoint_rhs_terms, check_duality, solve_adjoint
-from tgflow.errors import FixedPointDiverged
+from tgflow.errors import FixedPointDiverged, GridMismatch
 from tgflow.linearized import LinearizedWork, linearized_rhs_coeffs, solve_linearized
 from tgflow.spectral import Field
 from tgflow.state import (
@@ -262,7 +262,7 @@ def test_solvers_match_the_endpoint_form(max_mode, params, monkeypatch):
     cases = [
         (linearized.solve_linearized(y, psi, params).coeffs,
          solve_linearized_endpoint(y, psi, params, tol=1e-14)),
-        (adjoint.solve_adjoint(y, psi, params).reversed().coeffs,
+        (adjoint.solve_adjoint(y, psi, params).coeffs[::-1],
          solve_adjoint_endpoint(y, psi, params, tol=1e-14)),
     ]
     for got, want in cases:
@@ -365,6 +365,29 @@ def test_workspace_kernels_are_the_plain_kernels_scaled(params, rng):
                 assert np.max(np.abs(got - s * plain)) <= 1e-14 * np.max(np.abs(s * plain))
 
 
+# a model of another alpha1 than the conftest basis's 0.5, admissible with its other moduli
+OTHER_ALPHA1 = dict(nu=1.0, alpha1=0.1, alpha2=-0.2, beta=0.4)
+
+
+@pytest.mark.parametrize("solve", [solve_state, solve_linearized, solve_adjoint])
+def test_solvers_reject_a_model_of_another_alpha1(basis, params, rng, solve):
+    """The basis holds its alpha1 in vmult and the projection amplitudes, the kernels
+    read the model's: a solve on a pair that disagrees raises, naming both values."""
+    times = time_grid(0.25, 8)
+    y0, control = random_field(basis, rng), random_traj(basis, times, rng)
+    first = y0 if solve is solve_state else solve_state(y0, control, params)
+    with pytest.raises(GridMismatch, match="alpha1 = 0.1.*alpha1 = 0.5"):
+        solve(first, control, validate_params(**OTHER_ALPHA1))
+
+
+@pytest.mark.parametrize("kernel", [state_rhs_coeffs, linearized_rhs_coeffs, adjoint_rhs_terms])
+def test_kernels_reject_a_model_of_another_alpha1(basis, rng, kernel):
+    """Each standalone kernel builds its workspace, which makes the same check."""
+    coeffs = rng.normal(size=(1 if kernel is state_rhs_coeffs else 2, basis.n_modes))
+    with pytest.raises(GridMismatch, match="alpha1 = 0.1.*alpha1 = 0.5"):
+        kernel(basis, validate_params(**OTHER_ALPHA1), *coeffs)
+
+
 @pytest.mark.parametrize(
     "module, solve, work",
     [(linearized, solve_linearized, LinearizedWork), (adjoint, solve_adjoint, AdjointWork)],
@@ -374,7 +397,7 @@ def test_solvers_freeze_once_per_step(params, monkeypatch, module, solve, work):
     in one build per chunk of c steps: the chunks cover every step's own
     midpoint once, in march's order."""
     basis, _, _, y, psi = solver_inputs(4, params, seed=2)
-    mids = y.midpoints() if module is linearized else y.reversed().midpoints()
+    mids = y.midpoints() if module is linearized else y.midpoints()[::-1]
     c = work(basis, params, frozen=mids).window
     assert 1 < c < y.n_steps
     frozen, freeze = [], work.freeze

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_field, random_traj
 from tgflow import build_basis, validate_params
-from tgflow.errors import FixedPointDiverged
+from tgflow.errors import FixedPointDiverged, GridMismatch
 from tgflow.spectral import Field, norms, to_grid
 from tgflow.state import (
     energy_balance_residuals,
@@ -147,6 +147,13 @@ def test_fixed_point_divergence_reports_step(basis, params, rng):
         times = time_grid(4.0, 2)
         solve_state(y0, zero_control(basis, times), params)
     assert info.value.step is not None
+
+
+def test_initial_state_and_control_on_other_bases_rejected(basis, params, rng):
+    times = time_grid(0.25, 4)
+    y0 = random_field(build_basis(3, params.alpha1), rng)
+    with pytest.raises(GridMismatch, match="incompatible bases"):
+        solve_state(y0, zero_control(basis, times), params)
 
 
 def test_energy_report_gamma_attained_at_start(basis, params, rng):

@@ -6,16 +6,17 @@ import zlib
 import numpy as np
 import pytest
 
-from conftest import random_traj
+from conftest import crafted_trajectory, random_traj
 from tgflow import build_basis
 from tgflow.errors import (
     ChecksumFailed,
     GridMismatch,
     InvalidInput,
     MagicMismatch,
+    UnknownKind,
     VersionUnsupported,
 )
-from tgflow.spectral import Field, norms
+from tgflow.spectral import MAX_GRID_SIZE, Field, norms
 from tgflow.storage import (
     FORMAT_VERSION,
     MAGIC,
@@ -25,7 +26,7 @@ from tgflow.storage import (
     norms_csv,
     save_trajectory,
 )
-from tgflow.trajectory import Trajectory, check_same_grid, time_grid
+from tgflow.trajectory import KINDS, Trajectory, check_same_grid, time_grid
 
 
 @pytest.fixture
@@ -164,6 +165,8 @@ def test_norms_csv_roundtrips_floats(traj):
         (4, 8, 0.5, 0.1),        # grid 2M: some quadratures are no longer exact
         (2, 8, float("nan"), 0.1),
         (2, 8, 0.5, float("nan")),
+        (2, MAX_GRID_SIZE + 1, 0.5, 0.1),  # grid above the cap, refused before allocating
+        (2, 8, 0.5, 1e-320),     # subnormal dt
     ],
 )
 def test_impossible_header_is_a_validation_error(tmp_path, max_mode, grid_size, alpha1, dt):
@@ -177,6 +180,12 @@ def test_impossible_header_is_a_validation_error(tmp_path, max_mode, grid_size, 
     path = str(tmp_path / "bad.traj")
     open(path, "wb").write(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
     with pytest.raises(GridMismatch):
+        load_trajectory(path)
+
+
+def test_unknown_kind_tag_is_rejected(tmp_path):
+    path = crafted_trajectory(tmp_path / "bad.traj", 2, 8, 0.5, 0.1, kind=len(KINDS))
+    with pytest.raises(UnknownKind, match=f"tag {len(KINDS)}"):
         load_trajectory(path)
 
 
@@ -194,7 +203,7 @@ def test_non_finite_payload_is_rejected(tmp_path, traj, bad):
 def test_cost_history_csv_shape():
     class R:
         cost = [1.0, 0.5]
-        step_size = [0.1]
+        step_size = [0.1, 0.0]
         grad_norm = [2.0, 1.0]
         grad_mapping = [2.0, 1.0]
         constraint_active = [False, True]

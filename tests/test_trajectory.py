@@ -65,11 +65,10 @@ def test_midpoints_are_node_averages(basis, rng):
     assert np.allclose(mids[1], 0.5 * (t.coeffs[1] + t.coeffs[2]), rtol=0, atol=0)
 
 
-def test_reversed_traverses_nodes_backward(basis, rng):
-    t = random_traj(basis, time_grid(1.0, 4), rng)
-    r = t.reversed()
-    assert np.array_equal(r.coeffs[0], t.coeffs[-1])
-    assert np.array_equal(r.times, t.times)
+@pytest.mark.parametrize("horizon, n_steps", [(0.0, 4), (-1.0, 4), (1.0, 0)])
+def test_time_grid_needs_a_horizon_and_a_step(horizon, n_steps):
+    with pytest.raises(ValueError, match="horizon > 0 and n_steps >= 1"):
+        time_grid(horizon, n_steps)
 
 
 def test_check_same_grid(basis, rng):

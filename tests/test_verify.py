@@ -52,6 +52,11 @@ def test_fast_suite_converges_across_seeds(seed):
     assert opt["details"]["converged"]
 
 
+def test_unknown_level_rejected():
+    with pytest.raises(ValueError, match="level must be one of"):
+        run_suite("medium")
+
+
 def test_report_schema_stable(fast_report):
     """Golden schema: stable top-level keys, check names and check fields."""
     assert set(fast_report.keys()) == REPORT_KEYS
