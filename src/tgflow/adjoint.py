@@ -58,15 +58,14 @@ class AdjointWork(Workspace):
     -vmult.
     """
 
+    rows, slot_rows = _FIELDS, _SLOTS
+    buffers = dict(weights=(10,), products=(3, 2))  # per step, ten weight grids, six products
+
     def __init__(self, basis: SpectralBasis, params: ModelParams, scale=None, frozen=()):
         scale = np.tile(np.ones(basis.n_modes) if scale is None else scale, (5, 1))
         scale[0] *= -basis.vmult
-        # per step, ten weight grids and six grids of products
-        super().__init__(basis, params, _FIELDS, _SLOTS, scale, frozen=frozen, extra=16)
-        c, Q = self.window, basis.n_points
-        self.tables = signed_rows(basis, *_FROZEN)
-        self.weights = np.empty((c, 10, Q, Q))
-        self.products = np.empty((c, 3, 2, Q, Q))
+        super().__init__(basis, params, scale, frozen)
+        self.frozen_tables = signed_rows(basis, *_FROZEN)
 
     def kernel_ops(self, n: int) -> tuple:
         Q = self.basis.n_points
@@ -86,7 +85,7 @@ class AdjointWork(Workspace):
 
     def freeze(self, stack: np.ndarray) -> None:
         n, Q = len(stack), self.basis.n_points
-        y = synthesize(self.basis, stack, self.tables, out=self.weights[:n, 0:6])
+        y = synthesize(self.basis, stack, self.frozen_tables, out=self.weights[:n, 0:6])
         tangent = self.weights[:n, 6:10].reshape(n, 2, 2, Q, Q)
         cubic_tangent(y[:, 4:6], -self.params.beta, tangent, self.synth[:n, 0])
 

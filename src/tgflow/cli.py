@@ -43,6 +43,7 @@ from .storage import (
     atomic_write_json,
     atomic_write_text,
     cost_history_csv,
+    csv_text,
     load_trajectory,
     norms_csv,
     save_trajectory,
@@ -185,8 +186,7 @@ def _control(cfg: _Config, basis, times) -> Trajectory:
         idx = _parse_mode(cfg, "control", basis)
         amp = cfg.get("control", "amplitude", default=0.1)
         omega = cfg.get("control", "omega", default=0.0)
-        profile = amp * (1.0 + 0.5 * np.sin(omega * times)) if omega else amp * np.ones_like(times)
-        coeffs[:, idx] = profile
+        coeffs[:, idx] = amp * (1.0 + 0.5 * np.sin(omega * times))
     return Trajectory(times, coeffs, basis, "control")
 
 
@@ -286,6 +286,8 @@ def _cmd_taylor(cfg: _Config, args) -> int:
     seed = _seed(cfg, args)
     rng = np.random.default_rng(seed)
     amp = cfg.get("taylor", "amplitude", default=0.3)
+    if amp <= 0:
+        raise ConfigInvalid(f"taylor.amplitude = {amp} must be positive")
     rhos = cfg.get("taylor", "rhos", str, default="1e-1,1e-2,1e-3,1e-4")
     rhos = [_parse("taylor.rhos", p, float) for p in rhos.split(",")]
     y0 = random_field(basis, rng, amp=amp)
@@ -305,10 +307,8 @@ def _cmd_taylor(cfg: _Config, args) -> int:
         "code_version": __version__,
     }
     atomic_write_json(os.path.join(args.out, "taylor.json"), out)
-    lines = ["rho,remainder"] + [
-        f"{repr(float(r))},{repr(float(e))}" for r, e in zip(result.rhos, result.remainders)
-    ]
-    atomic_write_text(os.path.join(args.out, "taylor.csv"), "\n".join(lines) + "\n")
+    rows = zip(result.rhos, result.remainders)
+    atomic_write_text(os.path.join(args.out, "taylor.csv"), csv_text(["rho", "remainder"], rows))
     return 0
 
 
@@ -327,8 +327,10 @@ def _cmd_export_plot(cfg: _Config, args) -> int:
                 raise ConfigInvalid(f"export.input {path} is not JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigInvalid(f"export.input {path} is not a JSON object")
-        lines = ["key,value"] + [f"{k},{v}" for k, v in sorted(data.items())]
-        atomic_write_text(os.path.join(args.out, "optimizer_summary.csv"), "\n".join(lines) + "\n")
+        # strings and floats as they are, every other value as its JSON text
+        rows = [(k, v if isinstance(v, (str, float)) else json.dumps(v)) for k, v in data.items()]
+        text = csv_text(["key", "value"], sorted(rows))
+        atomic_write_text(os.path.join(args.out, "optimizer_summary.csv"), text)
     return 0
 
 

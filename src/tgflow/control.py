@@ -171,15 +171,9 @@ def gradient_mapping_norm(
 
 
 def random_admissible(
-    template: Trajectory, radius: float, rng: np.random.Generator, fill: float = 0.5
-) -> Trajectory:
-    """Random smooth control with trapezoidal L2H1 norm fill * radius."""
-    coeffs = _random_admissible(ControlSpace(template.times, template.basis), radius, rng, fill)
-    return Trajectory(template.times, coeffs, template.basis, "control")
-
-
-def _random_admissible(space: ControlSpace, radius: float, rng, fill: float) -> np.ndarray:
-    """The node array of `random_admissible` on the space's time grid."""
+    space: ControlSpace, radius: float, rng: np.random.Generator, fill: float = 0.5
+) -> np.ndarray:
+    """Node array of a random smooth control with trapezoidal L2H1 norm fill * radius."""
     times, basis = space.times, space.basis
     decay = 1.0 / (1.0 + basis.lam)
     profile = 1.0 + 0.5 * np.sin(
@@ -334,6 +328,6 @@ def optimize(
     # the variational inequality all are nonnegative, certifying it a posteriori
     report.vi_residuals = []
     for _ in range(N_VI_SAMPLES):
-        psi = _random_admissible(space, cfg.radius, rng, fill=float(rng.uniform(0.2, 1.0)))
+        psi = random_admissible(space, cfg.radius, rng, fill=float(rng.uniform(0.2, 1.0)))
         report.vi_residuals.append(space.mid(psi - u, g))
     return U, report

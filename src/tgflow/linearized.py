@@ -70,14 +70,9 @@ class LinearizedWork(Workspace):
     synthesized into synth, which the next call overwrites.
     """
 
-    def __init__(self, basis: SpectralBasis, params: ModelParams, scale=None, frozen=()):
-        # per step, 16 weight grids and 16 grids of products
-        super().__init__(basis, params, _FIELDS, _SLOTS, scale, frozen=frozen, extra=32)
-        c, Q = self.window, basis.n_points
-        self.grad_w = np.empty((c, 2, 1, Q, Q))
-        self.pair_w = np.empty((c, 5, 2, Q, Q))
-        self.conv_w = np.empty((c, 2, 2, Q, Q))
-        self.conv, self.products = np.empty((c, 2, Q, Q)), np.empty((c, 7, 2, Q, Q))
+    rows, slot_rows = _FIELDS, _SLOTS
+    # per step, 16 weight grids and 16 grids of products
+    buffers = dict(grad_w=(2, 1), pair_w=(5, 2), conv_w=(2, 2), conv=(2,), products=(7, 2))
 
     def kernel_ops(self, n: int) -> tuple:
         Q = self.basis.n_points
@@ -162,8 +157,8 @@ def gateaux_taylor_test(
     """Compare finite-difference state sensitivities with the linearized solve."""
     check_same_grid(control, psi)
     rhos = np.asarray(sorted(rhos, reverse=True), dtype=float)
-    if np.any(rhos <= 0):
-        raise ValueError("rhos must be positive")
+    if np.any(rhos <= 0) or rhos.size < 2 or np.any(rhos[1:] == rhos[:-1]):
+        raise ValueError("rhos must be two or more distinct positive values")
     base = solve_state(y0, control, params)
     z = solve_linearized(base, psi, params)
     remainders = np.empty(rhos.size)

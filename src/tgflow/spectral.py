@@ -72,7 +72,7 @@ to_grid by order, to_coeffs and project_div are the velocity cases of the two
 transforms; the modified Stokes operators apply and invert vmult.
 
 Quadrature is the trapezoid rule per axis, weights h (1/2, 1, ..., 1, 1/2)
-with h = pi / G (quad, pair_velocity).  Every field and derivative here is
+with h = pi / G (quad).  Every field and derivative here is
 even or odd about both walls of each axis, so every integrand the solver forms
 (a parity-matched product) is even about x = 0 and x = pi, that is a cosine
 polynomial sum_k c_k cos(k x) per axis.  The trapezoid rule on G intervals
@@ -136,13 +136,13 @@ _BASE_FIELDS = {
 }
 # The rows of the field table: a base field, then "_" and one letter per partial
 # (u1_xy = d_x d_y u1, a_x = d_x a); w_v is the spin of v(u) = u - alpha1 Lap u.
-# Synthesis reads, and projection writes, one contiguous run of rows, so this
-# order is what every caller rests on; `fields` and `slots` raise at import
-# when a run a module asks for does not exist.  The runs: the state and
-# linearized rhs (and the linearized rhs's frozen state) read a_x .. u2, the
-# adjoint's frozen state w_v .. u2, the adjoint a .. u2; to_grid's orders
-# 0, 1 and 2 are the velocity partials u1 .. u2 (partial-major, _PARTIALS),
-# u1 .. u2_y and u1 .. u2_yy.
+# A kernel reads, and projection writes, one contiguous run of rows, so this order
+# is what every kernel rests on; `fields` and `slots` raise at import when a run a
+# module asks for does not exist.  The runs: the state and linearized rhs (and the
+# linearized rhs's frozen state) read a_x .. u2, the adjoint a .. u2; to_grid's
+# orders 0, 1 and 2 are the velocity partials u1 .. u2 (partial-major, _PARTIALS),
+# u1 .. u2_y and u1 .. u2_yy.  The adjoint's frozen state takes any rows, w_v among
+# them, with signs, through `signed_rows`.
 _PARTIALS = tuple(f"u{c}{d}" for d in ("", "_x", "_y", "_xx", "_xy", "_yy") for c in (1, 2))
 FIELDS = ("w_v", "a_x", "b_x", "a_y", "b_y", "w", "a", "b") + _PARTIALS
 # The rows that are ever projected, a run of FIELDS: the adjoint writes w .. u2,
@@ -259,10 +259,6 @@ class SpectralBasis:
         """Integral over [0, pi]^2 of a parity-even scalar grid field (trapezoid rule)."""
         return float(self.weights @ g @ self.weights)
 
-    def pair_velocity(self, g: np.ndarray, w: np.ndarray) -> float:
-        """L2 inner product over D of two (2, Q, Q) velocity grids."""
-        return self.quad(g[0] * w[0] + g[1] * w[1])
-
 
 @dataclass(frozen=True, eq=False)
 class Field:
@@ -281,10 +277,6 @@ class Field:
             raise ShapeMismatch(
                 f"expected {self.basis.n_modes} coefficients, got {self.coeffs.shape}"
             )
-
-    def _check(self, other: "Field") -> None:
-        if self.basis is not other.basis and not self.basis.compatible(other.basis):
-            raise ShapeMismatch("fields live on incompatible bases")
 
 
 def build_basis(max_mode: int, alpha1: float, grid_size: int | None = None) -> SpectralBasis:
@@ -409,38 +401,41 @@ MIN_WINDOW = 4  # shorter windows cost more than they save: below this, windows 
 class Workspace:
     """One rhs kernel: the buffers it reuses through a solve, its ops and its scaled projection.
 
-    A call work(coeffs, frozen) is the kernel's whole pass over n steps, coeffs a row
-    or an (n, n_modes) stack: the K fields in rows are synthesized into synth, the
-    first K of the K + spare grids of each step in grid (the rest room for products
-    formed in place); ops, calls bound to views of these buffers once per n, form the
-    S slot grids, which are paired as `project` does, times scale (one (n_modes,) row
-    or one per slot; None for none), and summed over the slots into out, valid until
-    the next call; a row in gives a row out.  A linearized or adjoint kernel is taken
-    at frozen, n frozen states: when frozen is not the array of the call before,
-    freeze(stack) builds their weights from one batched synthesis.  A solve hands the
-    workspace its (N, n_modes) stack of frozen states; window, the steps one call
-    evaluates, is as many as WINDOW_BYTES holds of the grids a step touches (extra of
-    them the kernel's own), a power of two from MIN_WINDOW to MAX_WINDOW, else one,
-    and at most N; steps holds the stack's windows, the arrays its calls pass.  The
-    kernel reads alpha1 from params, the model it evaluates, and the basis has its own
-    in vmult and the projection amplitudes: GridMismatch unless the two are equal.
+    A kernel class declares the K fields it reads (rows, see `fields`), the S slots it
+    writes (slot_rows, see `slots`), spare grids per step beyond the K, and buffers, the
+    per-step shape in (Q, Q) grids of each array of its own, which the base allocates
+    with a window axis first as the attribute of that name.  A call work(coeffs, frozen)
+    is the kernel's whole pass over n steps, coeffs a row or an (n, n_modes) stack: the
+    fields are synthesized into synth, the first K of the K + spare grids of each step in
+    grid; ops, calls bound to views of the buffers once per n, form the S grids in slots,
+    which are paired as `project` does, times scale (one (n_modes,) row or one per slot;
+    None for none), and summed over the slots into out, valid until the next call; a row
+    in gives a row out.  A linearized or adjoint kernel is taken at frozen, n frozen
+    states: when frozen is not the array of the call before, freeze(stack) builds their
+    weights from one batched synthesis.  A solve hands the workspace its (N, n_modes)
+    stack of frozen states; window, the steps one call evaluates, is as many as
+    WINDOW_BYTES holds of the grids a step touches, a power of two from MIN_WINDOW to
+    MAX_WINDOW, else one, and at most N; steps holds the stack's windows.  The kernel
+    reads alpha1 from params, the model it evaluates, and the basis has its own in vmult
+    and the projection amplitudes: GridMismatch unless the two are equal.
     """
 
-    def __init__(
-        self, basis: SpectralBasis, params, rows: slice, slot_rows: slice, scale=None,
-        spare: int = 0, frozen=(), extra: int = 0,
-    ):
+    spare, buffers = 0, {}  # rows and slot_rows: each kernel sets its own
+
+    def __init__(self, basis: SpectralBasis, params, scale=None, frozen=()):
         if params.alpha1 != basis.alpha1:
             raise GridMismatch(f"model alpha1 = {params.alpha1}, basis alpha1 = {basis.alpha1}")
         M, Q = basis.max_mode, basis.n_points
+        rows, slot_rows = self.rows, self.slot_rows
         n_fields, n_slots = rows.stop - rows.start, slot_rows.stop - slot_rows.start
-        fit = WINDOW_BYTES // ((n_fields + spare + n_slots + extra) * Q * Q * 8)
+        own = sum(map(math.prod, self.buffers.values()))
+        fit = WINDOW_BYTES // ((n_fields + self.spare + n_slots + own) * Q * Q * 8)
         c = min(MAX_WINDOW, 1 << fit.bit_length() >> 1) if fit >= MIN_WINDOW else 1
         self.window = c = max(1, min(c, len(frozen)))
         self.steps = [frozen[k : k + c] for k in range(0, len(frozen), c)]
         self.basis, self.params, self.frozen, self.n = basis, params, None, 0
-        self.rows = basis.field_x[rows], basis.field_amp[rows], basis.field_y[rows]
-        self.grid = np.empty((c, n_fields + spare, Q, Q))
+        self.tables = basis.field_x[rows], basis.field_amp[rows], basis.field_y[rows]
+        self.grid = np.empty((c, n_fields + self.spare, Q, Q))
         self.synth = self.grid[:, :n_fields]
         self.slots = np.empty((c, n_slots, Q, Q))
         self.out = np.empty((c, basis.n_modes))
@@ -449,11 +444,13 @@ class Workspace:
             amp = amp * np.reshape(scale, (-1, M, M))
         self._projection = basis.proj_x[slot_rows], basis.proj_y[slot_rows], amp
         self._half, self._paired = np.empty((c, n_slots, M, Q)), np.empty((c, n_slots, M, M))
+        for name, shape in self.buffers.items():
+            setattr(self, name, np.empty((c, *shape, Q, Q)))
 
     def bind(self, n: int, kernel_ops: tuple) -> None:
         """Bind the kernel's ops, formed on the first n steps, and the projection to them."""
         x, y, amp = self._projection
-        at = slice(n) if n > 1 else 0  # one step projects without a window axis
+        at = slice(n) if n > 1 else 0  # one step projects without a window axis: it is faster
         slots, half, paired = self.slots[at], self._half[at], self._paired[at]
         self.n, self.ops = n, kernel_ops + (
             partial(np.matmul, x, slots, half),
@@ -471,7 +468,7 @@ class Workspace:
                 self.bind(len(stack), self.kernel_ops(len(stack)))
             self.frozen = frozen
         n = self.n
-        synthesize(self.basis, coeffs.reshape(n, -1), self.rows, out=self.synth[:n])
+        synthesize(self.basis, coeffs.reshape(n, -1), self.tables, out=self.synth[:n])
         for op in self.ops:
             op()
         return self.out[:n] if coeffs.ndim == 2 else self.out[0]
@@ -517,10 +514,10 @@ def advect(w: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def trilinear_b(phi: Field, z: Field, y: Field) -> float:
     """Convective form b(phi, z, y) = integral of (phi . grad z) . y over D."""
-    phi._check(z)
-    phi._check(y)
-    adv = advect(to_grid(phi, 1), to_grid(z, 1))
-    return phi.basis.pair_velocity(adv, to_grid(y))
+    if not all(f.basis is phi.basis or f.basis.compatible(phi.basis) for f in (z, y)):
+        raise ShapeMismatch("fields live on incompatible bases")
+    adv, vel = advect(to_grid(phi, 1), to_grid(z, 1)), to_grid(y)
+    return phi.basis.quad(adv[0] * vel[0] + adv[1] * vel[1])
 
 
 def _h_multiplier(lam: np.ndarray, order: int) -> np.ndarray:

@@ -120,12 +120,13 @@ class StateWork(Workspace):
     """Buffers and ops of `state_rhs_coeffs`, a window of one: the fields are multiplied
     in place into the eleven products `_mixing` combines into the four slot grids."""
 
+    rows, slot_rows, spare, buffers = _FIELDS, _SLOTS, 2, dict(strain_sq=())
+
     def __init__(self, basis: SpectralBasis, params: ModelParams, scale=None):
-        super().__init__(basis, params, _FIELDS, _SLOTS, scale, spare=2)
+        super().__init__(basis, params, scale)
         self.field = Field(np.zeros(basis.n_modes), basis)
         g = p = self.grid[0]
-        slots, Q = self.slots[0], basis.n_points
-        strain_sq = np.empty(g.shape[1:])
+        slots, strain_sq, Q = self.slots[0], self.strain_sq[0], basis.n_points
         ab, w, u = g[5:7], g[4], g[7:9, None]
         grads = g[0:4].reshape(2, 2, Q, Q)  # (a_x, b_x), (a_y, b_y)
         mix = _mixing(params.alpha1, params.beta)
@@ -140,7 +141,7 @@ class StateWork(Workspace):
 
     def __call__(self, coeffs: np.ndarray) -> np.ndarray:
         np.copyto(self.field.coeffs, coeffs)
-        to_grid(self.field, rows=self.rows, out=self.synth[0])
+        to_grid(self.field, rows=self.tables, out=self.synth[0])
         for op in self.ops:
             op()
         return self.out[0]

@@ -24,6 +24,8 @@ half-written trajectory.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import struct
@@ -52,6 +54,7 @@ __all__ = [
     "atomic_write_bytes",
     "atomic_write_text",
     "atomic_write_json",
+    "csv_text",
     "norms_csv",
     "cost_history_csv",
 ]
@@ -150,37 +153,28 @@ def load_trajectory(path: str) -> Trajectory:
     return Trajectory(times, coeffs, basis, KINDS[kind_idx])
 
 
-def _fmt(x: float) -> str:
-    """Shortest representation that round-trips the float64 exactly."""
-    return repr(float(x))
+def csv_text(header, rows) -> str:
+    """header and rows as CSV text with "\n" line ends, floats in their shortest
+    round-trip form; a cell holding a comma or a quote is quoted."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([repr(float(x)) if isinstance(x, float) else x for x in row] for row in rows)
+    return buf.getvalue()
 
 
 def norms_csv(traj: Trajectory) -> str:
     """Time series of spatial norms of a trajectory, one row per node."""
     kinds = ("L2", "V", "W", "H1", "H2", "H3")
-    columns = [traj.times] + [
-        np.sqrt(np.sum(traj.coeffs ** 2 * norm_weights(traj.basis, kind), axis=1))
-        for kind in kinds
-    ]
-    lines = ["t," + ",".join(k.lower() for k in kinds)]
-    lines += [",".join(_fmt(x) for x in row) for row in zip(*columns)]
-    return "\n".join(lines) + "\n"
+    cols = [np.sqrt(np.sum(traj.coeffs ** 2 * norm_weights(traj.basis, k), axis=1)) for k in kinds]
+    return csv_text(["t"] + [k.lower() for k in kinds], zip(traj.times, *cols))
 
 
 def cost_history_csv(report) -> str:
     """Per-iteration optimizer record as CSV."""
-    lines = ["iteration,cost,step_size,grad_norm,grad_mapping,constraint_active"]
-    for i, cost in enumerate(report.cost):
-        lines.append(
-            ",".join(
-                [
-                    str(i),
-                    _fmt(cost),
-                    _fmt(report.step_size[i]),
-                    _fmt(report.grad_norm[i]),
-                    _fmt(report.grad_mapping[i]),
-                    str(int(report.constraint_active[i])),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    header = ["iteration", "cost", "step_size", "grad_norm", "grad_mapping", "constraint_active"]
+    rows = zip(
+        range(len(report.cost)), report.cost, report.step_size, report.grad_norm,
+        report.grad_mapping, map(int, report.constraint_active), strict=True,
+    )
+    return csv_text(header, rows)

@@ -118,7 +118,7 @@ def _check(name, passed, measured, tolerance, details=None):
 # -- individual checks --------------------------------------------------------
 
 
-def _check_basis(basis, rng):
+def _check_basis(basis):
     edges = [0, basis.grid_size]  # grid rows/columns lying on x = 0 and x = pi
     # every unit mode in one synthesis, each field (n_modes, Q, Q)
     grids = synthesize(basis, np.eye(basis.n_modes), _GRADIENT).swapaxes(0, 1)
@@ -173,9 +173,8 @@ def _check_skew(basis, rng, draws):
         y = random_field(basis, rng)
         z = random_field(basis, rng)
         phi = random_field(basis, rng)
-        s = trilinear_b(y, z, phi) + trilinear_b(y, phi, z)
-        scale = max(abs(trilinear_b(y, z, phi)), 1e-10)
-        worst = max(worst, abs(s) / scale)
+        b = trilinear_b(y, z, phi)
+        worst = max(worst, abs(b + trilinear_b(y, phi, z)) / max(abs(b), 1e-10))
     return _check("trilinear_skew_symmetry", worst <= 1e-10, worst, 1e-10)
 
 
@@ -351,7 +350,7 @@ def run_suite(level: str = "fast", seed: int = 0) -> dict:
     refinements = 2 if level == "fast" else 3
 
     plan = [
-        lambda: _check_basis(basis, rng),
+        lambda: _check_basis(basis),
         lambda: _check_transforms(basis, rng),
         lambda: _check_skew(basis, rng, size["draws"]),
         lambda: _check_dissipativity(basis, params, rng, size["draws"]),
@@ -553,12 +552,12 @@ def uniqueness_diagnostics(
     opts = OptimizeOptions(
         max_iter=opt_max_iter, tol=5e-6 * lam_big * cfg.radius / (1.0 + float(np.max(basis.lam)))
     )
+    space = ControlSpace(times, basis)
     minimizers = []
     for _ in range(n_starts):
-        u_init = random_admissible(u_zero, cfg.radius, rng, fill=float(rng.uniform(0.3, 0.9)))
-        u_star, _ = optimize(u_init, y0, cfg_big, params, opts, rng)
-        minimizers.append(u_star)
-    space = ControlSpace(times, basis)
+        u_init = random_admissible(space, cfg.radius, rng, fill=float(rng.uniform(0.3, 0.9)))
+        start = Trajectory(times, u_init, basis, "control")
+        minimizers.append(optimize(start, y0, cfg_big, params, opts, rng)[0])
     dist = 0.0
     for i in range(n_starts):
         for j in range(i + 1, n_starts):

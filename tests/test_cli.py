@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -202,6 +203,9 @@ BAD_VALUE_BASE = (
         ("optimize", "tol = 1e-7", "tol = -1"),
         ("taylor", "rhos = 1e-1,1e-2", "rhos = 1e-1,abc"),
         ("taylor", "rhos = 1e-1,1e-2", "rhos = 1e-1,-1e-2"),
+        ("taylor", "rhos = 1e-1,1e-2", "rhos = 1e-2"),
+        ("taylor", "rhos = 1e-1,1e-2", "rhos = 1e-1,1e-1"),
+        ("taylor", "rhos = 1e-1,1e-2", "rhos = 1e-1,1e-2\namplitude = 0"),
         ("simulate", "grid = 12", "gird = 12"),
         ("simulate", "amplitude = 0.2", "amplitude = 0.2\nomgea = 4.0"),
         ("simulate", "[init]", "[contrl]"),
@@ -340,12 +344,53 @@ def test_command_without_config_exits_2(tmp_path, capsys, command):
 
 
 def test_export_optimizer_summary(tmp_path):
-    """export-plot with what = optimizer writes a JSON object's items as sorted key,value rows."""
-    tmp_path.joinpath("report.json").write_text('{"iterations": 3, "converged": true}\n')
+    """export-plot with what = optimizer writes a JSON object's items as sorted key,value
+    rows: strings and floats as they are, every other value as its JSON text, quoted
+    where it holds a comma or a quote."""
+    tmp_path.joinpath("report.json").write_text(
+        '{"iterations": 3, "converged": true, "cost": 0.1, "direction": ["gradient", ""]}\n'
+    )
     cfg = write(tmp_path / "e.ini", "[export]\ninput = report.json\nwhat = optimizer\n")
     assert main(["export-plot", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     text = tmp_path.joinpath("o", "optimizer_summary.csv").read_text()
-    assert text == "key,value\nconverged,True\niterations,3\n"
+    assert text == (
+        'key,value\nconverged,true\ncost,0.1\ndirection,"[""gradient"", """"]"\niterations,3\n'
+    )
+
+
+def read_csv(path):
+    """The rows of a CSV file, each as wide as its header."""
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert rows and all(len(row) == len(rows[0]) for row in rows), path
+    return rows
+
+
+def test_every_csv_parses_to_its_header_width(tmp_path):
+    """Each CSV the commands write parses with Python's csv to its header's width, and the
+    optimizer export of a real optimize_report.json reads back to the report."""
+    gen = write(tmp_path / "gen.ini", MODEL + DISC + "\n[control]\nmode = 1,2\namplitude = 0.5\n")
+    assert main(["simulate", "--config", gen, "--out", str(tmp_path / "target")]) == 0
+    opt = write(
+        tmp_path / "opt.ini",
+        MODEL + DISC + "\n[init]\nmode = 1,1\namplitude = 0.2\n"
+        "\n[cost]\nlambda = 1e-6\nK = 5.0\ntarget_path = target/state.traj\n"
+        "\n[opt]\nmax_iter = 2\ntol = 1e-12\n",
+    )
+    assert main(["optimize", "--config", opt, "--out", str(tmp_path / "opt")]) == 0
+    taylor = write(tmp_path / "t.ini", MODEL + DISC + "\n[taylor]\nrhos = 1e-1,1e-2\n")
+    assert main(["taylor", "--config", taylor, "--out", str(tmp_path / "taylor")]) == 0
+    for what, source in (("norms", "target/state.traj"), ("optimizer", "opt/optimize_report.json")):
+        cfg = write(tmp_path / f"{what}.ini", f"[export]\ninput = {source}\nwhat = {what}\n")
+        assert main(["export-plot", "--config", cfg, "--out", str(tmp_path / what)]) == 0
+    for path in ("target/norms.csv", "opt/cost_history.csv", "taylor/taylor.csv"):
+        read_csv(tmp_path / path)
+    assert read_csv(tmp_path / "norms" / "norms.csv") == read_csv(tmp_path / "target" / "norms.csv")
+    report = json.loads((tmp_path / "opt" / "optimize_report.json").read_text())
+    rows = read_csv(tmp_path / "optimizer" / "optimizer_summary.csv")
+    assert rows[0] == ["key", "value"] and [key for key, _ in rows[1:]] == sorted(report)
+    for key, cell in rows[1:]:
+        assert (cell if isinstance(report[key], str) else json.loads(cell)) == report[key], key
 
 
 def test_every_error_class_has_one_exit_code_base():

@@ -215,10 +215,11 @@ def test_gradient_mapping_zero_at_boundary_stationary_point(basis, rng):
 
 def test_random_admissible_inside_ball(basis, rng):
     times = time_grid(0.5, 8)
-    template = zero_traj(basis, times)
+    space = ControlSpace(times, basis)
     for _ in range(5):
-        psi = random_admissible(template, 2.0, rng, fill=0.8)
-        assert norm_l2h1_trap(psi) <= 2.0 * (1.0 + 1e-12)
+        psi = random_admissible(space, 2.0, rng, fill=0.8)
+        assert psi.shape == (times.size, basis.n_modes)
+        assert norm_l2h1_trap(Trajectory(times, psi, basis, "control")) <= 2.0 * (1.0 + 1e-12)
 
 
 def test_all_iterates_admissible_with_active_constraint(basis, params, rng):

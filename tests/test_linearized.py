@@ -116,8 +116,8 @@ def test_taylor_remainder_quadratic_in_direction(basis, params, rng):
     y0 = random_field(basis, rng, amp=0.2)
     control = random_traj(basis, times, rng, amp=0.2)
     psi = random_traj(basis, times, rng, amp=0.4)
-    rho = 1e-2
-    r1 = gateaux_taylor_test(control, psi, y0, [rho], params).remainders[0]
+    rhos = [1e-2, 1e-3]  # two or more distinct rhos; remainders[0] is at rho = 1e-2
+    r1 = gateaux_taylor_test(control, psi, y0, rhos, params).remainders[0]
     psi2 = Trajectory(times, 2.0 * psi.coeffs, basis, "control")
-    r2 = gateaux_taylor_test(control, psi2, y0, [rho], params).remainders[0]
+    r2 = gateaux_taylor_test(control, psi2, y0, rhos, params).remainders[0]
     assert 2.0 <= r2 / r1 <= 8.0

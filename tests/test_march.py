@@ -505,6 +505,20 @@ def test_large_bases_take_a_window_of_one(params):
         assert work(basis, params, frozen=np.zeros((64, basis.n_modes))).window == 1
 
 
+@pytest.mark.parametrize(
+    "max_mode, grid, windows",
+    [(3, None, (16, 16)), (4, None, (8, 16)), (4, 16, (4, 8)), (8, None, (4, 8)),
+     (16, None, (1, 1))],
+)
+def test_windows_pinned(params, max_mode, grid, windows):
+    """The window each linear workspace sizes from the buffers it declares, per basis:
+    (LinearizedWork, AdjointWork) on the floor grid, or on the grid given."""
+    basis = build_basis(max_mode, params.alpha1, grid)
+    frozen = np.zeros((64, basis.n_modes))
+    works = (LinearizedWork, AdjointWork)
+    assert tuple(work(basis, params, frozen=frozen).window for work in works) == windows
+
+
 def test_state_rhs_is_unchanged_by_a_solve(params):
     """Solves write only into workspaces of their own."""
     basis, _, _, y, psi = solver_inputs(4, params, seed=1)
