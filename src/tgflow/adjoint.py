@@ -30,8 +30,7 @@ import numpy as np
 
 from .linearized import cubic_tangent, solve_linearized
 from .params import ModelParams
-from .spectral import SpectralBasis, Workspace, fields, signed_rows, slots, synthesize
-from .spectral import to_grid  # noqa: F401 -- perfbench traces it in every solver's namespace
+from .spectral import Field, SpectralBasis, Workspace, fields, signed_rows, slots, to_grid
 from .state import march, midpoint_gain
 from .trajectory import Trajectory, check_same_grid, pair_l2l2_mid
 
@@ -85,7 +84,7 @@ class AdjointWork(Workspace):
 
     def freeze(self, stack: np.ndarray) -> None:
         n, Q = len(stack), self.basis.n_points
-        y = synthesize(self.basis, stack, self.frozen_tables, out=self.weights[:n, 0:6])
+        y = to_grid(Field(stack, self.basis), rows=self.frozen_tables, out=self.weights[:n, 0:6])
         tangent = self.weights[:n, 6:10].reshape(n, 2, 2, Q, Q)
         cubic_tangent(y[:, 4:6], -self.params.beta, tangent, self.synth[:n, 0])
 

@@ -51,6 +51,7 @@ from .storage import (
 from .trajectory import Trajectory, random_field, random_traj, time_grid
 from .verify import LEVELS, run_suite
 
+MAX_TRAJECTORY_COEFFS = 2 ** 26  # (N + 1) M^2 coefficients: 512 MB per trajectory array
 
 # the keys some command reads, by section, as in the table above; configparser
 # lowercases keys, so M and T are read as m and t
@@ -152,7 +153,12 @@ def _disc(cfg: _Config, params):
     n_steps = round(ratio)
     if n_steps < 1 or abs(ratio - n_steps) > 1e-9 * max(1.0, ratio):
         raise ConfigInvalid(f"disc.dt = {dt} does not divide disc.T = {horizon}")
-    try:  # the time grid first: a step count too large to allocate fails here
+    if (n_steps + 1) * max_mode ** 2 > MAX_TRAJECTORY_COEFFS:  # before anything is allocated
+        raise ConfigInvalid(
+            f"disc: {n_steps + 1} nodes x {max_mode ** 2} modes is above the bound of "
+            f"{MAX_TRAJECTORY_COEFFS} coefficients per trajectory"
+        )
+    try:
         times = time_grid(horizon, n_steps)
         basis = build_basis(max_mode, params.alpha1, grid)
     except (ValueError, MemoryError) as exc:

@@ -30,8 +30,7 @@ from functools import partial
 import numpy as np
 
 from .params import ModelParams
-from .spectral import Field, SpectralBasis, Workspace, synthesize
-from .spectral import to_grid  # noqa: F401 -- perfbench traces it in every solver's namespace
+from .spectral import Field, SpectralBasis, Workspace, to_grid
 from .state import _FIELDS, _SLOTS, march, midpoint_gain, solve_state
 from .trajectory import Trajectory, check_same_grid
 
@@ -66,8 +65,8 @@ class LinearizedWork(Workspace):
     The slot grids that project to F'(y)[z] are sums of the fields of z times
     weight grids of y: grad_w times (a_x, b_x) and (a_y, b_y) and pair_w times w, a, b, u1
     and u2 in the a and b slots, conv_w times w and (u2, u1) in the u1 and u2
-    slots.  freeze builds the weights of a window of frozen states, y's fields
-    synthesized into synth, which the next call overwrites.
+    slots.  freeze builds the weights of a window of frozen states from y's fields,
+    which `to_grid` writes into synth and the next call overwrites.
     """
 
     rows, slot_rows = _FIELDS, _SLOTS
@@ -88,7 +87,7 @@ class LinearizedWork(Workspace):
 
     def freeze(self, stack: np.ndarray) -> None:
         al, n, Q = self.params.alpha1, len(stack), self.basis.n_points
-        y = synthesize(self.basis, stack, _FIELDS, out=self.synth[:n])
+        y = to_grid(Field(stack, self.basis), rows=self.tables, out=self.synth[:n])
         w, ab, u = y[:, 4, None], y[:, 5:7], y[:, 7:9]
         pair_w = self.pair_w[:n]
         # F' pairs minus the stress with (a, b)(h_i), so every weight carries a minus

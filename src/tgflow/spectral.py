@@ -37,10 +37,10 @@ its rows) and, for the fields anything is tested against, one projection table
 (SLOTS; `slots` names a run).  Every right-hand side makes one pass through
 three kernels:
 
-- synthesis (to_grid with rows, or synthesize on a stack of coefficient
-  vectors): with C the (M, M) coefficient matrix, the K fields a kernel reads
-  come out of one multiply and two batched matrix products, X_k^T (C * amp_k) Y_k,
-  as one (K, G + 1, G + 1) grid.  No derivative is ever taken of grid data;
+- synthesis (to_grid with rows, on one coefficient vector or a stack): with C
+  the (M, M) coefficient matrix, the K fields a kernel reads come out of one
+  multiply and two batched matrix products, X_k^T (C * amp_k) Y_k, as one
+  (K, G + 1, G + 1) grid per vector.  No derivative is ever taken of grid data;
 - a few broadcast products of those grids with each other or with weight grids
   of a frozen state.  In 2D, A^2 = (a^2 + b^2) I and A B + B A = (A : B) I are
   pressures, which no projection sees, and are never formed; each stress is the
@@ -111,7 +111,6 @@ __all__ = [
     "min_grid_size",
     "project",
     "signed_rows",
-    "synthesize",
     "to_grid",
     "to_coeffs",
     "project_div",
@@ -262,10 +261,12 @@ class SpectralBasis:
 
 @dataclass(frozen=True, eq=False)
 class Field:
-    """A divergence-free velocity as coefficients in a SpectralBasis.
+    """A divergence-free velocity as coefficients in a SpectralBasis, or a stack of them.
 
     Coefficients refer to the unit-V-norm modes, so the V inner product of two
-    fields is the plain dot product of their coefficient vectors.
+    fields is the plain dot product of their coefficient vectors.  coeffs is a row or
+    a (..., n_modes) stack; what takes one field (`norms`, `to_grid` by order and so
+    `trilinear_b`, `state.solve_state`'s y0) refuses a stack with ShapeMismatch.
     """
 
     coeffs: np.ndarray
@@ -273,9 +274,9 @@ class Field:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
-        if self.coeffs.shape != (self.basis.n_modes,):
+        if self.coeffs.shape[-1:] != (self.basis.n_modes,):
             raise ShapeMismatch(
-                f"expected {self.basis.n_modes} coefficients, got {self.coeffs.shape}"
+                f"expected (..., {self.basis.n_modes}) coefficients, got {self.coeffs.shape}"
             )
 
 
@@ -340,45 +341,39 @@ def build_basis(max_mode: int, alpha1: float, grid_size: int | None = None) -> S
 
 
 def signed_rows(basis: SpectralBasis, *names: str) -> tuple:
-    """The (x, amp, y) table rows of the named fields, rows for `synthesize`; '-' negates one."""
+    """The (x, amp, y) table rows of the named fields, rows for `to_grid`; '-' negates one."""
     index = [FIELDS.index(name.lstrip("-")) for name in names]
     sign = np.array([-1.0 if name[0] == "-" else 1.0 for name in names])[:, None, None]
     return basis.field_x[index], basis.field_amp[index] * sign, basis.field_y[index]
 
 
-def synthesize(
-    basis: SpectralBasis, coeffs: np.ndarray, rows, out: np.ndarray | None = None
-) -> np.ndarray:
-    """The fields in rows (`fields`, `signed_rows`) of (..., n_modes) coeffs, as (..., K, Q, Q).
-
-    One multiply and two batched products; a stack of coefficient vectors is
-    synthesized in the same three calls.  out, when given, receives the result.
-    """
-    b = basis
-    if not isinstance(rows, tuple):
-        rows = b.field_x[rows], b.field_amp[rows], b.field_y[rows]
-    x, amp, y = rows
-    coef = coeffs.reshape(*coeffs.shape[:-1], 1, b.max_mode, b.max_mode) * amp
-    return np.matmul(x @ coef, y, out=out)
-
-
 def to_grid(
-    f: Field, order: int = 0, rows: slice | None = None, out: np.ndarray | None = None
+    f: Field, order: int = 0, rows: slice | tuple | None = None, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Synthesize a Field on the grid: the named fields in rows, or its partials up to order.
 
-    rows (see `fields`), when given, selects K named fields, returned as one
-    (K, Q, Q) grid, written into out when given; this is how every rhs kernel
-    reads its fields.  Otherwise order 0 gives the (2, Q, Q)
-    velocity, and orders 1 and 2 the (2, n, Q, Q) grid g[i, p] = d^p f_i over
-    the first n = 3 or 6 partials 1, d_x, d_y, d_xx, d_xy, d_yy, so g[:, 1:3]
-    is the Jacobian J[i, j] = d_j f_i.
+    rows, a `fields` slice or a `signed_rows` tuple, selects K named fields of each
+    coefficient vector of f, a row or a (..., n_modes) stack, returned as one
+    (..., K, Q, Q) grid from one multiply and two batched products, written into
+    out when given; this is how every rhs kernel and every frozen state reads its
+    fields.  Otherwise f is one field: order 0 gives the (2, Q, Q) velocity, and
+    orders 1 and 2 the (2, n, Q, Q) grid g[i, p] = d^p f_i over the first n = 3 or
+    6 partials 1, d_x, d_y, d_xx, d_xy, d_yy, so g[:, 1:3] is the Jacobian
+    J[i, j] = d_j f_i.
     """
-    if rows is not None:
-        return synthesize(f.basis, f.coeffs, rows, out)
-    if order not in (0, 1, 2):
-        raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
-    g = synthesize(f.basis, f.coeffs, _VELOCITY[order])
+    b, c = f.basis, f.coeffs
+    if rows is None:
+        if c.ndim != 1:
+            raise ShapeMismatch(f"partials by order take one field, got shape {c.shape}")
+        if order not in (0, 1, 2):
+            raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
+        rows = _VELOCITY[order]
+    else:
+        order = 0
+    if not isinstance(rows, tuple):
+        rows = b.field_x[rows], b.field_amp[rows], b.field_y[rows]
+    x, amp, y = rows
+    g = np.matmul(x @ (c.reshape(*c.shape[:-1], 1, b.max_mode, b.max_mode) * amp), y, out=out)
     return g if order == 0 else g.reshape(-1, 2, *g.shape[1:]).swapaxes(0, 1)
 
 
@@ -405,14 +400,15 @@ class Workspace:
     writes (slot_rows, see `slots`), spare grids per step beyond the K, and buffers, the
     per-step shape in (Q, Q) grids of each array of its own, which the base allocates
     with a window axis first as the attribute of that name.  A call work(coeffs, frozen)
-    is the kernel's whole pass over n steps, coeffs a row or an (n, n_modes) stack: the
-    fields are synthesized into synth, the first K of the K + spare grids of each step in
-    grid; ops, calls bound to views of the buffers once per n, form the S grids in slots,
-    which are paired as `project` does, times scale (one (n_modes,) row or one per slot;
-    None for none), and summed over the slots into out, valid until the next call; a row
-    in gives a row out.  A linearized or adjoint kernel is taken at frozen, n frozen
+    is the kernel's whole pass over n steps, coeffs a row or an (n, n_modes) stack: it is
+    copied into field, the Field bound for n steps, whose fields `to_grid` writes into
+    synth, the first K of the K + spare grids of each step in grid; ops, calls bound to
+    views of the buffers once per n, form the S grids in slots, which are paired as
+    `project` does, times scale (one (n_modes,) row or one per slot; None for none), and
+    summed over the slots into out, valid until the next call; a row in gives a row out,
+    a stack a stack.  A linearized or adjoint kernel is taken at frozen, n frozen
     states: when frozen is not the array of the call before, freeze(stack) builds their
-    weights from one batched synthesis.  A solve hands the workspace its (N, n_modes)
+    weights from one `to_grid` of the stack.  A solve hands the workspace its (N, n_modes)
     stack of frozen states; window, the steps one call evaluates, is as many as
     WINDOW_BYTES holds of the grids a step touches, a power of two from MIN_WINDOW to
     MAX_WINDOW, else one, and at most N; steps holds the stack's windows.  The kernel
@@ -448,10 +444,12 @@ class Workspace:
             setattr(self, name, np.empty((c, *shape, Q, Q)))
 
     def bind(self, n: int, kernel_ops: tuple) -> None:
-        """Bind the kernel's ops, formed on the first n steps, and the projection to them."""
+        """Bind field, the kernel's ops formed on the first n steps, and the projection to them."""
         x, y, amp = self._projection
-        at = slice(n) if n > 1 else 0  # one step projects without a window axis: it is faster
+        at = slice(n) if n > 1 else 0  # one step runs without a window axis: it is faster
         slots, half, paired = self.slots[at], self._half[at], self._paired[at]
+        self.field = Field(np.empty((n, self.basis.n_modes))[at], self.basis)
+        self._field_grids = self.synth[at]
         self.n, self.ops = n, kernel_ops + (
             partial(np.matmul, x, slots, half),
             partial(np.matmul, half, y, paired),
@@ -467,11 +465,11 @@ class Workspace:
             if len(stack) != self.n:
                 self.bind(len(stack), self.kernel_ops(len(stack)))
             self.frozen = frozen
-        n = self.n
-        synthesize(self.basis, coeffs.reshape(n, -1), self.tables, out=self.synth[:n])
+        self.field.coeffs[...] = coeffs
+        to_grid(self.field, rows=self.tables, out=self._field_grids)
         for op in self.ops:
             op()
-        return self.out[:n] if coeffs.ndim == 2 else self.out[0]
+        return self.out[: self.n] if coeffs.ndim == 2 else self.out[0]
 
 
 def to_coeffs(basis: SpectralBasis, vel: np.ndarray) -> Field:
@@ -548,7 +546,7 @@ def norm_weights(basis: SpectralBasis, kind: str) -> np.ndarray:
 
 
 def norms(y: Field, kind: str) -> float:
-    """Norm of a Field.
+    """Norm of one field (ShapeMismatch for a stack).
 
     Sobolev kinds use per-mode multipliers (modes are Laplacian
     eigenfunctions); W14 uses grid quadrature with the componentwise
@@ -556,6 +554,8 @@ def norms(y: Field, kind: str) -> float:
     ||f||_{W14}^4 = int f^4 + (|grad f|^2)^2 dx.
     """
     b = y.basis
+    if y.coeffs.ndim != 1:
+        raise ShapeMismatch(f"norms take one field, got shape {y.coeffs.shape}")
     if kind == "W14":
         g = to_grid(y, 1)
         fourth = [b.quad(u ** 4) + b.quad((ux ** 2 + uy ** 2) ** 2) for u, ux, uy in g]

@@ -38,18 +38,9 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .errors import FixedPointDiverged, GridMismatch
+from .errors import FixedPointDiverged, GridMismatch, ShapeMismatch
 from .params import ModelParams
-from .spectral import (
-    Field,
-    SpectralBasis,
-    Workspace,
-    fields,
-    norm_weights,
-    slots,
-    synthesize,
-    to_grid,
-)
+from .spectral import Field, SpectralBasis, Workspace, fields, norm_weights, slots, to_grid
 from .trajectory import Trajectory, check_same_grid
 
 __all__ = [
@@ -124,7 +115,6 @@ class StateWork(Workspace):
 
     def __init__(self, basis: SpectralBasis, params: ModelParams, scale=None):
         super().__init__(basis, params, scale)
-        self.field = Field(np.zeros(basis.n_modes), basis)
         g = p = self.grid[0]
         slots, strain_sq, Q = self.slots[0], self.strain_sq[0], basis.n_points
         ab, w, u = g[5:7], g[4], g[7:9, None]
@@ -138,13 +128,6 @@ class StateWork(Workspace):
             partial(np.multiply, w, g[5:9], p[5:9]),
             partial(np.matmul, mix, p.reshape(len(p), -1), slots.reshape(len(slots), -1)),
         ))
-
-    def __call__(self, coeffs: np.ndarray) -> np.ndarray:
-        np.copyto(self.field.coeffs, coeffs)
-        to_grid(self.field, rows=self.tables, out=self.synth[0])
-        for op in self.ops:
-            op()
-        return self.out[0]
 
 
 def state_rhs_coeffs(
@@ -311,9 +294,11 @@ def _diverged(
 def solve_state(y0: Field, control: Trajectory, params: ModelParams) -> Trajectory:
     """Integrate the state over the control's time grid; store every node.
 
-    The diagnostics of the result are energy_report(traj, params).
+    The diagnostics of the result are energy_report(traj, params); y0 is one field.
     """
     basis = y0.basis
+    if y0.coeffs.ndim != 1:
+        raise ShapeMismatch(f"the initial state is one field, got shape {y0.coeffs.shape}")
     if not basis.compatible(control.basis):
         raise GridMismatch("initial state and control live on incompatible bases")
     dt = control.dt
@@ -354,7 +339,7 @@ def energy_balance_residuals(
     # 4 nu ||D y_m||_2^2 = 2 nu sum lam a^2 / (1 + alpha1 lam)
     dvisc = 2.0 * params.nu * np.sum(y_mid ** 2 * basis.lam / basis.vmult, axis=1)
     # int |A(y_m)|^4 of every midpoint at once, |A|^2 = 2 (a^2 + b^2)
-    strain_sq = 2.0 * np.sum(synthesize(basis, y_mid, _STRAIN) ** 2, axis=1)
+    strain_sq = 2.0 * np.sum(to_grid(Field(y_mid, basis), rows=_STRAIN) ** 2, axis=1)
     quartic = basis.weights @ strain_sq ** 2 @ basis.weights
     work = np.sum(u_mid * y_mid / basis.vmult, axis=1)
     return v_incr + traj.dt * (dvisc + params.beta * quartic - 2.0 * work)

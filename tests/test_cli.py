@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from tgflow import build_basis, errors, validate_params
 from tgflow.cli import main
 from tgflow.control import CostConfig, eval_cost
 from tgflow.spectral import MAX_GRID_SIZE, Field
+from tgflow.state import solve_state
 from tgflow.storage import load_trajectory, save_trajectory
-from tgflow.trajectory import Trajectory, time_grid
+from tgflow.trajectory import Trajectory, random_traj, time_grid
 
 MODEL = """
 [model]
@@ -60,7 +62,7 @@ def test_simulate_forced_run_and_export(tmp_path):
     )
     out2 = str(tmp_path / "exp")
     assert main(["export-plot", "--config", exp, "--out", out2]) == 0
-    header = open(os.path.join(out2, "norms.csv")).readline()
+    header = Path(out2, "norms.csv").read_text().splitlines()[0]
     assert header.startswith("t,l2,v,w,h1,h2,h3")
 
 
@@ -82,12 +84,12 @@ def test_optimize_manufactured_target(tmp_path):
     )
     out = str(tmp_path / "opt_out")
     assert main(["optimize", "--config", opt, "--out", out]) == 0
-    report = json.load(open(os.path.join(out, "optimize_report.json")))
+    report = json.loads(Path(out, "optimize_report.json").read_text())
     assert report["final_cost"] <= 0.05 * report["initial_cost"]
     assert report["state_solves"] == 1 + sum(report["line_search_trials"])
     assert report["adjoint_solves"] == 1 + sum(1 for kind in report["direction"] if kind)
     assert os.path.exists(os.path.join(out, "control.traj"))
-    lines = open(os.path.join(out, "cost_history.csv")).read().strip().split("\n")
+    lines = Path(out, "cost_history.csv").read_text().strip().split("\n")
     assert lines[0].startswith("iteration,cost")
     costs = [float(line.split(",")[1]) for line in lines[1:]]
     assert all(b < a for a, b in zip(costs, costs[1:]))
@@ -123,7 +125,7 @@ def test_taylor_command(tmp_path):
     cfg = write(tmp_path / "c.ini", MODEL + DISC + "\n[taylor]\nrhos = 1e-1,1e-2,1e-3\n")
     out = str(tmp_path / "out")
     assert main(["taylor", "--config", cfg, "--out", out]) == 0
-    data = json.load(open(os.path.join(out, "taylor.json")))
+    data = json.loads(Path(out, "taylor.json").read_text())
     assert data["min_slope"] >= 0.9
 
 
@@ -158,12 +160,29 @@ def test_solver_failure_exits_3(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
 
+def test_line_search_failure_exits_3(tmp_path):
+    """At [opt] tol = 0 the optimizer runs into roundoff, where no Armijo step is left:
+    LineSearchFailed, a solver failure."""
+    basis, times = build_basis(1, 0.5), time_grid(0.25, 4)
+    params = validate_params(nu=1.0, alpha1=0.5, alpha2=-0.2, beta=0.4)
+    control = random_traj(basis, times, np.random.default_rng(0), amp=0.5)
+    save_trajectory(str(tmp_path / "target.traj"), solve_state(Field([0.2], basis), control, params))
+    cfg = write(
+        tmp_path / "c.ini",
+        MODEL + "\n[disc]\nM = 1\ndt = 0.0625\nT = 0.25\n"
+        "\n[init]\nmode = 1,1\namplitude = 0.2\n"
+        "\n[cost]\nlambda = 1e-2\nK = 10.0\ntarget_path = target.traj\n"
+        "\n[opt]\nmax_iter = 100\ntol = 0\n",
+    )
+    assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
+
 def test_verify_cli_deterministic(tmp_path):
     out1, out2 = str(tmp_path / "v1"), str(tmp_path / "v2")
     assert main(["verify", "--level", "fast", "--seed", "9", "--out", out1]) == 0
     assert main(["verify", "--level", "fast", "--seed", "9", "--out", out2]) == 0
-    b1 = open(os.path.join(out1, "verify_report.json"), "rb").read()
-    b2 = open(os.path.join(out2, "verify_report.json"), "rb").read()
+    b1 = Path(out1, "verify_report.json").read_bytes()
+    b2 = Path(out2, "verify_report.json").read_bytes()
     assert b1 == b2
     assert json.loads(b1)["all_passed"]
 
@@ -193,6 +212,10 @@ BAD_VALUE_BASE = (
             "simulate", "dt = 0.015625\nT = 0.5", "dt = 1e-300\nT = 1e300", id="dt-and-T-extreme"
         ),
         ("simulate", "grid = 12", "grid = -12"),
+        pytest.param(  # 10^6 steps at M = 24: 5.8e8 coefficients per trajectory
+            "simulate", "M = 3\ngrid = 12\ndt = 0.015625\nT = 0.5", "M = 24\ndt = 1e-6\nT = 1",
+            id="step-count-above-bound",
+        ),
         ("simulate", "amplitude = 0.2", "amplitude = nan"),
         ("simulate", "amplitude = 0.2", "amplitude = 0.2%"),
         ("simulate", "mode = 1,1", "mode = 1"),

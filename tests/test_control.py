@@ -15,6 +15,7 @@ from tgflow.control import (
     optimize,
     random_admissible,
 )
+from tgflow.errors import LineSearchFailed
 from tgflow.spectral import Field
 from tgflow.state import solve_state
 from tgflow.trajectory import (
@@ -363,3 +364,30 @@ def test_lbfgs_memory_skips_non_positive_curvature(rng):
     assert memory.push(s, 2.0 * s)
     assert len(memory.pairs) == 1
     assert np.allclose(memory.direction(s), -0.5 * s, rtol=1e-15, atol=0.0)
+
+
+@pytest.fixture
+def roundoff_floor(params):
+    """M = 1, N = 4 over T = 0.25, lambda = 1e-2 and a target simulated from a random
+    control: the optimizer drives the gradient mapping to roundoff, where no Armijo
+    step is left."""
+    rng = np.random.default_rng(0)
+    basis = build_basis(1, params.alpha1)
+    times = time_grid(0.25, 4)
+    y0 = random_field(basis, rng, amp=0.2)
+    target = solve_state(y0, random_traj(basis, times, rng, amp=0.5), params)
+    return zero_traj(basis, times), y0, CostConfig(target.with_kind("target"), 1e-2, 10.0)
+
+
+def test_line_search_stall_converges_near_stationarity_else_raises(roundoff_floor, params):
+    """A failed line search is convergence within 1e3 tol of stationarity, else LineSearchFailed;
+    both runs take the same iterates up to it (at iteration 16 here)."""
+    u0, y0, cfg = roundoff_floor
+    with pytest.raises(LineSearchFailed, match="no Armijo step") as failed:
+        optimize(u0, y0, cfg, params, OptimizeOptions(tol=0.0))
+    _, report = optimize(u0, y0, cfg, params, OptimizeOptions(tol=1e-15))
+    assert report.converged
+    assert report.termination == "line search stalled at near-stationary point"
+    assert f"at iteration {report.n_iter} " in str(failed.value)
+    assert 1e-15 < report.grad_mapping[-1] <= 1e3 * 1e-15
+    assert report.direction[-1] == "" and report.line_search_trials[-1] > 0

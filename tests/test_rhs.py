@@ -92,3 +92,21 @@ def test_alpha2_terms_are_pressures_in_the_oracle(max_mode):
         adjoint_rhs_oracle(basis, params, y, z), adjoint_rhs_oracle(basis, params0, y, z)
     ):
         assert _rel(got, want) <= TOL
+
+
+KERNELS = {
+    "state": lambda basis, params, y, z: state_rhs_coeffs(basis, params, z),
+    "linearized": linearized_rhs_coeffs,
+    "adjoint": adjoint_rhs_terms,
+}
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_kernels_return_a_row_for_a_row_and_a_stack_for_a_stack(kernel):
+    """Each standalone kernel gives (n_modes,) for a row and (1, n_modes) for a one-row
+    stack, with the same bytes."""
+    basis, params, y, z = _setup(4, "default")
+    row = KERNELS[kernel](basis, params, y, z)
+    stack = KERNELS[kernel](basis, params, y[None], z[None])
+    assert row.shape == (basis.n_modes,) and stack.shape == (1, basis.n_modes)
+    assert np.array_equal(stack[0], row)

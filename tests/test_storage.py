@@ -2,6 +2,7 @@ import json
 import os
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,8 +58,8 @@ def test_sidecar_provenance(tmp_path, traj):
 def test_truncated_file_fails_checksum(tmp_path, traj):
     path = str(tmp_path / "t.traj")
     save_trajectory(path, traj)
-    blob = open(path, "rb").read()
-    open(path, "wb").write(blob[:-5])
+    blob = Path(path).read_bytes()
+    Path(path).write_bytes(blob[:-5])
     with pytest.raises(ChecksumFailed):
         load_trajectory(path)
 
@@ -66,9 +67,9 @@ def test_truncated_file_fails_checksum(tmp_path, traj):
 def test_corrupted_payload_fails_checksum(tmp_path, traj):
     path = str(tmp_path / "t.traj")
     save_trajectory(path, traj)
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[60] ^= 0xFF
-    open(path, "wb").write(bytes(blob))
+    Path(path).write_bytes(bytes(blob))
     with pytest.raises(ChecksumFailed):
         load_trajectory(path)
 
@@ -76,8 +77,8 @@ def test_corrupted_payload_fails_checksum(tmp_path, traj):
 def test_magic_mismatch(tmp_path, traj):
     path = str(tmp_path / "t.traj")
     save_trajectory(path, traj)
-    blob = open(path, "rb").read()
-    open(path, "wb").write(b"NOTTHERIGHTMAGIC" + blob[16:])
+    blob = Path(path).read_bytes()
+    Path(path).write_bytes(b"NOTTHERIGHTMAGIC" + blob[16:])
     with pytest.raises(MagicMismatch):
         load_trajectory(path)
 
@@ -85,9 +86,9 @@ def test_magic_mismatch(tmp_path, traj):
 def test_version_unsupported(tmp_path, traj):
     path = str(tmp_path / "t.traj")
     save_trajectory(path, traj)
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[len(MAGIC) : len(MAGIC) + 4] = struct.pack("<I", 99)
-    open(path, "wb").write(bytes(blob))
+    Path(path).write_bytes(bytes(blob))
     with pytest.raises(VersionUnsupported):
         load_trajectory(path)
 
@@ -96,11 +97,11 @@ def test_header_corruption_fails_checksum(tmp_path, traj):
     """alpha1 0.5 -> 0.75 in the header must not load with the wrong basis."""
     path = str(tmp_path / "t.traj")
     save_trajectory(path, traj)
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     alpha1_at = len(MAGIC) + 20  # after version, M, grid size, N_t and the kind word
     assert struct.unpack_from("<d", blob, alpha1_at)[0] == traj.basis.alpha1
     struct.pack_into("<d", blob, alpha1_at, 0.75)
-    open(path, "wb").write(bytes(blob))
+    Path(path).write_bytes(bytes(blob))
     with pytest.raises(ChecksumFailed):
         load_trajectory(path)
 
@@ -114,7 +115,7 @@ def test_version_1_file_rejected(tmp_path, traj):
     )
     path = str(tmp_path / "v1.traj")
     crc = struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
-    open(path, "wb").write(MAGIC + header + payload + crc)
+    Path(path).write_bytes(MAGIC + header + payload + crc)
     with pytest.raises(VersionUnsupported):
         load_trajectory(path)
 
@@ -178,7 +179,7 @@ def test_impossible_header_is_a_validation_error(tmp_path, max_mode, grid_size, 
     payload = np.zeros((n_steps + 1) * max_mode ** 2, dtype="<f8").tobytes()
     body = MAGIC + header + payload
     path = str(tmp_path / "bad.traj")
-    open(path, "wb").write(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+    Path(path).write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
     with pytest.raises(GridMismatch):
         load_trajectory(path)
 

@@ -13,9 +13,13 @@ from tgflow.spectral import (
     fields,
     norms,
     project_div,
+    signed_rows,
     to_coeffs,
     to_grid,
+    trilinear_b,
 )
+from tgflow.state import solve_state
+from tgflow.trajectory import Trajectory, time_grid
 
 
 def test_roundtrip_identity(basis, rng):
@@ -113,6 +117,43 @@ def test_shape_mismatch_raises(basis):
         to_coeffs(basis, np.zeros((2, 8, 8)))
     with pytest.raises(ShapeMismatch):
         Field(np.zeros(3), basis)
+
+
+@pytest.mark.parametrize(
+    "names",
+    [("a_x", "b_x", "a_y", "b_y", "w", "a", "b", "u1", "u2"), ("u2", "-u1", "w_v", "-w_v", "a", "b")],
+    ids=["fields", "signed_rows"],
+)
+def test_to_grid_of_a_stack_is_row_by_row(basis, rng, names):
+    """rows of a (2, 3, n_modes) stack, a `fields` slice or `signed_rows`, are the rows of each
+    coefficient vector synthesized alone, bit for bit."""
+    signed = any(name.startswith("-") for name in names)
+    rows = signed_rows(basis, *names) if signed else fields(*names)
+    stack = rng.normal(size=(2, 3, basis.n_modes))
+    got = to_grid(Field(stack, basis), rows=rows)
+    want = [[to_grid(Field(c, basis), rows=rows) for c in pair] for pair in stack]
+    assert got.shape == (2, 3, len(names), basis.n_points, basis.n_points)
+    assert np.array_equal(got, np.array(want))
+
+
+@pytest.mark.parametrize("steps", [1, 2])
+def test_single_field_operations_refuse_a_stack(basis, params, rng, steps):
+    """norms, partials by order (so trilinear_b) and the initial state of a solve take one
+    field: a stack, even of one row, is a ShapeMismatch; so is a stack whose rows are not
+    n_modes long."""
+    f = Field(rng.normal(size=(steps, basis.n_modes)), basis)
+    control = Trajectory(time_grid(0.5, 2), np.zeros((3, basis.n_modes)), basis, "control")
+    for call in (
+        lambda: norms(f, "V"),
+        lambda: norms(f, "W14"),
+        lambda: to_grid(f),
+        lambda: to_grid(f, 2),
+        lambda: trilinear_b(f, f, f),
+        lambda: solve_state(f, control, params),
+        lambda: Field(np.zeros((steps, basis.n_modes + 1)), basis),
+    ):
+        with pytest.raises(ShapeMismatch):
+            call()
 
 
 def test_to_grid_rejects_unknown_order(basis, rng):
