@@ -66,20 +66,20 @@ class AdjointWork(Workspace):
         super().__init__(basis, params, scale, frozen)
         self.frozen_tables = signed_rows(basis, *_FROZEN)
 
-    def kernel_ops(self, n: int) -> tuple:
-        Q = self.basis.n_points
-        q, p, out, wt = self.synth[:n], self.products[:n], self.slots[:n], self.weights[:n]
+    def kernel_ops(self, at) -> tuple:
+        q, p, out, wt, Q = self.synth, self.products, self.slots, self.weights, self.basis.n_points
+        tangent = wt[at, 6:10].reshape(*q[at].shape[:-3], 2, 2, Q, Q)
         return (
             # +b(q, ybar, v(phi)) - b(ybar, q, v(phi)) pairs (ybar.grad)q - (q.grad)ybar =
             # curl(psi), psi = q1 ybar2 - q2 ybar1, with v(phi); psi vanishes on the walls,
             # so by parts that is -(psi, w(v(phi))), the w slot carrying the v-weight
-            partial(np.multiply, wt[:, 0:2], q[:, 2:4], p[:, 0]),
+            partial(np.multiply, wt[at, 0:2], q[at, 2:4], p[at, 0]),
             # -(S'(ybar)[q], grad phi), by summation by parts tested against (a, b)(phi)
-            partial(np.multiply, wt[:, 6:10].reshape(n, 2, 2, Q, Q), q[:, None, 0:2], p[:, 1:3]),
-            partial(np.add, p[:, :, 0], p[:, :, 1], out[:, 0:3]),
+            partial(np.multiply, tangent, q[at, None, 0:2], p[at, 1:3]),
+            partial(np.add, p[at, :, 0], p[at, :, 1], out[at, 0:3]),
             # -b(phi, q, v(ybar)) and +b(q, phi, v(ybar)) move to the right-hand side as
             # ((grad q)^T v + (q . grad) v, phi): in Lamb form w_v (q2, -q1) plus a pressure
-            partial(np.multiply, wt[:, 2:4], q[:, 3:1:-1], out[:, 3:5]),
+            partial(np.multiply, wt[at, 2:4], q[at, 3:1:-1], out[at, 3:5]),
         )
 
     def freeze(self, stack: np.ndarray) -> None:
@@ -100,12 +100,14 @@ def adjoint_rhs_terms(
 
     The coefficient ODE reads ds/dt = (-nu lam s + inner + c(f)) / vmult + outer,
     where inner collects the terms tested against phi and outer the two tested
-    against v(phi); this returns inner + vmult outer.  With work (an
-    AdjointWork for this basis and params, reused through a solve, which builds
-    ybar's weights as `spectral.Workspace` says) the result, times work's scale
-    per mode, is work.out, valid until the next call.
+    against v(phi); this returns inner + vmult outer.  y_coeffs and q_coeffs are
+    a row each or stacks, a step per frozen state.  With work (an AdjointWork for
+    this basis and params, reused through a solve, which builds ybar's weights as
+    `spectral.Workspace` says) the result, times work's scale per mode, is
+    work.out, valid until the next call; without, `Workspace.evaluate`.
     """
-    work = work or AdjointWork(basis, params, frozen=np.reshape(y_coeffs, (-1, basis.n_modes)))
+    if work is None:
+        return AdjointWork.evaluate(basis, params, q_coeffs, y_coeffs)
     return work(q_coeffs, y_coeffs)
 
 

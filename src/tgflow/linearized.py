@@ -73,16 +73,16 @@ class LinearizedWork(Workspace):
     # per step, 16 weight grids and 16 grids of products
     buffers = dict(grad_w=(2, 1), pair_w=(5, 2), conv_w=(2, 2), conv=(2,), products=(7, 2))
 
-    def kernel_ops(self, n: int) -> tuple:
-        Q = self.basis.n_points
-        z, p, out, conv_w = self.synth[:n], self.products[:n], self.slots[:n], self.conv_w[:n]
+    def kernel_ops(self, at) -> tuple:
+        z, p, out, conv, Q = self.synth, self.products, self.slots, self.conv, self.basis.n_points
+        grads = z[at, 0:4].reshape(*z[at].shape[:-3], 2, 2, Q, Q)  # (a_x, b_x), (a_y, b_y)
         return (
-            partial(np.multiply, self.grad_w[:n], z[:, 0:4].reshape(n, 2, 2, Q, Q), p[:, 0:2]),
-            partial(np.multiply, self.pair_w[:n], z[:, 4:9, None], p[:, 2:7]),
-            partial(np.add.reduce, p, 1, None, out[:, 0:2]),
-            partial(np.multiply, conv_w[:, 0], z[:, 4, None], out[:, 2:4]),
-            partial(np.multiply, conv_w[:, 1], z[:, 8:6:-1], self.conv[:n]),
-            partial(np.add, out[:, 2:4], self.conv[:n], out[:, 2:4]),
+            partial(np.multiply, self.grad_w[at], grads, p[at, 0:2]),
+            partial(np.multiply, self.pair_w[at], z[at, 4:9, None], p[at, 2:7]),
+            partial(np.add.reduce, p[at], -4, None, out[at, 0:2]),
+            partial(np.multiply, self.conv_w[at, 0], z[at, 4, None], out[at, 2:4]),
+            partial(np.multiply, self.conv_w[at, 1], z[at, 8:6:-1], conv[at]),
+            partial(np.add, out[at, 2:4], conv[at], out[at, 2:4]),
         )
 
     def freeze(self, stack: np.ndarray) -> None:
@@ -115,11 +115,13 @@ def linearized_rhs_coeffs(
 ) -> np.ndarray:
     """Projection coefficients of F'(y)[z] at the frozen state y, F the state rhs.
 
-    With work (a LinearizedWork for this basis and params, reused through a
-    solve, which builds y's weights as `spectral.Workspace` says) the result,
-    F'(y)[z] times work's scale per mode, is work.out, valid until the next call.
+    y_coeffs and z_coeffs are a row each or stacks, a step per frozen state.  With
+    work (a LinearizedWork for this basis and params, reused through a solve, which
+    builds y's weights as `spectral.Workspace` says) the result, F'(y)[z] times work's
+    scale per mode, is work.out, valid until the next call; without, `Workspace.evaluate`.
     """
-    work = work or LinearizedWork(basis, params, frozen=np.reshape(y_coeffs, (-1, basis.n_modes)))
+    if work is None:
+        return LinearizedWork.evaluate(basis, params, z_coeffs, y_coeffs)
     return work(z_coeffs, y_coeffs)
 
 

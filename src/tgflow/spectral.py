@@ -64,9 +64,9 @@ refuses a model whose alpha1 is not the basis's, which vmult holds.  A solver
 runs its kernel hundreds of times on one basis, so it makes one workspace per
 solve: the grids live in buffers allocated once, and the per-mode factor the
 time stepper applies to the kernel's result is folded into the projection
-amplitudes.  A linearized or adjoint kernel evaluates a window of steps per
-call, the pass above over a stack of midpoints against the weight grids of
-their frozen states, built for the window from one batched synthesis.
+amplitudes.  Every kernel evaluates a window of steps per call, the pass above
+over a stack: the state a step per coefficient row, a linearized or adjoint
+kernel a step per frozen state, against weight grids built from one synthesis.
 
 to_grid by order, to_coeffs and project_div are the velocity cases of the two
 transforms; the modified Stokes operators apply and invert vmult.
@@ -399,24 +399,29 @@ class Workspace:
     A kernel class declares the K fields it reads (rows, see `fields`), the S slots it
     writes (slot_rows, see `slots`), spare grids per step beyond the K, and buffers, the
     per-step shape in (Q, Q) grids of each array of its own, which the base allocates
-    with a window axis first as the attribute of that name.  A call work(coeffs, frozen)
-    is the kernel's whole pass over n steps, coeffs a row or an (n, n_modes) stack: it is
-    copied into field, the Field bound for n steps, whose fields `to_grid` writes into
-    synth, the first K of the K + spare grids of each step in grid; ops, calls bound to
-    views of the buffers once per n, form the S grids in slots, which are paired as
-    `project` does, times scale (one (n_modes,) row or one per slot; None for none), and
-    summed over the slots into out, valid until the next call; a row in gives a row out,
-    a stack a stack.  A linearized or adjoint kernel is taken at frozen, n frozen
-    states: when frozen is not the array of the call before, freeze(stack) builds their
-    weights from one `to_grid` of the stack.  A solve hands the workspace its (N, n_modes)
-    stack of frozen states; window, the steps one call evaluates, is as many as
-    WINDOW_BYTES holds of the grids a step touches, a power of two from MIN_WINDOW to
-    MAX_WINDOW, else one, and at most N; steps holds the stack's windows.  The kernel
-    reads alpha1 from params, the model it evaluates, and the basis has its own in vmult
-    and the projection amplitudes: GridMismatch unless the two are equal.
+    with a window axis first as the attribute of that name, and kernel_ops(at), its
+    calls formed on the views buf[at, ...] of the buffers at the window view `bind`
+    chooses: slice(n), or 0 at one step, where no view has a window axis.  A call
+    work(coeffs, frozen) is the kernel's whole pass over n steps, coeffs a row or an
+    (n, n_modes) stack: it is copied into field, the Field bound for n steps, whose
+    fields `to_grid` writes into synth, the first K of the K + spare grids of each step
+    in grid; ops, the kernel's calls and the projection's, bound once per n, form the
+    S grids in slots, which are paired as `project` does, times scale (one (n_modes,)
+    row or one per slot; None for none), and summed over the slots into out, valid
+    until the next call; a row in gives a row out, a stack a stack.  The state kernel
+    (freeze None) takes a step per row of coeffs, a linear kernel a step per frozen
+    state: when frozen is not the array of the call before, as at its first call,
+    freeze(stack) builds their weights from one `to_grid` of the stack.  Calls check
+    no shapes; `evaluate` does.  frozen, the (N, n_modes) stack a workspace is made
+    for (a solve's frozen states, or the state's rows), sizes window, the steps one
+    call evaluates: as many as WINDOW_BYTES holds of the grids a step touches, a power
+    of two from MIN_WINDOW to MAX_WINDOW, else one, and at most N; steps holds the
+    stack's windows.  The kernel reads alpha1 from params, the model it evaluates, and
+    the basis has its own in vmult and the projection amplitudes: GridMismatch unless
+    the two are equal.
     """
 
-    spare, buffers = 0, {}  # rows and slot_rows: each kernel sets its own
+    spare, buffers, freeze = 0, {}, None  # rows and slot_rows: each kernel sets its own
 
     def __init__(self, basis: SpectralBasis, params, scale=None, frozen=()):
         if params.alpha1 != basis.alpha1:
@@ -429,7 +434,8 @@ class Workspace:
         c = min(MAX_WINDOW, 1 << fit.bit_length() >> 1) if fit >= MIN_WINDOW else 1
         self.window = c = max(1, min(c, len(frozen)))
         self.steps = [frozen[k : k + c] for k in range(0, len(frozen), c)]
-        self.basis, self.params, self.frozen, self.n = basis, params, None, 0
+        self.basis, self.params, self.n = basis, params, 0
+        self.frozen = None if self.freeze is None else ()  # a linear kernel's first call freezes
         self.tables = basis.field_x[rows], basis.field_amp[rows], basis.field_y[rows]
         self.grid = np.empty((c, n_fields + self.spare, Q, Q))
         self.synth = self.grid[:, :n_fields]
@@ -443,14 +449,14 @@ class Workspace:
         for name, shape in self.buffers.items():
             setattr(self, name, np.empty((c, *shape, Q, Q)))
 
-    def bind(self, n: int, kernel_ops: tuple) -> None:
+    def bind(self, n: int) -> None:
         """Bind field, the kernel's ops formed on the first n steps, and the projection to them."""
         x, y, amp = self._projection
         at = slice(n) if n > 1 else 0  # one step runs without a window axis: it is faster
         slots, half, paired = self.slots[at], self._half[at], self._paired[at]
         self.field = Field(np.empty((n, self.basis.n_modes))[at], self.basis)
         self._field_grids = self.synth[at]
-        self.n, self.ops = n, kernel_ops + (
+        self.n, self.ops = n, self.kernel_ops(at) + (
             partial(np.matmul, x, slots, half),
             partial(np.matmul, half, y, paired),
             partial(np.multiply, paired, amp, paired),
@@ -459,17 +465,49 @@ class Workspace:
 
     def __call__(self, coeffs: np.ndarray, frozen: np.ndarray | None = None) -> np.ndarray:
         """The kernel's scaled coefficients at coeffs, in out."""
-        if frozen is not self.frozen:
+        n = self.n
+        if frozen is not self.frozen:  # a linear kernel: a step per frozen state
             stack = np.reshape(frozen, (-1, self.basis.n_modes))
             self.freeze(stack)
-            if len(stack) != self.n:
-                self.bind(len(stack), self.kernel_ops(len(stack)))
-            self.frozen = frozen
+            self.frozen, n = frozen, len(stack)
+        elif frozen is None:  # the state kernel: a step per row
+            n = len(coeffs) if coeffs.ndim == 2 else 1
+        if n != self.n:
+            self.bind(n)
         self.field.coeffs[...] = coeffs
         to_grid(self.field, rows=self.tables, out=self._field_grids)
         for op in self.ops:
             op()
         return self.out[: self.n] if coeffs.ndim == 2 else self.out[0]
+
+    @classmethod
+    def evaluate(cls, basis: SpectralBasis, params, coeffs, frozen=None) -> np.ndarray:
+        """The unscaled kernel at coeffs (and frozen, for a linear kernel) in a new workspace.
+
+        coeffs, and a linear kernel's frozen, are one row or one (n, n_modes) stack, of
+        the same shape (ShapeMismatch otherwise).  The workspace is sized from the stack,
+        as a solve sizes its own; a stack longer than one window is evaluated a window at
+        a time into a new array.
+        """
+        coeffs, n_modes = np.asarray(coeffs, dtype=float), basis.n_modes
+        if coeffs.ndim not in (1, 2) or coeffs.shape[-1] != n_modes:
+            raise ShapeMismatch(
+                f"expected a row or a stack of {n_modes} coefficients, got {coeffs.shape}"
+            )
+        if cls.freeze is not None:  # a linear kernel: a frozen state per step
+            frozen = np.asarray(frozen, dtype=float)
+            if frozen.shape != coeffs.shape:
+                raise ShapeMismatch(
+                    f"expected frozen states of shape {coeffs.shape}, got {frozen.shape}"
+                )
+        steps = np.reshape(coeffs if frozen is None else frozen, (-1, n_modes))
+        work = cls(basis, params, frozen=steps)
+        if coeffs.ndim == 1:
+            return work(coeffs, frozen)
+        out, c = np.empty(coeffs.shape), work.window
+        for k in range(0, len(coeffs), c):
+            out[k : k + c] = work(coeffs[k : k + c], None if frozen is None else steps[k : k + c])
+        return out
 
 
 def to_coeffs(basis: SpectralBasis, vel: np.ndarray) -> Field:

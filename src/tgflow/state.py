@@ -108,26 +108,27 @@ def _mixing(alpha1: float, beta: float) -> np.ndarray:
 
 
 class StateWork(Workspace):
-    """Buffers and ops of `state_rhs_coeffs`, a window of one: the fields are multiplied
-    in place into the eleven products `_mixing` combines into the four slot grids."""
+    """Buffers and ops of `state_rhs_coeffs`: the fields are multiplied in place into
+    the eleven products `_mixing` combines into the four slot grids."""
 
     rows, slot_rows, spare, buffers = _FIELDS, _SLOTS, 2, dict(strain_sq=())
 
-    def __init__(self, basis: SpectralBasis, params: ModelParams, scale=None):
-        super().__init__(basis, params, scale)
-        g = p = self.grid[0]
-        slots, strain_sq, Q = self.slots[0], self.strain_sq[0], basis.n_points
-        ab, w, u = g[5:7], g[4], g[7:9, None]
-        grads = g[0:4].reshape(2, 2, Q, Q)  # (a_x, b_x), (a_y, b_y)
-        mix = _mixing(params.alpha1, params.beta)
-        self.bind(1, (
-            partial(np.multiply, ab, ab, p[9:11]),
-            partial(np.add, p[9], p[10], strain_sq),
-            partial(np.multiply, strain_sq, ab, p[9:11]),
-            partial(np.multiply, u, grads, grads),
-            partial(np.multiply, w, g[5:9], p[5:9]),
-            partial(np.matmul, mix, p.reshape(len(p), -1), slots.reshape(len(slots), -1)),
-        ))
+    def kernel_ops(self, at) -> tuple:
+        g, strain_sq, Q = self.grid, self.strain_sq, self.basis.n_points
+        lead = g[at].shape[:-3]  # (n,), or () at one step
+        ab, grads = g[at, 5:7], g[at, 0:4].reshape(*lead, 2, 2, Q, Q)  # (a_x, b_x), (a_y, b_y)
+        mix = _mixing(self.params.alpha1, self.params.beta)
+        return (
+            partial(np.multiply, ab, ab, g[at, 9:11]),
+            partial(np.add, g[at, 9], g[at, 10], strain_sq[at]),
+            partial(np.multiply, strain_sq[at, None], ab, g[at, 9:11]),
+            partial(np.multiply, g[at, 7:9, None], grads, grads),
+            partial(np.multiply, g[at, 4, None], g[at, 5:9], g[at, 5:9]),
+            partial(
+                np.matmul, mix, g[at].reshape(*lead, -1, Q * Q),
+                self.slots[at].reshape(*lead, -1, Q * Q),
+            ),
+        )
 
 
 def state_rhs_coeffs(
@@ -135,11 +136,11 @@ def state_rhs_coeffs(
 ) -> np.ndarray:
     """Projection coefficients of F(y) = -(y.grad)y + div N(y) + div S(y).
 
-    With work (a StateWork for this basis and params, reused through a solve)
-    the result, F(y) times work's scale per mode, is work.out, valid until the
-    next call.
+    y_coeffs is a row or a stack, a step per row.  With work (a StateWork for this
+    basis and params, reused through a solve) the result, F(y) times work's scale per
+    mode, is work.out, valid until the next call; without, `Workspace.evaluate`.
     """
-    return (work if work is not None else StateWork(basis, params))(y_coeffs)
+    return StateWork.evaluate(basis, params, y_coeffs) if work is None else work(y_coeffs)
 
 
 def _implicit(basis: SpectralBasis, params: ModelParams, dt: float) -> np.ndarray:

@@ -395,8 +395,11 @@ def stability_check(
     sup_t ||y_e - y_1||_W^2 / e^2 reported; the ratio is asymptotically the
     squared linearized response, so it plateaus as e shrinks.  When y0_2 is
     given the initial-data variant is also reported (same controls, different
-    initial states).
+    initial states).  eps is one or more positive finite sizes (ValueError otherwise).
     """
+    eps = tuple(eps)
+    if not eps or not all(0.0 < e < math.inf for e in eps):
+        raise ValueError(f"eps must be one or more positive finite values, got {eps}")
     base = solve_state(y0, u1, params)
 
     def w_dist(traj):  # ||y(t_k) - y_1(t_k)||_W at every node

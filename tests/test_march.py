@@ -365,6 +365,18 @@ def test_workspace_kernels_are_the_plain_kernels_scaled(params, rng):
                 assert np.max(np.abs(got - s * plain)) <= 1e-14 * np.max(np.abs(s * plain))
 
 
+@pytest.mark.parametrize("work", [LinearizedWork, AdjointWork])
+def test_linear_workspaces_refuse_a_call_without_frozen_states(basis, params, rng, work):
+    """A linear workspace never takes a call without frozen states as a state kernel's
+    call: fresh, it has no weights to read, and after a freeze they belong to other steps."""
+    w, z = work(basis, params), rng.normal(size=basis.n_modes)
+    with pytest.raises(ValueError):
+        w(z, None)
+    w(z, rng.normal(size=(1, basis.n_modes)))
+    with pytest.raises(ValueError):
+        w(z, None)
+
+
 # a model of another alpha1 than the conftest basis's 0.5, admissible with its other moduli
 OTHER_ALPHA1 = dict(nu=1.0, alpha1=0.1, alpha2=-0.2, beta=0.4)
 
@@ -382,10 +394,12 @@ def test_solvers_reject_a_model_of_another_alpha1(basis, params, rng, solve):
 
 @pytest.mark.parametrize("kernel", [state_rhs_coeffs, linearized_rhs_coeffs, adjoint_rhs_terms])
 def test_kernels_reject_a_model_of_another_alpha1(basis, rng, kernel):
-    """Each standalone kernel builds its workspace, which makes the same check."""
-    coeffs = rng.normal(size=(1 if kernel is state_rhs_coeffs else 2, basis.n_modes))
+    """Each standalone kernel builds its workspace, which makes the same check: on a
+    stack of three steps, the frozen states of a linear kernel as many."""
+    y, z = rng.normal(size=(2, 3, basis.n_modes))
+    args = (z,) if kernel is state_rhs_coeffs else (y, z)
     with pytest.raises(GridMismatch, match="alpha1 = 0.1.*alpha1 = 0.5"):
-        kernel(basis, validate_params(**OTHER_ALPHA1), *coeffs)
+        kernel(basis, validate_params(**OTHER_ALPHA1), *args)
 
 
 @pytest.mark.parametrize(

@@ -10,9 +10,10 @@ from oracles import (
     state_rhs_oracle,
 )
 from tgflow import build_basis, validate_params
-from tgflow.adjoint import adjoint_rhs_terms
-from tgflow.linearized import linearized_rhs_coeffs
-from tgflow.state import state_rhs_coeffs
+from tgflow.adjoint import AdjointWork, adjoint_rhs_terms
+from tgflow.errors import ShapeMismatch
+from tgflow.linearized import LinearizedWork, linearized_rhs_coeffs
+from tgflow.state import StateWork, state_rhs_coeffs
 
 # the default model and one case for each constant the kernels branch on or drop
 MODELS = {
@@ -95,18 +96,41 @@ def test_alpha2_terms_are_pressures_in_the_oracle(max_mode):
 
 
 KERNELS = {
-    "state": lambda basis, params, y, z: state_rhs_coeffs(basis, params, z),
-    "linearized": linearized_rhs_coeffs,
-    "adjoint": adjoint_rhs_terms,
+    "state": (lambda basis, params, y, z: state_rhs_coeffs(basis, params, z), StateWork),
+    "linearized": (linearized_rhs_coeffs, LinearizedWork),
+    "adjoint": (adjoint_rhs_terms, AdjointWork),
+}
+
+
+# the shapes of (frozen state, coefficients) each kernel refuses without a workspace,
+# n_modes = 16 at M = 4; the state kernel reads no frozen state
+REFUSED = {
+    "state": [(None, (17,)), (None, (2, 15)), (None, (2, 2, 16))],
+    # a frozen state twice as wide was once read as two; two frozen states against a row
+    "linearized": [((32,), (16,)), ((2, 16), (16,)), ((16,), (32,)), (None, (16,))],
+    "adjoint": [((32,), (16,)), ((3, 16), (2, 16)), ((17,), (17,)), (None, (2, 16))],
 }
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_kernels_return_a_row_for_a_row_and_a_stack_for_a_stack(kernel):
-    """Each standalone kernel gives (n_modes,) for a row and (1, n_modes) for a one-row
-    stack, with the same bytes."""
-    basis, params, y, z = _setup(4, "default")
-    row = KERNELS[kernel](basis, params, y, z)
-    stack = KERNELS[kernel](basis, params, y[None], z[None])
-    assert row.shape == (basis.n_modes,) and stack.shape == (1, basis.n_modes)
-    assert np.array_equal(stack[0], row)
+    """Each standalone kernel gives (n_modes,) for a row and (n, n_modes) for a stack of n
+    steps, a stack longer than the window its workspace takes included; every row of a
+    stack has the bytes of the call on that row alone.  Coefficients of another shape,
+    or frozen states of another shape than the coefficients, raise ShapeMismatch."""
+    basis, params, _, _ = _setup(4, "default")
+    rhs, work = KERNELS[kernel]
+    c = work(basis, params, frozen=np.zeros((1000, basis.n_modes))).window
+    assert c > 2 and basis.n_modes == 16
+    rng = np.random.default_rng(c)
+    for n in (1, 2, c, c + 1):
+        y, z = 0.5 * rng.normal(size=(2, n, basis.n_modes)) / np.sqrt(1.0 + basis.lam)
+        rows = [rhs(basis, params, y[i], z[i]).copy() for i in range(n)]
+        assert rows[0].shape == (basis.n_modes,)
+        stack = rhs(basis, params, y, z)
+        assert stack.shape == (n, basis.n_modes)
+        assert np.array_equal(stack, rows), n
+    for y_shape, z_shape in REFUSED[kernel]:
+        y = None if y_shape is None else np.ones(y_shape)
+        with pytest.raises(ShapeMismatch):
+            rhs(basis, params, y, np.ones(z_shape))

@@ -105,6 +105,15 @@ def test_stability_ratio_plateau(basis, params, rng):
     assert max(ratios) / min(ratios) <= 1.25
 
 
+@pytest.mark.parametrize("eps", [(0.0,), (float("nan"),), (1e-2, -1e-3), (float("inf"),), ()])
+def test_stability_refuses_sizes_that_are_not_positive_and_finite(basis, params, rng, eps):
+    """A zero size would divide by zero and a NaN fail the state solve as a too-large dt."""
+    times = time_grid(0.5, 8)
+    y0, u = random_field(basis, rng, amp=0.3), random_traj(basis, times, rng, amp=0.3)
+    with pytest.raises(ValueError, match="eps must be one or more positive finite values"):
+        stability_check(u, u, y0, params, eps=eps)
+
+
 def test_stability_initial_data_mode(basis, rng):
     """Same controls, different initial states: with large viscosity the
     difference decays over the horizon."""
