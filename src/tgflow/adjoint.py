@@ -30,7 +30,9 @@ import numpy as np
 
 from .linearized import cubic_tangent, solve_linearized
 from .params import ModelParams
-from .spectral import Field, SpectralBasis, Workspace, fields, signed_rows, slots, to_grid
+from .spectral import (
+    Field, SpectralBasis, Workspace, fields, signed_rows, slots, steps_first, to_grid,
+)
 from .state import march, midpoint_gain
 from .trajectory import Trajectory, check_same_grid, pair_l2l2_mid
 
@@ -67,26 +69,26 @@ class AdjointWork(Workspace):
         self.frozen_tables = signed_rows(basis, *_FROZEN)
 
     def kernel_ops(self, at) -> tuple:
-        q, p, out, wt, Q = self.synth, self.products, self.slots, self.weights, self.basis.n_points
-        tangent = wt[at, 6:10].reshape(*q[at].shape[:-3], 2, 2, Q, Q)
+        q, p, out, wt = self.synth, self.products, self.slots, self.weights
+        tangent = wt[6:10, at].reshape(2, 2, *q[0, at].shape)
         return (
             # +b(q, ybar, v(phi)) - b(ybar, q, v(phi)) pairs (ybar.grad)q - (q.grad)ybar =
             # curl(psi), psi = q1 ybar2 - q2 ybar1, with v(phi); psi vanishes on the walls,
             # so by parts that is -(psi, w(v(phi))), the w slot carrying the v-weight
-            partial(np.multiply, wt[at, 0:2], q[at, 2:4], p[at, 0]),
+            partial(np.multiply, wt[0:2, at], q[2:4, at], p[0, :, at]),
             # -(S'(ybar)[q], grad phi), by summation by parts tested against (a, b)(phi)
-            partial(np.multiply, tangent, q[at, None, 0:2], p[at, 1:3]),
-            partial(np.add, p[at, :, 0], p[at, :, 1], out[at, 0:3]),
+            partial(np.multiply, tangent, q[None, 0:2, at], p[1:3, :, at]),
+            partial(np.add, p[:, 0, at], p[:, 1, at], out[0:3, at]),
             # -b(phi, q, v(ybar)) and +b(q, phi, v(ybar)) move to the right-hand side as
             # ((grad q)^T v + (q . grad) v, phi): in Lamb form w_v (q2, -q1) plus a pressure
-            partial(np.multiply, wt[at, 2:4], q[at, 3:1:-1], out[at, 3:5]),
+            partial(np.multiply, wt[2:4, at], q[3:1:-1, at], out[3:5, at]),
         )
 
     def freeze(self, stack: np.ndarray) -> None:
-        n, Q = len(stack), self.basis.n_points
-        y = to_grid(Field(stack, self.basis), rows=self.frozen_tables, out=self.weights[:n, 0:6])
-        tangent = self.weights[:n, 6:10].reshape(n, 2, 2, Q, Q)
-        cubic_tangent(y[:, 4:6], -self.params.beta, tangent, self.synth[:n, 0])
+        n, y = len(stack), self.weights[:, : len(stack)]
+        to_grid(Field(stack, self.basis), rows=self.frozen_tables, out=steps_first(y[0:6]))
+        tangent = y[6:10].reshape(2, 2, *y.shape[1:])
+        cubic_tangent(y[4:6], -self.params.beta, tangent, self.synth[0, :n])
 
 
 def adjoint_rhs_terms(
@@ -124,7 +126,7 @@ def solve_adjoint(y_traj: Trajectory, f: Trajectory, params: ModelParams) -> Tra
     work = AdjointWork(basis, params, scale, 0.5 * (y_rev[:-1] + y_rev[1:]))
     q = march(
         basis, params, dt, np.zeros(basis.n_modes), 0.5 * (f_rev[:-1] + f_rev[1:]) / basis.vmult,
-        lambda k, m: adjoint_rhs_terms(basis, params, work.steps[k // work.window], m, work),
+        lambda k, m: adjoint_rhs_terms(basis, params, work.window_of(k, m), m, work),
         work.window,
     )
     return Trajectory(y_traj.times.copy(), q[::-1].copy(), basis, "adjoint")

@@ -30,7 +30,7 @@ from functools import partial
 import numpy as np
 
 from .params import ModelParams
-from .spectral import Field, SpectralBasis, Workspace, to_grid
+from .spectral import Field, SpectralBasis, Workspace, steps_first, to_grid
 from .state import _FIELDS, _SLOTS, march, midpoint_gain, solve_state
 from .trajectory import Trajectory, check_same_grid
 
@@ -41,22 +41,23 @@ __all__ = [
     "LinearizedWork",
 ]
 
-# (1, -1) against a stacked pair: _SIGNS * w = (w, -w)
-_SIGNS = np.array([1.0, -1.0])[:, None, None]
+# (1, -1) against a stacked pair of field-major grids: _SIGNS * w = (w, -w)
+_SIGNS = np.array([1.0, -1.0])[:, None, None, None]
 
 
 def cubic_tangent(ab: np.ndarray, coef: float, out: np.ndarray, diag: np.ndarray) -> None:
     """coef times the cubic tangent |A|^2 I + 4 (a, b) (a, b)^T of the pairs ab, into out.
 
-    ab is (..., 2, Q, Q), out a (..., 2, 2, Q, Q) symmetric array and diag a (..., Q, Q)
-    scratch grid; beta times the tangent along (a_z, b_z) is S'(y)[z], |A|^2 = 2 (a^2 + b^2).
+    ab is a field-major (2, ..., Q, Q) pair, out a (2, 2, ..., Q, Q) symmetric array and diag
+    a (..., Q, Q) scratch grid; beta times the tangent along (a_z, b_z) is S'(y)[z],
+    |A|^2 = 2 (a^2 + b^2).
     """
-    np.multiply(ab[..., :, None, :, :], ab[..., None, :, :, :], out=out)
-    np.add(out[..., 0, 0, :, :], out[..., 1, 1, :, :], out=diag)
+    np.multiply(ab[:, None], ab[None, :], out=out)
+    np.add(out[0, 0], out[1, 1], out=diag)
     out *= 4.0 * coef
     diag *= 2.0 * coef
-    on_diag = out.reshape(*out.shape[:-4], 4, *diag.shape[-2:])[..., ::3, :, :]
-    np.add(on_diag, diag[..., None, :, :], out=on_diag)
+    on_diag = out.reshape(4, *diag.shape)[::3]
+    np.add(on_diag, diag, out=on_diag)
 
 
 class LinearizedWork(Workspace):
@@ -74,36 +75,37 @@ class LinearizedWork(Workspace):
     buffers = dict(grad_w=(2, 1), pair_w=(5, 2), conv_w=(2, 2), conv=(2,), products=(7, 2))
 
     def kernel_ops(self, at) -> tuple:
-        z, p, out, conv, Q = self.synth, self.products, self.slots, self.conv, self.basis.n_points
-        grads = z[at, 0:4].reshape(*z[at].shape[:-3], 2, 2, Q, Q)  # (a_x, b_x), (a_y, b_y)
+        z, p, out, conv = self.synth, self.products, self.slots, self.conv
+        grads = z[0:4, at].reshape(2, 2, *z[0, at].shape)  # (a_x, b_x), (a_y, b_y)
         return (
-            partial(np.multiply, self.grad_w[at], grads, p[at, 0:2]),
-            partial(np.multiply, self.pair_w[at], z[at, 4:9, None], p[at, 2:7]),
-            partial(np.add.reduce, p[at], -4, None, out[at, 0:2]),
-            partial(np.multiply, self.conv_w[at, 0], z[at, 4, None], out[at, 2:4]),
-            partial(np.multiply, self.conv_w[at, 1], z[at, 8:6:-1], conv[at]),
-            partial(np.add, out[at, 2:4], conv[at], out[at, 2:4]),
+            partial(np.multiply, self.grad_w[:, :, at], grads, p[0:2, :, at]),
+            partial(np.multiply, self.pair_w[:, :, at], z[4:9, None, at], p[2:7, :, at]),
+            partial(np.add.reduce, p[:, :, at], 0, None, out[0:2, at]),
+            partial(np.multiply, self.conv_w[0, :, at], z[4, None, at], out[2:4, at]),
+            partial(np.multiply, self.conv_w[1, :, at], z[8:6:-1, at], conv[:, at]),
+            partial(np.add, out[2:4, at], conv[:, at], out[2:4, at]),
         )
 
     def freeze(self, stack: np.ndarray) -> None:
-        al, n, Q = self.params.alpha1, len(stack), self.basis.n_points
-        y = to_grid(Field(stack, self.basis), rows=self.tables, out=self.synth[:n])
-        w, ab, u = y[:, 4, None], y[:, 5:7], y[:, 7:9]
-        pair_w = self.pair_w[:n]
+        al, n = self.params.alpha1, len(stack)
+        y = self.synth[:, :n]
+        to_grid(Field(stack, self.basis), rows=self.tables, out=steps_first(y))
+        w, ab, u = y[4, None], y[5:7], y[7:9]
+        pair_w = self.pair_w[:, :, :n]
         # F' pairs minus the stress with (a, b)(h_i), so every weight carries a minus
         # sign: alpha1 (y.grad A(z) + z.grad A(y)) + beta tangent (a_z, b_z) and the
         # spin terms of the convected derivative, -w_z (b, -a) - w (b_z, -a_z)
-        np.multiply(-al, u, out=self.grad_w[:n, :, 0])
-        np.multiply(_SIGNS * al, ab[:, ::-1], out=pair_w[:, 0])
-        np.multiply(-al, y[:, 0:4].reshape(n, 2, 2, Q, Q), out=pair_w[:, 3:5])
+        np.multiply(-al, u, out=self.grad_w[:, 0, :n])
+        np.multiply(_SIGNS * al, ab[::-1], out=pair_w[0])
+        np.multiply(-al, y[0:4].reshape(2, 2, *w.shape[1:]), out=pair_w[3:5])
         # y's gradient fields are spent: their grids are scratch from here on
-        cubic_tangent(ab, -self.params.beta, pair_w[:, 1:3], y[:, 2])
-        np.multiply(_SIGNS * -al, w, out=y[:, 0:2])
-        off_diag = pair_w[:, 1:3].reshape(n, 4, Q, Q)[:, 1:3]
-        np.add(off_diag, y[:, 0:2], out=off_diag)
+        cubic_tangent(ab, -self.params.beta, pair_w[1:3], y[2])
+        np.multiply(_SIGNS * -al, w, out=y[0:2])
+        off_diag = pair_w[1:3].reshape(4, *w.shape[1:])[1:3]
+        np.add(off_diag, y[0:2], out=off_diag)
         # (y.grad)z + (z.grad)y in Lamb form, w_z (y2, -y1) + w (z2, -z1), plus a pressure
-        np.multiply(_SIGNS[::-1], u[:, ::-1], out=self.conv_w[:n, 0])
-        np.multiply(_SIGNS[::-1], w, out=self.conv_w[:n, 1])
+        np.multiply(_SIGNS[::-1], u[::-1], out=self.conv_w[0, :, :n])
+        np.multiply(_SIGNS[::-1], w, out=self.conv_w[1, :, :n])
 
 
 def linearized_rhs_coeffs(
@@ -133,7 +135,7 @@ def solve_linearized(y_traj: Trajectory, psi: Trajectory, params: ModelParams) -
     work = LinearizedWork(basis, params, scale, y_traj.midpoints())
     coeffs = march(
         basis, params, dt, np.zeros(basis.n_modes), psi.midpoints() / basis.vmult,
-        lambda k, m: linearized_rhs_coeffs(basis, params, work.steps[k // work.window], m, work),
+        lambda k, m: linearized_rhs_coeffs(basis, params, work.window_of(k, m), m, work),
         work.window,
     )
     return Trajectory(y_traj.times.copy(), coeffs, basis, "linearized")

@@ -67,6 +67,11 @@ time stepper applies to the kernel's result is folded into the projection
 amplitudes.  Every kernel evaluates a window of steps per call, the pass above
 over a stack: the state a step per coefficient row, a linearized or adjoint
 kernel a step per frozen state, against weight grids built from one synthesis.
+Its buffers are field-major, each field's grids of the window's steps next to
+each other, so each pointwise op runs once over n Q^2 contiguous values; the
+synthesis writes, and the state's mixing product reads, through views with the
+steps first.  Every synthesis and projection item is the product it is on one
+step, so each row of a window has the bytes of that row alone.
 
 to_grid by order, to_coeffs and project_div are the velocity cases of the two
 transforms; the modified Stokes operators apply and invert vmult.
@@ -111,7 +116,9 @@ __all__ = [
     "min_grid_size",
     "project",
     "signed_rows",
+    "steps_first",
     "to_grid",
+    "window_at",
     "to_coeffs",
     "project_div",
     "invert_modified_stokes",
@@ -377,6 +384,11 @@ def to_grid(
     return g if order == 0 else g.reshape(-1, 2, *g.shape[1:]).swapaxes(0, 1)
 
 
+def steps_first(grids: np.ndarray) -> np.ndarray:
+    """The view of field-major (K, n, Q, Q) grids as (n, K, Q, Q); (K, Q, Q) as it is."""
+    return grids.swapaxes(0, 1) if grids.ndim == 4 else grids
+
+
 def project(basis: SpectralBasis, grids: np.ndarray, rows: slice) -> np.ndarray:
     """Pair (K, Q, Q) grids slot by slot with the K fields in rows (see `slots`) of every mode.
 
@@ -393,32 +405,40 @@ MAX_WINDOW = 16
 MIN_WINDOW = 4  # shorter windows cost more than they save: below this, windows of one
 
 
+def window_at(n: int) -> slice | int:
+    """The view of n steps along a window axis: slice(n), or 0 at one step, where views
+    have no window axis (a step runs on rows and single grids: it is faster)."""
+    return slice(n) if n > 1 else 0
+
+
 class Workspace:
     """One rhs kernel: the buffers it reuses through a solve, its ops and its scaled projection.
 
     A kernel class declares the K fields it reads (rows, see `fields`), the S slots it
     writes (slot_rows, see `slots`), spare grids per step beyond the K, and buffers, the
     per-step shape in (Q, Q) grids of each array of its own, which the base allocates
-    with a window axis first as the attribute of that name, and kernel_ops(at), its
-    calls formed on the views buf[at, ...] of the buffers at the window view `bind`
-    chooses: slice(n), or 0 at one step, where no view has a window axis.  A call
-    work(coeffs, frozen) is the kernel's whole pass over n steps, coeffs a row or an
-    (n, n_modes) stack: it is copied into field, the Field bound for n steps, whose
-    fields `to_grid` writes into synth, the first K of the K + spare grids of each step
-    in grid; ops, the kernel's calls and the projection's, bound once per n, form the
-    S grids in slots, which are paired as `project` does, times scale (one (n_modes,)
-    row or one per slot; None for none), and summed over the slots into out, valid
-    until the next call; a row in gives a row out, a stack a stack.  The state kernel
-    (freeze None) takes a step per row of coeffs, a linear kernel a step per frozen
-    state: when frozen is not the array of the call before, as at its first call,
-    freeze(stack) builds their weights from one `to_grid` of the stack.  Calls check
-    no shapes; `evaluate` does.  frozen, the (N, n_modes) stack a workspace is made
-    for (a solve's frozen states, or the state's rows), sizes window, the steps one
-    call evaluates: as many as WINDOW_BYTES holds of the grids a step touches, a power
-    of two from MIN_WINDOW to MAX_WINDOW, else one, and at most N; steps holds the
-    stack's windows.  The kernel reads alpha1 from params, the model it evaluates, and
-    the basis has its own in vmult and the projection amplitudes: GridMismatch unless
-    the two are equal.
+    field-major, (*shape, window, Q, Q), as the attribute of that name; kernel_ops(at)
+    forms its calls on the views buf[..., at, :, :] of the buffers at the window view
+    `bind` chooses (`window_at`).  Every buffer holds a field's steps next to each other,
+    so one op on a field covers a window's n Q^2 values in one contiguous run: grid is
+    (K + spare, window, Q, Q), slots (S, window, Q, Q), and the projection's scratch has
+    the slot axis first too.  A call work(coeffs, frozen) is the kernel's whole pass over
+    n steps, coeffs a row or an (n, n_modes) stack: it is copied into field, the Field
+    bound for n steps, whose fields `to_grid` writes into synth, the first K grids of
+    grid, through a view with the steps first; ops, the kernel's calls and the
+    projection's, bound once per n, form the S grids in slots, which are paired as
+    `project` does, item by item, times scale (one (n_modes,) row or one per slot; None
+    for none), and summed over the slot axis into out, valid until the next call; a row
+    in gives a row out, a stack a stack.  The state kernel (freeze None) takes a step
+    per row of coeffs, a linear kernel a step per frozen state: when frozen is not the
+    array of the call before, as at its first call, freeze(stack) builds their weights
+    from one `to_grid` of the stack.  Calls check no shapes; `evaluate` does.  frozen,
+    the (N, n_modes) stack a workspace is made for (a solve's frozen states, or the
+    state's controls), sizes window, the steps one call evaluates: as many as
+    WINDOW_BYTES holds of the grids a step touches, a power of two from MIN_WINDOW to
+    MAX_WINDOW, else one, and at most N; `window_of` hands out its windows.  The kernel
+    reads alpha1 from params, the model it evaluates, and the basis has its own in vmult
+    and the projection amplitudes: GridMismatch unless the two are equal.
     """
 
     spare, buffers, freeze = 0, {}, None  # rows and slot_rows: each kernel sets its own
@@ -433,34 +453,43 @@ class Workspace:
         fit = WINDOW_BYTES // ((n_fields + self.spare + n_slots + own) * Q * Q * 8)
         c = min(MAX_WINDOW, 1 << fit.bit_length() >> 1) if fit >= MIN_WINDOW else 1
         self.window = c = max(1, min(c, len(frozen)))
-        self.steps = [frozen[k : k + c] for k in range(0, len(frozen), c)]
         self.basis, self.params, self.n = basis, params, 0
+        self._stack, self._key = frozen, None
         self.frozen = None if self.freeze is None else ()  # a linear kernel's first call freezes
         self.tables = basis.field_x[rows], basis.field_amp[rows], basis.field_y[rows]
-        self.grid = np.empty((c, n_fields + self.spare, Q, Q))
-        self.synth = self.grid[:, :n_fields]
-        self.slots = np.empty((c, n_slots, Q, Q))
+        self.grid = np.empty((n_fields + self.spare, c, Q, Q))
+        self.synth = self.grid[:n_fields]
+        self.slots = np.empty((n_slots, c, Q, Q))
         self.out = np.empty((c, basis.n_modes))
         amp = basis.proj_amp[slot_rows]
         if scale is not None:
             amp = amp * np.reshape(scale, (-1, M, M))
         self._projection = basis.proj_x[slot_rows], basis.proj_y[slot_rows], amp
-        self._half, self._paired = np.empty((c, n_slots, M, Q)), np.empty((c, n_slots, M, M))
+        self._half, self._paired = np.empty((n_slots, c, M, Q)), np.empty((n_slots, c, M, M))
         for name, shape in self.buffers.items():
-            setattr(self, name, np.empty((c, *shape, Q, Q)))
+            setattr(self, name, np.empty((*shape, c, Q, Q)))
+
+    def window_of(self, k: int, mids: np.ndarray) -> np.ndarray:
+        """The frozen states of the window of mids (a row, or a stack of n) from step k:
+        the same array while k and n repeat, so that a window's sweeps freeze it once."""
+        key = k, len(mids) if mids.ndim == 2 else 1
+        if key != self._key:
+            self._key, self._steps = key, self._stack[k : k + key[1]]
+        return self._steps
 
     def bind(self, n: int) -> None:
         """Bind field, the kernel's ops formed on the first n steps, and the projection to them."""
-        x, y, amp = self._projection
-        at = slice(n) if n > 1 else 0  # one step runs without a window axis: it is faster
-        slots, half, paired = self.slots[at], self._half[at], self._paired[at]
+        at, (x, y, amp) = window_at(n), self._projection
+        if n > 1:  # the tables broadcast over the window axis, after the slot axis
+            x, y, amp = x[:, None], y[:, None], amp[:, None]
+        slots, half, paired = self.slots[:, at], self._half[:, at], self._paired[:, at]
         self.field = Field(np.empty((n, self.basis.n_modes))[at], self.basis)
-        self._field_grids = self.synth[at]
+        self._field_grids = steps_first(self.synth[:, at])
         self.n, self.ops = n, self.kernel_ops(at) + (
             partial(np.matmul, x, slots, half),
             partial(np.matmul, half, y, paired),
             partial(np.multiply, paired, amp, paired),
-            partial(np.add.reduce, paired.reshape(*paired.shape[:-2], -1), -2, None, self.out[at]),
+            partial(np.add.reduce, paired.reshape(*paired.shape[:-2], -1), 0, None, self.out[at]),
         )
 
     def __call__(self, coeffs: np.ndarray, frozen: np.ndarray | None = None) -> np.ndarray:

@@ -40,7 +40,9 @@ import numpy as np
 
 from .errors import FixedPointDiverged, GridMismatch, ShapeMismatch
 from .params import ModelParams
-from .spectral import Field, SpectralBasis, Workspace, fields, norm_weights, slots, to_grid
+from .spectral import (
+    Field, SpectralBasis, Workspace, fields, norm_weights, slots, steps_first, to_grid, window_at,
+)
 from .trajectory import Trajectory, check_same_grid
 
 __all__ = [
@@ -115,19 +117,18 @@ class StateWork(Workspace):
 
     def kernel_ops(self, at) -> tuple:
         g, strain_sq, Q = self.grid, self.strain_sq, self.basis.n_points
-        lead = g[at].shape[:-3]  # (n,), or () at one step
-        ab, grads = g[at, 5:7], g[at, 0:4].reshape(*lead, 2, 2, Q, Q)  # (a_x, b_x), (a_y, b_y)
+        lead = g[0, at].shape[:-2]  # (n,), or () at one step
+        ab, grads = g[5:7, at], g[0:4, at].reshape(2, 2, *lead, Q, Q)  # (a_x, b_x), (a_y, b_y)
         mix = _mixing(self.params.alpha1, self.params.beta)
+        # the mixing stays one (4, 11) product per step, through views with the steps first
+        products, mixed = (steps_first(a[:, at]).reshape(*lead, -1, Q * Q) for a in (g, self.slots))
         return (
-            partial(np.multiply, ab, ab, g[at, 9:11]),
-            partial(np.add, g[at, 9], g[at, 10], strain_sq[at]),
-            partial(np.multiply, strain_sq[at, None], ab, g[at, 9:11]),
-            partial(np.multiply, g[at, 7:9, None], grads, grads),
-            partial(np.multiply, g[at, 4, None], g[at, 5:9], g[at, 5:9]),
-            partial(
-                np.matmul, mix, g[at].reshape(*lead, -1, Q * Q),
-                self.slots[at].reshape(*lead, -1, Q * Q),
-            ),
+            partial(np.multiply, ab, ab, g[9:11, at]),
+            partial(np.add, g[9, at], g[10, at], strain_sq[at]),
+            partial(np.multiply, strain_sq[None, at], ab, g[9:11, at]),
+            partial(np.multiply, g[7:9, None, at], grads, grads),
+            partial(np.multiply, g[4, None, at], g[5:9, at], g[5:9, at]),
+            partial(np.matmul, mix, products, mixed),
         )
 
 
@@ -160,32 +161,51 @@ def midpoint_gain(basis: SpectralBasis, params: ModelParams, dt: float) -> np.nd
 
 
 @lru_cache(maxsize=8)
-def _window(basis: SpectralBasis, params: ModelParams, dt: float, c: int) -> tuple:
-    """(spread, coef, h, extrapolate) for windows of c steps, decay = (1 - imp) / (1 + imp).
+def _window(basis: SpectralBasis, params: ModelParams, dt: float, n: int) -> tuple:
+    """(spread, coef, predict) for windows of n steps, decay = (1 - imp) / (1 + imp).
 
-    spread = (W, T) carries a window's explicit terms to their shares of its midpoints
-    and half endpoints, T[i, l] = decay^(i-l) for l <= i, W[i, l] = 2 T[i-1, l] / (1 + imp)
-    below the diagonal and 1 on it; coef = (-decay^(i+1) / 2, decay^i / (1 + imp)) carries
-    the window's first node to them; h = midpoint_gain.  extrapolate[q], (c, q), takes the
-    terms of steps k - q..k - 1 by the polynomial through them to steps k + s, s < c: for
-    step k - j, (-1)^(j+1) C(s+q, q) j C(q, j) / (s + j).
+    spread, mode-major (n_modes, 2n, n), stacks (W, T) of each mode: they carry a window's
+    explicit terms, or its sources times h = midpoint_gain, to their shares of its
+    midpoints and half endpoints, T[i, l] = decay^(i-l) for l <= i, W[i, l] =
+    2 T[i-1, l] / (1 + imp) below the diagonal and 1 on it; coef = (-decay^(i+1) / 2,
+    decay^i / (1 + imp)) carries its first node to minus its half endpoints and its
+    midpoints.  predict[q], (n, q), takes the terms of steps k - q..k - 1 by the
+    polynomial through them to steps k + s, s < n: for step k - j,
+    (-1)^(j+1) C(s+q, q) j C(q, j) / (s + j).
     """
     imp = _implicit(basis, params, dt)
     decay, carry = (1.0 - imp) / (1.0 + imp), 1.0 / (1.0 + imp)
-    power = decay ** np.arange(c + 1)[:, None]
-    lag = np.subtract.outer(np.arange(c), np.arange(c))
-    spread = np.zeros((2, c, c, basis.n_modes))
+    power = decay ** np.arange(n + 1)[:, None]
+    lag = np.subtract.outer(np.arange(n), np.arange(n))
+    spread = np.zeros((2, n, n, basis.n_modes))
     spread[1] = power[lag.clip(0)] * (lag >= 0)[..., None]
     spread[0, 1:] = 2.0 * carry * spread[1, :-1]
     spread[0, lag == 0] = 1.0
+    spread = np.ascontiguousarray(spread.reshape(2 * n, n, -1).transpose(2, 0, 1))
     coef = np.stack([-0.5 * power[1:], carry * power[:-1]])
-    spread.flags.writeable = coef.flags.writeable = False
-    extrapolate = tuple(
+    predict = tuple(
         np.array([[(-1) ** (j + 1) * math.comb(s + q, q) * j * math.comb(q, j) / (s + j)
-                   for j in range(q, 0, -1)] for s in range(c)]).reshape(c, q)
+                   for j in range(q, 0, -1)] for s in range(n)]).reshape(n, q)
         for q in range(PREDICTOR_ORDER + 1)
     )
-    return spread, coef, midpoint_gain(basis, params, dt), extrapolate
+    for table in (spread, coef, *predict):
+        table.flags.writeable = False
+    return spread, coef, predict
+
+
+def _sources(spread: np.ndarray, half_src: np.ndarray) -> np.ndarray:
+    """(-T s, W s), (n_win, 2, n, n_modes), of each window s of n of the rows of half_src, the
+    last one padded with zeros: the sources' shares of minus the half endpoints and of the
+    midpoints, which `march` adds to the first node's."""
+    n, n_modes = spread.shape[2], half_src.shape[1]
+    if n == 1:  # W = T = 1: no products
+        return np.stack([-half_src, half_src], axis=1)[:, :, None]
+    padded = np.concatenate([half_src, np.zeros((-len(half_src) % n, n_modes))])
+    out = np.empty((len(padded) // n, 2, n, n_modes))
+    by_mode = padded.reshape(-1, n, n_modes).transpose(2, 1, 0)
+    np.matmul(spread, by_mode, out=out.reshape(len(out), 2 * n, n_modes).transpose(2, 1, 0))
+    np.negative(out[:, 1], out=out[:, 1])
+    return out[:, ::-1]
 
 
 def march(
@@ -203,91 +223,110 @@ def march(
 
     Steps go in windows of c = min(window, len(src)), the last maybe shorter, each
     solved by Picard sweeps on its terms r (waveform relaxation): a sweep carries r
-    through the recurrence to the window's n midpoints and evaluates them in one
-    call rhs(k, mids), k the window's first step and mids (n, n_modes), or a row for
-    n = 1, which returns the n terms (the solvers fold h into their kernels).  A
-    window starts from r extrapolated from the converged terms of the last
-    q = min(k, PREDICTOR_ORDER) steps by the polynomial through them (at distance 1,
-    weights (-1)^(j+1) C(q, j): 2 r_{k-1} - r_{k-2} for q = 2), or from r = 0 at
-    step 0, which then starts from c_0; r carries no source, so it stays smooth in
-    time under rough controls.  The sweeps stop when at every step the change of
-    the midpoint is at most FP_TOL |a_{k+1}|_inf / 2 (for c = 1 the change of r).
-    A window that produces a non-finite value or does not converge in FP_MAX_ITER
-    sweeps raises FixedPointDiverged with its earliest failing step and that step's
-    residual after each sweep.
+    through the recurrence to the window's n midpoints, by one batched product over
+    the modes (`_window`), and evaluates them in one call rhs(k, mids), k the window's
+    first step and mids (n, n_modes), or a row for n = 1 (`spectral.window_at`), which
+    returns the n terms (the solvers fold h into their kernels).  A window starts from
+    r extrapolated from the converged terms of the last q = min(k, PREDICTOR_ORDER)
+    steps by the polynomial through them (at distance 1, weights (-1)^(j+1) C(q, j):
+    2 r_{k-1} - r_{k-2} for q = 2), or from r = 0 at step 0, which then starts from
+    c_0; r carries no source, so it stays smooth in time under rough controls.  The
+    sweeps stop when at every step the change of the midpoint is at most
+    FP_TOL |a_{k+1}|_inf / 2 (for n = 1 the change of r).  A window that produces a
+    non-finite value or does not converge in FP_MAX_ITER sweeps is redone as two
+    windows of half its length, the first taking the shorter half, down to windows of
+    one step; then the windows go on at length c.  A step that fails alone raises
+    FixedPointDiverged with that step and its residual after each sweep: it is the
+    earliest step that fails, since every step before it has converged.
     """
     n_steps, n_modes = src.shape
     c = max(1, min(window, n_steps))
-    spread, coef, gain, extrapolate = _window(basis, params, dt, c)
-    # per window, (-b / 2, c) = coef a_k + sources, its half endpoints and midpoints at r = 0
-    half_src = np.concatenate([gain * src, np.zeros((-n_steps % c, n_modes))])
-    sources = np.einsum("ailm,wlm->waim", spread[::-1], half_src.reshape(-1, c, n_modes))
-    sources[:, 0] *= -1.0
+    half_src = midpoint_gain(basis, params, dt) * src
+    sources = _sources(_window(basis, params, dt, c)[0], half_src)  # per window of c steps
     nodes, terms = np.empty((n_steps + 1, n_modes)), np.empty((n_steps, n_modes))
     nodes[0] = a0
-    ref = np.empty((3, c, n_modes))  # (W r, -b / 2, c): r the window's current explicit terms
-    ends, mid, n = ref[1:3], np.empty((c, n_modes)), n_steps + 1
+    k, n, redo = 0, 0, []  # redo: the lengths of the windows that redo a failed one, last first
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, source in zip(range(0, n_steps, c), sources):
-            if k + n > n_steps:  # the first window, or the last and shorter one: its views
-                n = min(c, n_steps - k)
-                at = slice(n) if n > 1 else 0  # a window of one: rows, as rhs and matmul take them
-                r, c_n, ref_n, m = ref[0, at], ref[2, at], ref[0:2, :n], mid[at]
-                check, both = np.empty((2, 2, n, n_modes))
-                rows, size = check.reshape(2 * n, -1), np.empty((2 * n, n_modes))
-                tri, predict = spread[:, :n, :n], [w[at] for w in extrapolate]
+        while k < n_steps:
+            if redo or n != c or k + c > n_steps:  # the first, the last, or a redone window
+                length = redo.pop() if redo else min(c, n_steps - k)
+                if length != n:  # the tables and views of windows of this length
+                    n, at = length, window_at(length)
+                    spread, coef, predicts = _window(basis, params, dt, n)
+                    ref = np.empty((3, n, n_modes))  # (W r, -a_next / 2, c), r the terms
+                    check, both = np.empty((2, 2, n, n_modes))
+                    # per step, |change| and |a_next / 2| over the modes and a floor of
+                    # 0.5e-30 under the latter: max.reduce gives what a residual divides by
+                    size, sizes = np.zeros((2, n, n_modes + 1)), np.empty((2, n))
+                    size[1, :, -1], magnitudes, (change, scale) = 0.5e-30, size[..., :-1], sizes
+                    history = np.empty((FP_MAX_ITER, n))  # the residuals of a window's sweeps
+                    spreads = both.reshape(2 * n, -1).T[:, :, None]  # the mode-major view
+                    r, c_n, ends, ref_n = ref[0, at], ref[2, at], ref[1:3], ref[0:2]
+                    mid, half = np.empty((n, n_modes)), check[1, at]
+                    m, predict = mid[at], [p[at] for p in predicts]
+                if k % c or n < min(c, n_steps - k):
+                    source = _sources(spread, half_src[k : k + n])[0]
+                else:
+                    source = sources[k // c, :, :n]
+            else:
+                source = sources[k // c]
             np.multiply(coef, nodes[k], out=ends)
             np.add(ends, source, out=ends)
             q = min(k, PREDICTOR_ORDER)
-            np.matmul(predict[q], terms[k - q : k], out=r)
+            np.matmul(predict[q], terms[k - q : k], out=r if n == 1 else mid)
             if n > 1:
-                np.copyto(r, np.einsum("ilm,lm->im", tri[0], r, out=both[0]))
+                np.matmul(spread[:, :n], mid.T[:, :, None], out=spreads[:, :n])
+                np.copyto(r, both[0])
             np.add(c_n, r, out=m)
-            history = []
-            for _ in range(FP_MAX_ITER):
+            for sweep in range(FP_MAX_ITER):
                 out = new = rhs(k, m)
                 if n > 1:
-                    out = np.einsum("ailm,lm->aim", tri, new, out=both)
+                    np.matmul(spread, new.T[:, :, None], out=spreads)
+                    out = both
                 np.subtract(out, ref_n, out=check)  # (change of the midpoints, a_next / 2)
-                sizes = np.maximum.reduce(np.abs(rows, out=size), axis=1).tolist()
-                if not math.isfinite(sum(sizes)):  # a NaN or inf in a_next
-                    raise _diverged(k, history, sizes, new, "produced non-finite values")
-                history.append(sizes)
-                # the largest residual, change / max(half, 0.5e-30), of the window's steps
-                worst = sizes[0] / max(sizes[1], 0.5e-30) if n == 1 else max(_residuals(sizes))
+                np.abs(check, out=magnitudes)
+                np.maximum.reduce(size, axis=2, out=sizes)
+                residuals = np.divide(change, scale, out=history[sweep])
+                worst, top = (residuals[0], scale[0]) if n == 1 else (
+                    np.maximum.reduce(residuals), np.maximum.reduce(scale)
+                )
+                if not (math.isfinite(worst) and math.isfinite(top)):  # a NaN or inf
+                    failure, sweep = "produced non-finite values", sweep - 1  # not in history
+                    break
                 if worst <= FP_TOL:
+                    terms[k : k + n] = new
+                    np.add(half, half, out=nodes[k + 1 : k + n + 1][at])
+                    k, failure = k + n, None
                     break
                 np.copyto(r, out[0] if n > 1 else out)
                 np.add(c_n, r, out=m)
             else:
-                what = f"did not reach {FP_TOL} in {FP_MAX_ITER} sweeps"
-                raise _diverged(k, history, sizes, new, what)
-            np.copyto(terms[k : k + n], new)
-            np.add(check[1], check[1], out=nodes[k + 1 : k + n + 1])
+                failure = f"did not reach {FP_TOL} in {FP_MAX_ITER} sweeps"
+            if failure:
+                if n == 1:
+                    raise _diverged(k, history[: sweep + 1], sizes, new, failure)
+                redo += [n - n // 2, n // 2]
     return nodes
 
 
-def _residuals(sizes: list) -> list:
-    """Per step of a window, the change of its midpoint over its half endpoint's size."""
-    return [change / max(half, 0.5e-30) for change, half in zip(sizes, sizes[len(sizes) // 2 :])]
-
-
 def _diverged(
-    k: int, history: list, sizes: list, terms: np.ndarray, what: str
+    k: int, history: np.ndarray, sizes: np.ndarray, terms: np.ndarray, what: str
 ) -> FixedPointDiverged:
-    """The failure of the window from step k, of these sizes and terms after its last sweep:
-    at its earliest step with a non-finite term (the zeros of the tables spread a NaN or inf
-    to every step), else with a non-finite half endpoint, else with a residual above FP_TOL."""
-    n = len(sizes) // 2
+    """The failure of the window from step k, of these (2, n) sizes (the change of each
+    midpoint, and its half endpoint's size, at least 0.5e-30) and terms after its last sweep
+    and the (sweeps, n) residuals of its finite sweeps: at its earliest step with a non-finite
+    term (the zeros of the tables spread a NaN or inf to every step), else with a non-finite
+    half endpoint, else with a residual above FP_TOL."""
+    change, scale = sizes
     for fails in (
-        ~np.isfinite(np.reshape(terms, (n, -1))).all(axis=1),
-        [not math.isfinite(half) for half in sizes[n:]],
-        [not res <= FP_TOL for res in _residuals(sizes)],
+        ~np.isfinite(np.reshape(terms, (len(change), -1))).all(axis=1),
+        ~np.isfinite(scale),
+        ~(change / scale <= FP_TOL),
     ):
-        if any(fails):
+        if fails.any():
             break
-    bad = list(fails).index(True)
-    residuals = [_residuals(s)[bad] for s in history]
+    bad = int(np.argmax(fails))
+    residuals = [float(r[bad]) for r in history]
     message = f"midpoint iteration {what} (last residuals {residuals[-3:]}); dt is too large"
     return FixedPointDiverged(message, step=k + bad, residuals=residuals)
 
@@ -302,11 +341,12 @@ def solve_state(y0: Field, control: Trajectory, params: ModelParams) -> Trajecto
         raise ShapeMismatch(f"the initial state is one field, got shape {y0.coeffs.shape}")
     if not basis.compatible(control.basis):
         raise GridMismatch("initial state and control live on incompatible bases")
-    dt = control.dt
-    work = StateWork(basis, params, midpoint_gain(basis, params, dt) / basis.vmult)
+    dt, controls = control.dt, control.midpoints()
+    work = StateWork(basis, params, midpoint_gain(basis, params, dt) / basis.vmult, controls)
     coeffs = march(
-        basis, params, dt, y0.coeffs, control.midpoints() / basis.vmult,
+        basis, params, dt, y0.coeffs, controls / basis.vmult,
         lambda k, mid: state_rhs_coeffs(basis, params, mid, work),
+        work.window,
     )
     return Trajectory(control.times.copy(), coeffs, basis, "state")
 

@@ -45,6 +45,11 @@ optimizer costs by 7e-13 relative; no optimizer iteration count changed.
 Windowed linearized and adjoint solves moved, at fast seed 0, `duality_gap` from
 3.5e-14 to 1.6e-14, `adjoint_gradient` by 2e-4 and the Taylor slope by 5e-8
 relative; the state checks stay byte-identical and no iteration count changed.
+Windowed state sweeps moved, at fast seed 0, the `state_energy` identity error from
+9.3e-14 to 6.4e-16, the `manufactured_convergence` errors by up to 3.4e-8 relative,
+`adjoint_gradient` from 1.27e-11 to 1.31e-11, the Taylor slope and the stability spread
+by 2e-6 relative and the optimizer costs by 2e-10 relative; `duality_gap` moved by 2e-16
+relative, and no iteration count changed.  The kernels' field-major buffers move nothing.
 The basis check's one synthesis of every mode and pairwise quadrature reproduce the
 per-mode `basis_invariants` values bit for bit, `orthonormality` and `mu` included.
 `optimizer_contract` lists each of its criteria, `control_norm` (the returned

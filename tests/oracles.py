@@ -352,7 +352,7 @@ def march_endpoint(basis, params, dt, a0, src, rhs_at, calls=None, tol=FP_TOL):
     return nodes
 
 
-def solve_state_endpoint(y0, control, params, calls=None):
+def solve_state_endpoint(y0, control, params, calls=None, tol=FP_TOL):
     """Coefficients of `solve_state` by the endpoint-form stepper."""
     basis = y0.basis
     u_term = control.midpoints() / basis.vmult
@@ -360,7 +360,7 @@ def solve_state_endpoint(y0, control, params, calls=None):
     def rhs_at(k):
         return lambda mid: state_rhs_coeffs(basis, params, mid) / basis.vmult
 
-    return march_endpoint(basis, params, control.dt, y0.coeffs, u_term, rhs_at, calls)
+    return march_endpoint(basis, params, control.dt, y0.coeffs, u_term, rhs_at, calls, tol)
 
 
 def solve_linearized_endpoint(y_traj, psi, params, calls=None, tol=FP_TOL):
@@ -392,7 +392,7 @@ def adjoint_kernel_terms(basis, params, y, q):
     of one AdjointWork call, projected slot by slot; the w slot is -outer."""
     work = AdjointWork(basis, params)
     adjoint_rhs_terms(basis, params, y, q, work)
-    r = project(basis, work.slots, slots("w", "a", "b", "u1", "u2"))
+    r = project(basis, work.slots[:, 0], slots("w", "a", "b", "u1", "u2"))  # its one step
     return r[1:].sum(axis=0), -r[0]
 
 

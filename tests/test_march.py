@@ -143,29 +143,29 @@ def test_no_convergence_raises_after_max_iterations(basis, params):
 
 def test_windowed_march_reports_its_earliest_failing_step(basis, params):
     """In a window of four steps, a NaN term of step 2 and a term of step 1 that flips sign
-    every sweep are reported at those steps, although the later steps fail with them."""
+    every sweep are reported at those steps, although the later steps fail with them: the
+    failing windows are redone in halves until the failing step is alone."""
     a0, src = np.ones(basis.n_modes), np.zeros((6, basis.n_modes))
 
-    def nan_at_2(k, mids):
-        out = np.zeros_like(mids)
-        if k == 0:
-            out[2, -1] = np.nan
-        return out
+    def term_of_step(step, value):
+        """An rhs whose term is value() at that step, in whichever window holds it, else 0."""
 
+        def rhs(k, mids):
+            out = np.zeros_like(np.atleast_2d(mids))
+            if k <= step < k + len(out):
+                out[step - k] = value()
+            return out.reshape(mids.shape)
+
+        return rhs
+
+    nan_at_2 = term_of_step(2, lambda: np.where(np.arange(basis.n_modes) == basis.n_modes - 1, np.nan, 0.0))
     with pytest.raises(FixedPointDiverged, match="non-finite") as info:
         march(basis, params, 0.01, a0, src, nan_at_2, window=4)
     assert info.value.step == 2
     assert info.value.residuals == []
     flip = itertools.cycle([1.0, -1.0])
-
-    def flip_at_1(k, mids):
-        out = np.zeros_like(mids)
-        if k == 0:
-            out[1] = next(flip)
-        return out
-
     with pytest.raises(FixedPointDiverged, match="did not reach") as info:
-        march(basis, params, 0.01, a0, src, flip_at_1, window=4)
+        march(basis, params, 0.01, a0, src, term_of_step(1, lambda: next(flip)), window=4)
     assert info.value.step == 1
     assert len(info.value.residuals) == FP_MAX_ITER
     assert min(info.value.residuals) > FP_TOL
@@ -222,14 +222,16 @@ def solver_inputs(max_mode, params, seed, n_steps=32):
 
 def counted(module, monkeypatch, calls=None):
     """Record the step of every midpoint the march of the module's solver evaluates and,
-    in calls when given, the first step of every rhs (kernel) call."""
+    in calls when given, the first step and the length of the window of every rhs
+    (kernel) call."""
     steps = []
 
     def march_counted(basis, params, dt, a0, src, rhs, window=1):
         def rhs_counted(k, mids):
-            steps.extend(range(k, k + len(np.atleast_2d(mids))))
+            n = len(np.atleast_2d(mids))
+            steps.extend(range(k, k + n))
             if calls is not None:
-                calls.append(k)
+                calls.append((k, n))
             return rhs(k, mids)
 
         return march(basis, params, dt, a0, src, rhs_counted, window)
@@ -238,35 +240,29 @@ def counted(module, monkeypatch, calls=None):
     return steps
 
 
-# Per-step linearized and adjoint solves (one kernel call per step and iteration) met
-# 2.39e-13 relative against the endpoint form iterated to 1e-14 in these cases (M = 8,
-# linearized; 6.5e-14 at M = 4 and 2.5e-15 at M = 3): the windowed solves must meet it too.
-LINEAR_TOL = 2.5e-13
+# Per-step solves (one kernel call per step and iteration) met 2.39e-13 relative against
+# the endpoint form iterated to 1e-14 in these cases (M = 8, linearized; 6.5e-14 at M = 4
+# and 2.5e-15 at M = 3): the windowed solves must meet it too.  The windowed state met
+# 1.1e-13, 6.0e-14 and 2.3e-15 at M = 8, 4 and 3.
+ENDPOINT_TOL = 2.5e-13
 
 
 @pytest.mark.parametrize("max_mode", [3, 4, 8])
-def test_solvers_match_the_endpoint_form(max_mode, params, monkeypatch):
-    """The state's midpoint iteration with its scales folded into the kernel takes the
-    steps of the endpoint-form iteration: the same nodes to 1e-13 relative, from the
-    same number of rhs evaluations in every step.  The windowed linearized and adjoint
-    solves match the endpoint form iterated to 1e-14 within LINEAR_TOL."""
+def test_solvers_match_the_endpoint_form(max_mode, params):
+    """The windowed state, linearized and adjoint solves, their scales folded into their
+    kernels, match the endpoint form iterated to 1e-14 within ENDPOINT_TOL."""
     basis, y0, control, y, psi = solver_inputs(max_mode, params, seed=max_mode)
-    steps = counted(state, monkeypatch)
-    got = state.solve_state(y0, control, params).coeffs
-    monkeypatch.undo()
-    calls = []
-    want = solve_state_endpoint(y0, control, params, calls)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    assert np.bincount(steps, minlength=y.n_steps).tolist() == calls
-    assert max(calls) >= 2
+    assert StateWork(basis, params, frozen=control.midpoints()).window > 1
     cases = [
+        (state.solve_state(y0, control, params).coeffs,
+         solve_state_endpoint(y0, control, params, tol=1e-14)),
         (linearized.solve_linearized(y, psi, params).coeffs,
          solve_linearized_endpoint(y, psi, params, tol=1e-14)),
         (adjoint.solve_adjoint(y, psi, params).coeffs[::-1],
          solve_adjoint_endpoint(y, psi, params, tol=1e-14)),
     ]
     for got, want in cases:
-        assert np.max(np.abs(got - want)) <= LINEAR_TOL * np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= ENDPOINT_TOL * np.max(np.abs(want))
 
 
 def test_rhs_per_step_at_the_acceptance_size(params, monkeypatch):
@@ -274,11 +270,12 @@ def test_rhs_per_step_at_the_acceptance_size(params, monkeypatch):
     solves from seeded smooth data take at most these rhs evaluations per step.
     Predicting each midpoint from the nodes, as before, they took 2.06, 2.08 and
     2.06 here (2.21 state and 2.83 adjoint rhs per step traced on `optimize_m4`).
-    The windowed linear solves make one kernel call per sweep of a window, so they
-    are pinned by kernel calls and by midpoints evaluated per step: measured 0.33
-    and 1.31 for the linearized solve (windows of 4), 0.17 and 1.38 for the adjoint
-    (windows of 8), pinned 10% above; one step at a time they made 1.14 and 1.11
-    kernel calls, one midpoint each, per step."""
+    The windowed solves make one kernel call per sweep of a window, so they are
+    pinned by kernel calls and by midpoints evaluated per step: measured 0.17 and
+    1.38 for the state (windows of 8), 0.33 and 1.31 for the linearized solve
+    (windows of 4), 0.17 and 1.38 for the adjoint (windows of 8), pinned 10% above;
+    one step at a time the state made 1.11 kernel calls per step and the linear
+    solves 1.14 and 1.11, one midpoint each."""
     basis = build_basis(4, params.alpha1, 16)
     rng = np.random.default_rng(0)
     times = time_grid(0.5, 64)
@@ -292,13 +289,25 @@ def test_rhs_per_step_at_the_acceptance_size(params, monkeypatch):
         monkeypatch.undo()
         return out, len(calls) / (times.size - 1), len(steps) / (times.size - 1)
 
-    y, state_rate, state_mids = per_step(state, solve_state, y0, control)
+    y, state_calls, state_mids = per_step(state, solve_state, y0, control)
     _, linearized_calls, linearized_mids = per_step(linearized, solve_linearized, y, psi)
     _, adjoint_calls, adjoint_mids = per_step(adjoint, solve_adjoint, y, f)
-    assert state_rate == state_mids <= 1.15
-    rates = (linearized_calls, linearized_mids, adjoint_calls, adjoint_mids)
+    rates = (state_calls, state_mids, linearized_calls, linearized_mids, adjoint_calls, adjoint_mids)
+    assert state_calls <= 0.19 and state_mids <= 1.52, rates
     assert linearized_calls <= 0.36 and linearized_mids <= 1.44, rates
     assert adjoint_calls <= 0.19 and adjoint_mids <= 1.52, rates
+
+
+def unit_amplitude_inputs(alpha1, alpha2, max_mode, horizon, n_steps):
+    """The model, unit-amplitude initial state and constant control of
+    `test_unit_amplitude_data_complete`."""
+    params = validate_params(nu=1.0, alpha1=alpha1, alpha2=alpha2, beta=0.4)
+    basis = build_basis(max_mode, alpha1)
+    rng = np.random.default_rng(0)
+    y0 = Field(rng.normal(size=basis.n_modes) / np.sqrt(1.0 + basis.lam), basis)
+    u = rng.normal(size=basis.n_modes) / (1.0 + basis.lam)
+    times = time_grid(horizon, n_steps)
+    return params, y0, Trajectory(times, np.tile(u, (n_steps + 1, 1)), basis, "control")
 
 
 @pytest.mark.parametrize("alpha1, alpha2", [(0.05, -0.05), (0.5, -0.2)])
@@ -308,16 +317,47 @@ def test_unit_amplitude_data_complete(alpha1, alpha2, max_mode, horizon, n_steps
     """Unit-amplitude initial data under a constant control, at step sizes up to
     dt = 6.25e-3, where the midpoint iteration needs up to 17 rhs evaluations per
     step: the state, linearized and adjoint solves all complete."""
-    params = validate_params(nu=1.0, alpha1=alpha1, alpha2=alpha2, beta=0.4)
-    basis = build_basis(max_mode, alpha1)
-    rng = np.random.default_rng(0)
-    y0 = Field(rng.normal(size=basis.n_modes) / np.sqrt(1.0 + basis.lam), basis)
-    u = rng.normal(size=basis.n_modes) / (1.0 + basis.lam)
-    times = time_grid(horizon, n_steps)
-    control = Trajectory(times, np.tile(u, (n_steps + 1, 1)), basis, "control")
+    params, y0, control = unit_amplitude_inputs(alpha1, alpha2, max_mode, horizon, n_steps)
     y = solve_state(y0, control, params)
     for solve in (solve_linearized, solve_adjoint):
         assert np.all(np.isfinite(solve(y, control, params).coeffs))
+
+
+def test_a_failing_window_is_redone_in_shorter_windows(monkeypatch):
+    """In the unit-amplitude case at M = 8, alpha1 = 0.05 and dt = 1/128, the state's
+    window of 8 steps from step 8 does not converge: it is redone as windows of 4, the
+    first of them as windows of 2, and the windows go on at 8 steps from step 16."""
+    params, y0, control = unit_amplitude_inputs(0.05, -0.05, 8, 0.5, 64)
+    assert StateWork(y0.basis, params, frozen=control.midpoints()).window == 8
+    calls = []
+    counted(state, monkeypatch, calls)
+    assert np.all(np.isfinite(solve_state(y0, control, params).coeffs))
+    windows = sorted(set(calls))
+    assert [w for w in windows if 8 <= w[0] < 16] == [(8, 2), (8, 4), (8, 8), (10, 2), (12, 4)]
+    assert [w for w in windows if w[0] >= 16] == [(k, 8) for k in range(16, 64, 8)]
+
+
+def test_a_step_that_fails_alone_raises_at_the_step_a_window_of_one_names(basis, params):
+    """A term that grows threefold every sweep from step 5 on fails every window that
+    holds step 5, down to step 5 alone: the windowed march raises there, with the
+    residuals of the march that takes one step at a time (to roundoff: the windows
+    carry the nodes before step 5 by powers of the decay, one step at a time by
+    products)."""
+
+    def rhs(k, mids):
+        rows = np.atleast_2d(mids)
+        grows = (np.arange(k, k + len(rows)) >= 5)[:, None]
+        return (3.0 * rows * grows).reshape(mids.shape)
+
+    a0, src = np.ones(basis.n_modes), np.zeros((12, basis.n_modes))
+    failures = []
+    for window in (1, 4):
+        with pytest.raises(FixedPointDiverged, match="did not reach") as info:
+            march(basis, params, 0.01, a0, src, rhs, window)
+        failures.append(info.value)
+    assert [f.step for f in failures] == [5, 5]
+    assert len(failures[1].residuals) == FP_MAX_ITER
+    assert np.allclose(failures[1].residuals, failures[0].residuals, rtol=1e-12, atol=0.0)
 
 
 def test_repeated_and_interleaved_solves_are_bitwise_identical(params):
@@ -474,24 +514,26 @@ def test_chunked_solves_match_chunks_of_one(params, monkeypatch, max_mode, solve
 
 @pytest.mark.parametrize("max_mode", [3, 4])
 @pytest.mark.parametrize(
-    "solve, work", [(solve_linearized, LinearizedWork), (solve_adjoint, AdjointWork)]
+    "solve, work",
+    [(solve_state, StateWork), (solve_linearized, LinearizedWork), (solve_adjoint, AdjointWork)],
 )
 def test_windowed_solves_match_window_of_one(params, monkeypatch, max_mode, solve, work):
-    """Windowed linearized and adjoint solves agree with solves whose windows hold one
-    step to 1e-12 relative, for step counts around and across the window, and each
+    """Windowed state, linearized and adjoint solves agree with solves whose windows hold
+    one step to 1e-12 relative, for step counts around and across the window, and each
     repeats bitwise."""
     basis = build_basis(max_mode, params.alpha1)
     rng = np.random.default_rng(max_mode)
     y0 = random_field(basis, rng, amp=0.4)
     for n_steps in step_counts(basis, params, work)[1]:
         times = time_grid(0.5, n_steps)
-        y = solve_state(y0, random_traj(basis, times, rng, amp=1.0), params)
-        psi = random_traj(basis, times, rng)
-        windowed = solve(y, psi, params).coeffs
-        assert np.array_equal(solve(y, psi, params).coeffs, windowed), n_steps
+        control = random_traj(basis, times, rng, amp=1.0)
+        y = solve_state(y0, control, params)
+        inputs = (y0, control) if solve is solve_state else (y, random_traj(basis, times, rng))
+        windowed = solve(*inputs, params).coeffs
+        assert np.array_equal(solve(*inputs, params).coeffs, windowed), n_steps
         monkeypatch.setattr(spectral, "WINDOW_BYTES", 0)
-        single = solve(y, psi, params).coeffs
-        assert np.array_equal(solve(y, psi, params).coeffs, single), n_steps
+        single = solve(*inputs, params).coeffs
+        assert np.array_equal(solve(*inputs, params).coeffs, single), n_steps
         monkeypatch.undo()
         assert np.max(np.abs(windowed - single)) <= 1e-12 * np.max(np.abs(single)), n_steps
 
@@ -513,23 +555,23 @@ def test_windowed_duality_gap(params, max_mode, grid):
 
 def test_large_bases_take_a_window_of_one(params):
     """At M = 16 on the default grid a sweep over more than one step costs more than it
-    saves, so the linear solves take their steps one at a time."""
+    saves, so the solves take their steps one at a time."""
     basis = build_basis(16, params.alpha1)
-    for work in (LinearizedWork, AdjointWork):
+    for work in (StateWork, LinearizedWork, AdjointWork):
         assert work(basis, params, frozen=np.zeros((64, basis.n_modes))).window == 1
 
 
 @pytest.mark.parametrize(
     "max_mode, grid, windows",
-    [(3, None, (16, 16)), (4, None, (8, 16)), (4, 16, (4, 8)), (8, None, (4, 8)),
-     (16, None, (1, 1))],
+    [(3, None, (16, 16, 16)), (4, None, (16, 8, 16)), (4, 16, (8, 4, 8)), (8, None, (8, 4, 8)),
+     (16, None, (1, 1, 1))],
 )
 def test_windows_pinned(params, max_mode, grid, windows):
-    """The window each linear workspace sizes from the buffers it declares, per basis:
-    (LinearizedWork, AdjointWork) on the floor grid, or on the grid given."""
+    """The window each workspace sizes from the buffers it declares, per basis:
+    (StateWork, LinearizedWork, AdjointWork) on the floor grid, or on the grid given."""
     basis = build_basis(max_mode, params.alpha1, grid)
     frozen = np.zeros((64, basis.n_modes))
-    works = (LinearizedWork, AdjointWork)
+    works = (StateWork, LinearizedWork, AdjointWork)
     assert tuple(work(basis, params, frozen=frozen).window for work in works) == windows
 
 
